@@ -99,6 +99,10 @@ class Manifold:
         """Adjoint of the retraction differential, pulling w at Retr_x(s) back to x."""
         raise NotImplementedError
 
+    def retraction_adjoint_many(self, x: np.ndarray, tangents: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Row-wise `retraction_adjoint`: pull row i of w at Retr_x(tangents[i]) back to x."""
+        raise NotImplementedError
+
     def _check_adjoint_args(self, x: Point, s: Tangent, w: Tangent):
         self._check_tangent(s)
         if not same_point(s.base, x):
@@ -171,6 +175,9 @@ class Euclidean(Manifold):
     def retraction_adjoint(self, x, s, w):
         self._check_adjoint_args(x, s, w)
         return Tangent(x, w.coords)
+
+    def retraction_adjoint_many(self, x, tangents, w):
+        return w
 
     def sample_ball(self, x, radius, rng):
         self._check_point(x)
@@ -247,6 +254,10 @@ class Sphere(Manifold):
         self._check_adjoint_args(x, s, w)
         scale = float(np.linalg.norm(x.coords + s.coords))
         return Tangent(x, self._project_array(x.coords, w.coords) / scale)
+
+    def retraction_adjoint_many(self, x, tangents, w):
+        scale = np.linalg.norm(x + tangents, axis=1, keepdims=True)
+        return (w - np.outer(w @ x, x)) / scale
 
     def sample_ball(self, x, radius, rng):
         self._check_point(x)

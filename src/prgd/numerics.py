@@ -122,6 +122,22 @@ def fd_hessian(fn, s, h: float = DEFAULT_HESS_H) -> np.ndarray:
     return 0.5 * (hess + hess.T)
 
 
+def fd_hessian_from_gradients(gradient_many, center, basis, h: float = DEFAULT_HESS_H) -> np.ndarray:
+    """Central-difference Hessian in the orthonormal columns of `basis`, symmetrized.
+
+    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j].
+    """
+    if not (h > 0):
+        raise ValueError("finite-difference step h must be positive")
+    steps = h * basis.T
+    grads = gradient_many(np.concatenate([center + steps, center - steps]))
+    if not np.all(np.isfinite(grads)):
+        raise NumericalError("gradient oracle returned non-finite values during Hessian estimation")
+    k = basis.shape[1]
+    hess = (grads[:k] - grads[k:]) @ basis / (2.0 * h)
+    return 0.5 * (hess + hess.T)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Splittable counter-based random stream (Philox), advanced by value.

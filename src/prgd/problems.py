@@ -29,6 +29,10 @@ class CostFunction:
     def riemannian_gradient(self, x: Point) -> Tangent:
         return self.manifold.project(x, self.euclidean_gradient(x))
 
+    def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
+        """Riemannian gradients at rows of `coords`, one row each."""
+        return np.array([self.riemannian_gradient(self.manifold.point(row)).coords for row in coords])
+
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         """Values at rows of `coords` (manifold points in ambient coordinates)."""
         return np.array([self.value(self.manifold.point(row)) for row in coords])
@@ -72,6 +76,10 @@ class PcaProblem(CostFunction):
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         return -0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)
+
+    def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
+        grads = -(coords @ self.matrix.T)
+        return grads - np.einsum("ij,ij->i", grads, coords)[:, None] * coords
 
     def constants(self) -> ProblemConstants:
         """Lipschitz constants valid on every tangent space (no ball restriction)."""

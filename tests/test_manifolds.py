@@ -192,6 +192,27 @@ class TestRetractionAdjoint:
             rhs = float(sd.coords @ manifold.retraction_adjoint(x, s, w).coords)
             assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("manifold", [Euclidean(6), Sphere(6)])
+    def test_many_matches_row_by_row(self, manifold):
+        rng = RngStream(31)
+        if isinstance(manifold, Sphere):
+            x, rng = sphere_point(manifold, rng)
+        else:
+            c, rng = rng.standard_normal(6)
+            x = manifold.point(c)
+        tangents, ws, want = [], [], []
+        for _ in range(50):
+            s, rng = manifold.sample_ball(x, 2.0, rng)
+            raw, rng = rng.standard_normal(6)
+            w = manifold.project(manifold.retract(x, s), raw)
+            tangents.append(s.coords)
+            ws.append(w.coords)
+            want.append(manifold.retraction_adjoint(x, s, w).coords)
+        got = manifold.retraction_adjoint_many(x.coords, np.array(tangents), np.array(ws))
+        assert got.shape == (50, 6)
+        for row, ref in zip(got, want):
+            assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 class TestSampleBall:
     def test_zero_radius(self):

@@ -13,6 +13,7 @@ from prgd.problems import (
     start_vector,
     synthetic_matrix,
 )
+from conftest import EuclideanQuadratic
 
 
 class TestPcaValue:
@@ -132,6 +133,22 @@ class TestQuadraticSaddle:
     def test_requires_negative_eigenvalue(self):
         with pytest.raises(ValueError):
             QuadraticSaddle(np.eye(2))
+
+
+class TestRiemannianGradientMany:
+    # PcaProblem has a closed form; QuadraticSaddle and EuclideanQuadratic use the generic loop
+    @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle, EuclideanQuadratic])
+    def test_matches_row_by_row(self, cls):
+        a, _, _, rng = synthetic_matrix(6, RngStream(41, 1))
+        problem = cls(a - 1.5 * np.eye(6))
+        coords, _ = rng.standard_normal((50, 6))
+        if cls is PcaProblem:
+            coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+        got = problem.riemannian_gradient_many(coords)
+        assert got.shape == (50, 6)
+        for row, point in zip(got, coords):
+            ref = problem.riemannian_gradient(problem.manifold.point(point)).coords
+            assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestMatrixIo:

@@ -1,15 +1,47 @@
 import numpy as np
 import pytest
 
-from prgd.numerics import RngStream, fd_gradient, min_eigpair
-from prgd.problems import PcaProblem, synthetic_matrix
+from prgd.errors import NumericalError
+from prgd.manifolds import Euclidean, Tangent
+from prgd.numerics import RngStream, fd_gradient, fd_hessian, min_eigpair
+from prgd.problems import CostFunction, PcaProblem, synthetic_matrix
 from prgd.pullback import Pullback
+from prgd.verify import random_point, riemannian_hessian_matrix
 from conftest import EuclideanQuadratic
 
 
 def random_sphere_point(sph, rng):
     raw, rng = rng.standard_normal(sph.ambient_dim)
     return sph.point(raw / np.linalg.norm(raw)), rng
+
+
+def problem_and_point(name, rng):
+    """A 6-dim PCA problem at a random sphere point (k = 5), or a Euclidean quadratic (k = 6)."""
+    a, _, _, rng = synthetic_matrix(6, rng)
+    problem = PcaProblem(a) if name == "pca" else EuclideanQuadratic(a - 1.5 * np.eye(6))
+    x, rng = random_point(problem.manifold, rng)
+    return problem, x, rng
+
+
+def value_route_hessian(pull, u):
+    """The independent scalar oracle: fd_hessian of u -> pull.value(B u), B the tangent basis."""
+    return fd_hessian(lambda uu: pull.value(Tangent(pull.base, pull.basis @ uu)), u)
+
+
+class SqrtGradient(CostFunction):
+    """sum_i x_i^(3/2) on R^2: zero gradient at the origin, NaN wherever a coordinate is negative."""
+
+    manifold = Euclidean(2)
+
+    def value(self, x):
+        return float(np.sum(x.coords**1.5))
+
+    def euclidean_gradient(self, x):
+        return 1.5 * np.sqrt(x.coords)
+
+    def riemannian_gradient_many(self, coords):
+        with np.errstate(invalid="ignore"):
+            return 1.5 * np.sqrt(coords)
 
 
 class TestValue:
@@ -95,6 +127,19 @@ class TestGradient:
             got = basis.T @ pull.gradient(s).coords
             assert np.linalg.norm(got - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-9)
 
+    @pytest.mark.parametrize("problem_name", ["pca", "quadratic"])
+    def test_gradient_many_matches_row_by_row(self, problem_name):
+        problem, x, rng = problem_and_point(problem_name, RngStream(15, 2))
+        pull = Pullback(problem, x)
+        steps = []
+        for _ in range(30):
+            s, rng = problem.manifold.sample_ball(x, 2.0, rng)
+            steps.append(s)
+        got = pull.gradient_many(np.array([s.coords for s in steps]))
+        for row, s in zip(got, steps):
+            ref = pull.gradient(s).coords
+            assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
 
 class TestHessianAtZero:
     def test_euclidean_quadratic_recovers_matrix(self):
@@ -140,3 +185,30 @@ class TestHessianAtZero:
         pull = Pullback(pca3, x)
         zero = pca3.manifold.zero_tangent(x)
         assert np.abs(pull.hessian_at(zero) - pull.hessian_at_zero()).max() <= 1e-12
+
+
+class TestHessianAgainstValueRoute:
+    @pytest.mark.parametrize("problem_name", ["pca", "quadratic"])
+    def test_hessian_at_zero_and_at_s_match_fd_of_values(self, problem_name):
+        problem, x, rng = problem_and_point(problem_name, RngStream(16, 3))
+        manifold = problem.manifold
+        for _ in range(3):
+            pull = Pullback(problem, x)
+            k = manifold.intrinsic_dim
+            assert np.abs(pull.hessian_at_zero() - value_route_hessian(pull, np.zeros(k))).max() <= 1e-6
+            s, rng = manifold.sample_ball(x, 1.0, rng)
+            s = Tangent(x, 0.5 * s.coords / s.norm)
+            at_s = pull.hessian_at(s)
+            assert np.abs(at_s - value_route_hessian(pull, pull.basis.T @ s.coords)).max() <= 1e-6
+            if problem_name == "pca":
+                # the pullback curvature moves away from the origin; the check is not vacuous
+                assert np.abs(at_s - pull.hessian_at_zero()).max() > 1e-2
+            x, rng = random_point(manifold, rng)
+
+    def test_nonfinite_gradients_raise(self):
+        problem = SqrtGradient()
+        x = problem.manifold.point([0.0, 0.0])
+        with pytest.raises(NumericalError):
+            Pullback(problem, x).hessian_at_zero()
+        with pytest.raises(NumericalError):
+            riemannian_hessian_matrix(problem, x)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,9 @@ class TestCriticalityReport:
             assert later or not earlier
 
     def test_hessian_routes_agree_for_second_order_retractions(self):
+        # Both fields come from the same gradient differences, so this agreement is
+        # structural; the independent check of the pullback Hessian against the
+        # value route is test_pullback.py::TestHessianAgainstValueRoute.
         a, _, _, _ = synthetic_matrix(6, RngStream(31, 1))
         p = PcaProblem(a)
         rng = RngStream(32)
@@ -77,6 +81,22 @@ class TestCriticalityReport:
         x = diag_pca.manifold.point([0.0, 1.0])
         hess = riemannian_hessian_matrix(diag_pca, x)
         assert hess[0, 0] == pytest.approx(-2.0, abs=1e-6)
+
+
+class TestCertificateScaling:
+    def test_n400_certificate_is_accurate_in_bounded_memory(self):
+        # 2k gradient rows, O(k*n); a 2k^2-row value grid would allocate about 1 GB here
+        a, lams, q, _ = synthetic_matrix(400, RngStream(5, 400))
+        p = PcaProblem(a)
+        x = p.manifold.point(q[:, 1])
+        tracemalloc.start()
+        try:
+            report = check_second_order_point(p, x, eps=1e-3, rho=9.0 * p.norm)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.min_eig_pullback == pytest.approx(lams[1] - lams[0], abs=1e-6)
+        assert peak < 64 * 2**20
 
 
 class TestEmpiricalLipschitz:
