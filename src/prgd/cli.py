@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -100,12 +100,6 @@ class ProblemSetup:
     gap: float
 
 
-def _eigenpairs(matrix):
-    vals, vecs = np.linalg.eigh(matrix)
-    order = np.argsort(vals)[::-1]
-    return vals[order], vecs[:, order]
-
-
 def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
     """Instantiate the cost; returns (problem, dominant eigenvector, saddle point)."""
     if args.problem == "pca":
@@ -114,13 +108,14 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             if a.shape[0] < 2:
                 raise ValueError("pca requires a matrix of dimension >= 2")
             problem = PcaProblem(a)
-            lams, vecs = _eigenpairs(a)
+            vals, vecs = np.linalg.eigh(a)
+            vecs = vecs[:, np.argsort(vals)[::-1]]
         else:
             if args.start == "file":
                 raise ValueError("matrix required when --problem pca starts from a file")
             if not args.dim:
                 raise ValueError("pca requires --matrix or --dim for the synthetic spectrum")
-            a, lams, vecs, _ = synthetic_matrix(args.dim, RngStream(args.seed, STREAM_SPECTRUM))
+            a, _, vecs, _ = synthetic_matrix(args.dim, RngStream(args.seed, STREAM_SPECTRUM))
             problem = PcaProblem(a)
         v_max = vecs[:, 0]
         saddle = problem.manifold.point(vecs[:, 1])
@@ -225,28 +220,6 @@ def _second_order_summary(problem, trace, params):
     return report.as_dict()
 
 
-def params_dict(params: PrgdParams) -> dict:
-    return {
-        "epsilon": params.epsilon,
-        "delta": params.delta,
-        "dim": params.dim,
-        "ell": params.ell,
-        "lip_grad": params.lip_grad,
-        "lip_hess": params.lip_hess,
-        "ball": params.ball,
-        "beta": params.beta,
-        "gap": params.gap,
-        "chi": params.chi,
-        "eta": params.eta,
-        "radius": params.radius,
-        "horizon": params.horizon,
-        "score_drop": params.score_drop,
-        "locality": params.locality,
-        "budget": params.budget,
-        "mode": params.mode,
-    }
-
-
 def run_single(args) -> int:
     rng = RngStream(args.seed, STREAM_START)
     setup, _ = _setup(args, rng)
@@ -265,7 +238,7 @@ def run_single(args) -> int:
         "terminated": trace.terminated,
         "suspected_second_order": trace.suspected_second_order,
         "second_order": _second_order_summary(setup.problem, trace, params),
-        "params": params_dict(params),
+        "params": asdict(params),
     }
     _write_json(f"{args.out}.summary.json", summary)
     return EXIT_OK
@@ -334,7 +307,7 @@ def run_escape_study(args) -> int:
         "trials": args.trials,
         "escape_rate": sum(r["escaped"] for r in records) / args.trials,
         "trial_records": records,
-        "params": params_dict(params),
+        "params": asdict(params),
     }
     _write_json(f"{args.out}.summary.json", summary)
     return EXIT_OK
@@ -343,7 +316,7 @@ def run_escape_study(args) -> int:
 def derive_params_cmd(args) -> int:
     setup, _ = _setup(args, RngStream(args.seed, STREAM_START))
     params = _derive(args, setup)
-    print(json.dumps(_jsonable(params_dict(params)), indent=2, sort_keys=True))
+    print(json.dumps(_jsonable(asdict(params)), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -380,8 +353,7 @@ def verify_cmd(args) -> int:
 
     params = _derive(args, setup)
     if isinstance(problem, PcaProblem):
-        lams, vecs = _eigenpairs(problem.matrix)
-        top = manifold.point(vecs[:, 0])
+        top = manifold.point(setup.v_max)
         rep_top = check_second_order_point(problem, top, params.epsilon, params.lip_hess)
         rep_saddle = check_second_order_point(problem, setup.saddle, params.epsilon, params.lip_hess)
         checks.append(("criticality_at_dominant", rep_top.verdict,

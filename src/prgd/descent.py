@@ -41,7 +41,6 @@ class PrgdParams:
     lip_grad: float
     lip_hess: float
     ball: float
-    beta: float
     gap: float
     chi: float
     eta: float
@@ -75,8 +74,6 @@ class PrgdParams:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.dim < 1:
             raise ValueError("dim must be at least 1")
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
             raise ValueError("horizon must be an integer >= 1")
         if not (isinstance(self.budget, int) and self.budget >= 1):
@@ -104,7 +101,6 @@ def derive_params(
     gap: float,
     mode: str = "theoretical",
     chi: float | None = None,
-    beta: float = 0.0,
 ) -> PrgdParams:
     """Balance step size, radius, horizon, thresholds and budget from the constants.
 
@@ -164,7 +160,6 @@ def derive_params(
         lip_grad=lip_grad,
         lip_hess=lip_hess,
         ball=ball,
-        beta=beta,
         gap=gap,
         chi=chi_adj,
         eta=eta,

@@ -272,25 +272,19 @@ class Sphere(Manifold):
         return Tangent(x, ambient), rng
 
     def tangent_basis(self, x):
-        """Orthonormal basis of x-perp: Gram-Schmidt of canonical vectors against x.
+        """Orthonormal basis of x-perp: a Householder reflector with one column dropped.
 
-        Deterministic given coordinates; the canonical direction with the
-        largest |x_i| is dropped, the rest are orthogonalized twice.
+        With p the index of the largest |x_i| and v = x + sign(x_p) e_p, the
+        reflector I - v v^T / (1 + |x_p|) maps e_p to -sign(x_p) x, so its other
+        columns span x-perp. The sign choice keeps the denominator >= 1.
+        Deterministic given coordinates; O(n^2).
         """
         self._check_point(x)
         xc = x.coords
-        pivot = int(np.argmax(np.abs(xc)))
-        basis = np.empty((self.n, self.n - 1))
-        col = 0
-        for i in range(self.n):
-            if i == pivot:
-                continue
-            v = -xc[i] * xc
-            v[i] += 1.0
-            for _ in range(2):  # second pass keeps orthogonality near machine precision
-                v = v - xc * (xc @ v)
-                if col:
-                    v = v - basis[:, :col] @ (basis[:, :col].T @ v)
-            basis[:, col] = v / np.linalg.norm(v)
-            col += 1
+        p = int(np.argmax(np.abs(xc)))
+        v = xc.copy()
+        v[p] += np.copysign(1.0, xc[p])
+        others = np.delete(np.arange(self.n), p)
+        basis = np.outer(v, v[others] / -(1.0 + abs(xc[p])))
+        basis[others, np.arange(self.n - 1)] += 1.0
         return basis

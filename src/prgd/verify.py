@@ -28,16 +28,14 @@ DECREASE_SLACK = 1e-12
 class CriticalityReport:
     """Second-order criticality check at one point.
 
-    `min_eig_pullback` is lambda_min of the pullback Hessian at the origin;
-    `min_eig_hess` is lambda_min of the Riemannian Hessian. Both come from the
-    same gradient differences, so they agree by construction (on the sphere the
-    pullback matrix is the Riemannian one divided by sqrt(1 + h^2)); they do not
-    check each other.
+    `min_eig_pullback` is lambda_min of the pullback Hessian at the origin, in
+    one orthonormal tangent basis; `eigvec` is its eigenvector in ambient
+    coordinates. Both retractions here are second order, so this is also
+    lambda_min of the Riemannian Hessian.
     """
 
     grad_norm: float
     min_eig_pullback: float
-    min_eig_hess: float
     eps: float
     rho: float
     verdict: bool
@@ -47,7 +45,6 @@ class CriticalityReport:
         return {
             "grad_norm": self.grad_norm,
             "min_eig_pullback": self.min_eig_pullback,
-            "min_eig_hess": self.min_eig_hess,
             "eps": self.eps,
             "rho": self.rho,
             "verdict": self.verdict,
@@ -79,12 +76,10 @@ def check_second_order_point(problem, x: Point, eps: float, rho: float,
     grad_norm = float(np.linalg.norm(problem.riemannian_gradient(x).coords))
     pull = Pullback(problem, x)
     lam, vec = min_eigpair(pull.hessian_at_zero(fd_h))
-    lam_hess, _ = min_eigpair(riemannian_hessian_matrix(problem, x, fd_h))
     ambient = problem.manifold._project_array(x.coords, pull.basis @ vec)
     return CriticalityReport(
         grad_norm=grad_norm,
         min_eig_pullback=lam,
-        min_eig_hess=lam_hess,
         eps=eps,
         rho=rho,
         verdict=bool(grad_norm <= eps and lam >= -math.sqrt(rho * eps)),

@@ -200,7 +200,7 @@ class TestPrgd:
         h = np.diag([-0.5, 0.8, 1.0, 0.3, 0.9, -0.2, 0.6, 1.0, 0.7, 0.4])
         problem = QuadraticSaddle(h)
         params = PrgdParams(epsilon=0.3, delta=0.1, dim=10, ell=1.0, lip_grad=1.0,
-                            lip_hess=1.0, ball=math.inf, beta=0.0, gap=2.0, chi=4.0,
+                            lip_hess=1.0, ball=math.inf, gap=2.0, chi=4.0,
                             eta=1.0, radius=0.05, horizon=10, score_drop=1e-6,
                             locality=1e-2, budget=200, mode="practical")
         x0 = problem.manifold.point(np.full(10, 0.01))

@@ -265,6 +265,29 @@ class TestTangentBasis:
         assert np.abs(basis.T @ basis - np.eye(6)).max() <= 1e-13
         assert np.abs(basis.T @ x.coords).max() <= 1e-13
 
+    @pytest.mark.parametrize("n", [2, 2000])
+    def test_orthonormal_at_extreme_dimensions(self, n):
+        sph = Sphere(n)
+        x, _ = sphere_point(sph, RngStream(n))
+        basis = sph.tangent_basis(x)
+        assert basis.shape == (n, n - 1)
+        assert np.abs(basis.T @ basis - np.eye(n - 1)).max() <= 1e-13
+        assert np.abs(x.coords @ basis).max() <= 1e-13
+
+    def test_negative_largest_entry(self):
+        sph = Sphere(5)
+        x = sph.point(np.array([0.3, -0.8, 0.2, 0.1, -0.4]) / math.sqrt(0.94))
+        basis = sph.tangent_basis(x)
+        assert np.abs(basis.T @ basis - np.eye(4)).max() <= 1e-15
+        assert np.abs(x.coords @ basis).max() <= 1e-15
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_canonical_point_gives_other_canonical_vectors(self, sign):
+        sph = Sphere(4)
+        for i in range(4):
+            basis = sph.tangent_basis(sph.point(sign * np.eye(4)[i]))
+            assert np.array_equal(np.abs(basis), np.delete(np.eye(4), i, axis=1))
+
     def test_deterministic(self):
         sph = Sphere(5)
         x, _ = sphere_point(sph, RngStream(9))

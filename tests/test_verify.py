@@ -13,7 +13,8 @@ from prgd.descent import (
     derive_params,
     prgd,
 )
-from prgd.numerics import RngStream
+from prgd.manifolds import Sphere
+from prgd.numerics import RngStream, min_eigpair
 from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.verify import (
     check_second_order_point,
@@ -66,16 +67,32 @@ class TestCriticalityReport:
             assert later or not earlier
 
     def test_hessian_routes_agree_for_second_order_retractions(self):
-        # Both fields come from the same gradient differences, so this agreement is
-        # structural; the independent check of the pullback Hessian against the
-        # value route is test_pullback.py::TestHessianAgainstValueRoute.
         a, _, _, _ = synthetic_matrix(6, RngStream(31, 1))
         p = PcaProblem(a)
         rng = RngStream(32)
         for _ in range(10):
             x, rng = random_point(p.manifold, rng)
             report = check_second_order_point(p, x, eps=1e-3, rho=18.0)
-            assert report.min_eig_hess == pytest.approx(report.min_eig_pullback, abs=1e-5)
+            lam_hess, _ = min_eigpair(riemannian_hessian_matrix(p, x))
+            assert lam_hess == pytest.approx(report.min_eig_pullback, abs=1e-5)
+
+    def test_certificate_builds_one_basis_and_one_gradient_batch(self, monkeypatch):
+        calls = {"basis": 0, "batch": 0}
+        basis, batch = Sphere.tangent_basis, PcaProblem.riemannian_gradient_many
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        monkeypatch.setattr(Sphere, "tangent_basis", counted("basis", basis))
+        monkeypatch.setattr(PcaProblem, "riemannian_gradient_many", counted("batch", batch))
+        a, _, q, _ = synthetic_matrix(6, RngStream(31, 1))
+        p = PcaProblem(a)
+        check_second_order_point(p, p.manifold.point(q[:, 1]), eps=1e-3, rho=18.0)
+        # each finite-difference Hessian is one batch of exact gradients
+        assert calls == {"basis": 1, "batch": 1}
 
     def test_riemannian_hessian_matches_analytic(self, diag_pca):
         x = diag_pca.manifold.point([0.0, 1.0])
