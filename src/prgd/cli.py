@@ -20,7 +20,7 @@ import numpy as np
 from .descent import PrgdParams, derive_params, prgd, rgd
 from .errors import NumericalError
 from .manifolds import Point
-from .numerics import RngStream
+from .numerics import EIG_DIM_LIMIT, RngStream
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
 from .verify import (
     check_second_order_point,
@@ -94,10 +94,7 @@ class ProblemSetup:
     x0: Point
     saddle: Point | None
     v_max: np.ndarray | None
-    ell: float
-    lip_grad: float
-    lip_hess: float
-    gap: float
+    params: PrgdParams
 
 
 def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
@@ -128,26 +125,29 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             raise ValueError("quadratic_saddle requires --matrix or --dim")
         if args.dim < 2:
             raise ValueError("quadratic_saddle requires --dim >= 2")
+        if args.dim > EIG_DIM_LIMIT:
+            raise ValueError(f"--dim {args.dim} exceeds the supported limit {EIG_DIM_LIMIT}")
         h = np.diag(np.concatenate(([-1.0], np.ones(args.dim - 1))))
         problem = QuadraticSaddle(h)
     saddle = problem.manifold.point(np.zeros(problem.manifold.ambient_dim))
     return problem, None, saddle
 
 
-def _resolve_start(args, problem, saddle, rng: RngStream) -> tuple[Point, RngStream]:
+def _resolve_start(args, problem, saddle) -> Point:
     start = args.start if args.start is not None else ("saddle" if args.command == "study" else "random")
     if start == "saddle":
-        return saddle, rng
+        return saddle
     if start == "file":
         if not args.start_file:
             raise ValueError("--start file requires --start-file")
-        return problem.manifold.point(start_vector(args.start_file)), rng
-    return random_point(problem.manifold, rng)
+        return problem.manifold.point(start_vector(args.start_file))
+    return random_point(problem.manifold, RngStream(args.seed, STREAM_START))[0]
 
 
-def _setup(args, rng: RngStream) -> tuple[ProblemSetup, RngStream]:
+def _setup(args) -> ProblemSetup:
+    """Build the problem and its start point, and derive the one parameter record of the run."""
     problem, v_max, saddle = _build_problem(args)
-    x0, rng = _resolve_start(args, problem, saddle, rng)
+    x0 = _resolve_start(args, problem, saddle)
     if args.problem == "pca":
         consts = problem.constants()
         lip_grad = consts.lip_grad
@@ -160,27 +160,12 @@ def _setup(args, rng: RngStream) -> tuple[ProblemSetup, RngStream]:
         lip_grad = problem.norm
         lip_hess = args.rho if args.rho is not None else DEFAULT_QUAD_RHO
         gap = args.gap if args.gap is not None else DEFAULT_QUAD_GAP
-    ell = args.ell if args.ell is not None else lip_grad
-    setup = ProblemSetup(
-        problem=problem, x0=x0, saddle=saddle, v_max=v_max,
-        ell=ell, lip_grad=lip_grad, lip_hess=lip_hess, gap=gap,
+    params = derive_params(
+        epsilon=args.eps, delta=args.delta, dim=problem.manifold.intrinsic_dim,
+        ell=args.ell if args.ell is not None else lip_grad, lip_grad=lip_grad, lip_hess=lip_hess,
+        ball=args.ball, gap=gap, mode=args.mode, chi=args.chi,
     )
-    return setup, rng
-
-
-def _derive(args, setup: ProblemSetup) -> PrgdParams:
-    return derive_params(
-        epsilon=args.eps,
-        delta=args.delta,
-        dim=setup.problem.manifold.intrinsic_dim,
-        ell=setup.ell,
-        lip_grad=setup.lip_grad,
-        lip_hess=setup.lip_hess,
-        ball=args.ball,
-        gap=setup.gap,
-        mode=args.mode,
-        chi=args.chi,
-    )
+    return ProblemSetup(problem=problem, x0=x0, saddle=saddle, v_max=v_max, params=params)
 
 
 def _jsonable(obj):
@@ -221,9 +206,8 @@ def _second_order_summary(problem, trace, params):
 
 
 def run_single(args) -> int:
-    rng = RngStream(args.seed, STREAM_START)
-    setup, _ = _setup(args, rng)
-    params = _derive(args, setup)
+    setup = _setup(args)
+    params = setup.params
     terminate = bool(args.terminate) if args.terminate is not None else False
     trace = prgd(setup.problem, setup.x0, params, RngStream(args.seed, 0),
                  terminate_on_no_decrease=terminate)
@@ -278,8 +262,8 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
 def run_escape_study(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
-    setup, _ = _setup(args, RngStream(args.seed, STREAM_START))
-    params = _derive(args, setup)
+    setup = _setup(args)
+    params = setup.params
     terminate = bool(args.terminate) if args.terminate is not None else True
     results = escape_study(
         setup.problem, setup.x0, params, args.seed, args.trials,
@@ -314,14 +298,13 @@ def run_escape_study(args) -> int:
 
 
 def derive_params_cmd(args) -> int:
-    setup, _ = _setup(args, RngStream(args.seed, STREAM_START))
-    params = _derive(args, setup)
-    print(json.dumps(_jsonable(asdict(params)), indent=2, sort_keys=True))
+    setup = _setup(args)
+    print(json.dumps(_jsonable(asdict(setup.params)), indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def verify_cmd(args) -> int:
-    setup, _ = _setup(args, RngStream(args.seed, STREAM_START))
+    setup = _setup(args)
     problem = setup.problem
     manifold = problem.manifold
     checks = []
@@ -351,7 +334,7 @@ def verify_cmd(args) -> int:
     checks.append(("hessian_lipschitz_bound", hess_ratio <= hess_bound,
                    f"max ratio {hess_ratio:.6f} vs bound {hess_bound:.6f}"))
 
-    params = _derive(args, setup)
+    params = setup.params
     if isinstance(problem, PcaProblem):
         top = manifold.point(setup.v_max)
         rep_top = check_second_order_point(problem, top, params.epsilon, params.lip_hess)
@@ -374,9 +357,9 @@ def verify_cmd(args) -> int:
     coupling_chi = 24.0 if isinstance(problem, PcaProblem) else 20.0
     coupling_eps = args.eps if isinstance(problem, PcaProblem) else 0.01
     cparams = derive_params(
-        epsilon=coupling_eps, delta=args.delta, dim=manifold.intrinsic_dim,
-        ell=setup.ell, lip_grad=setup.lip_grad, lip_hess=setup.lip_hess,
-        ball=args.ball, gap=setup.gap, mode="practical", chi=coupling_chi,
+        epsilon=coupling_eps, delta=params.delta, dim=params.dim,
+        ell=params.ell, lip_grad=params.lip_grad, lip_hess=params.lip_hess,
+        ball=params.ball, gap=params.gap, mode="practical", chi=coupling_chi,
     )
     try:
         drops = coupling_experiment(problem, setup.saddle, cparams, 2.0 * cparams.radius)

@@ -224,18 +224,12 @@ class RunTrace:
             ]
 
 
-def _coords(v) -> np.ndarray:
-    return v.coords if isinstance(v, Tangent) else np.asarray(v, dtype=float)
-
-
-def boundary_alpha(s, g, eta: float, ball: float) -> float:
+def boundary_alpha(s: np.ndarray, g: np.ndarray, eta: float, ball: float) -> float:
     """Step fraction alpha in (0, 1] with ||s - alpha*eta*g|| = ball.
 
-    Solves the boundary quadratic with the numerically stable root; requires
-    ||s|| < ball and ||s - eta*g|| >= ball.
+    `s` and `g` are coordinate arrays. Solves the boundary quadratic with the
+    numerically stable root; requires ||s|| < ball and ||s - eta*g|| >= ball.
     """
-    s = _coords(s)
-    g = _coords(g)
     if not (eta > 0):
         raise ValueError("eta must be positive")
     if not (ball > 0 and math.isfinite(ball)):
@@ -274,6 +268,9 @@ def tangent_space_steps(
     final step is truncated onto the boundary and the loop stops. Returns the
     final tangent vector and the per-step events. `first_gradient`, when
     given, is used as the gradient at s0 (the caller already computed it).
+    Arguments are validated once, here; the loop runs on coordinate arrays and
+    retracts once per step, using y = Retr_x(s_{j+1}) both for the event value
+    and, through the retraction adjoint, for the next step's gradient.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -286,15 +283,17 @@ def tangent_space_steps(
         raise ValueError(f"requires ||s0|| <= ball, got {s0.norm!r} > {ball!r}")
 
     manifold = pull.manifold
-    base = pull.base
+    problem = pull.problem
+    x = pull.base.coords
     s0c = s0.coords
     s = s0c
+    y = None if first_gradient is not None else Point(manifold, manifold._retract_array(x, s))
     events: list[TraceEvent] = []
     for j in range(horizon):
-        if j == 0 and first_gradient is not None:
+        if y is None:
             grad = first_gradient.coords
         else:
-            grad = pull.gradient(Tangent(base, s)).coords
+            grad = manifold._retraction_adjoint_array(x, s, problem.riemannian_gradient(y).coords)
         grad_norm = float(np.linalg.norm(grad))
         if not math.isfinite(grad_norm):
             raise NumericalError("pullback gradient is non-finite")
@@ -305,13 +304,13 @@ def tangent_space_steps(
             candidate = s - (alpha * eta) * grad
         else:
             alpha = 1.0
-        s = manifold._project_array(base.coords, candidate)
-        f_after = pull.value(Tangent(base, s))
+        s = manifold._project_array(x, candidate)
+        y = Point(manifold, manifold._retract_array(x, s))
         events.append(
             TraceEvent(
                 t=anchor_t,
                 kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
-                f=f_after,
+                f=problem.value(y),
                 grad_norm=grad_norm,
                 tangent_norm=float(np.linalg.norm(s)),
                 alpha=alpha,
@@ -321,7 +320,7 @@ def tangent_space_steps(
         )
         if truncated:
             break
-    return Tangent(base, s), events
+    return Tangent(pull.base, s), events
 
 
 def prgd(
@@ -354,7 +353,6 @@ def prgd(
     f_x = problem.value(x)
     trace = RunTrace(f0=f_x)
     trace.iterates.append(x.coords)
-    rng_state = rng
     t = 0
     queries = 0
     terminated = "budget"
@@ -389,14 +387,14 @@ def prgd(
                     f_before=f_x,
                 )
             )
-            x = manifold.retract(x, s_fin)
+            x = Point(manifold, manifold._retract_array(x.coords, s_fin.coords))
             f_x = ev.f
             t += 1
             trace.iterates.append(x.coords)
         else:
             trace.events.append(TraceEvent(t=t, kind=SMALL_GRAD_VISIT, f=f_x, grad_norm=grad_norm))
             trace.small_grad_points.append((t, x))
-            xi, rng_state = manifold.sample_ball(x, params.radius, rng_state)
+            xi, rng = manifold.sample_ball(x, params.radius, rng)
             s0 = Tangent(x, params.eta * xi.coords)
             trace.events.append(
                 TraceEvent(
@@ -419,7 +417,7 @@ def prgd(
                 terminated = "decrease_threshold"
                 trace.suspected_second_order = True
                 break
-            x = manifold.retract(x, s_fin)
+            x = Point(manifold, manifold._retract_array(x.coords, s_fin.coords))
             f_x = f_end
             t += params.horizon
             trace.iterates.append(x.coords)
@@ -452,7 +450,6 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
     queries = 0
     t = 0
     terminated = "budget"
-    grad_norm = math.nan
 
     while True:
         grad = problem.riemannian_gradient(x)
@@ -467,8 +464,8 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
             break
         if t >= max_iters:
             break
-        step = Tangent(x, -eta * grad.coords)
-        x = manifold.retract(x, step)
+        step = -eta * grad.coords
+        x = Point(manifold, manifold._retract_array(x.coords, step))
         f_new = problem.value(x)
         trace.events.append(
             TraceEvent(
@@ -476,7 +473,7 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
                 kind=MANIFOLD_STEP,
                 f=f_new,
                 grad_norm=grad_norm,
-                tangent_norm=step.norm,
+                tangent_norm=float(np.linalg.norm(step)),
                 alpha=1.0,
                 f_before=f_x,
             )

@@ -53,6 +53,9 @@ class Manifold:
     def _retract_array(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _retraction_adjoint_array(self, x: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def retract_many(self, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
         """Retract each row of `tangents` from base coordinates x."""
         raise NotImplementedError
@@ -172,9 +175,12 @@ class Euclidean(Manifold):
     def retract_many(self, x, tangents):
         return x + tangents
 
+    def _retraction_adjoint_array(self, x, s, w):
+        return w
+
     def retraction_adjoint(self, x, s, w):
         self._check_adjoint_args(x, s, w)
-        return Tangent(x, w.coords)
+        return Tangent(x, self._retraction_adjoint_array(x.coords, s.coords, w.coords))
 
     def retraction_adjoint_many(self, x, tangents, w):
         return w
@@ -250,10 +256,12 @@ class Sphere(Manifold):
         y = x + tangents
         return y / np.linalg.norm(y, axis=1, keepdims=True)
 
+    def _retraction_adjoint_array(self, x, s, w):
+        return self._project_array(x, w) / float(np.linalg.norm(x + s))
+
     def retraction_adjoint(self, x, s, w):
         self._check_adjoint_args(x, s, w)
-        scale = float(np.linalg.norm(x.coords + s.coords))
-        return Tangent(x, self._project_array(x.coords, w.coords) / scale)
+        return Tangent(x, self._retraction_adjoint_array(x.coords, s.coords, w.coords))
 
     def retraction_adjoint_many(self, x, tangents, w):
         scale = np.linalg.norm(x + tangents, axis=1, keepdims=True)

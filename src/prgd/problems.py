@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import RngStream, as_sym_matrix, as_vector, operator_norm
+from .numerics import EIG_DIM_LIMIT, RngStream, as_sym_matrix, as_vector, operator_norm
 
 
 class CostFunction:
@@ -95,10 +95,10 @@ class QuadraticSaddle(CostFunction):
 
     def __init__(self, matrix):
         matrix = as_sym_matrix(matrix)
+        self.norm = operator_norm(matrix)
         if float(np.linalg.eigvalsh(matrix).min()) >= 0.0:
             raise ValueError("quadratic saddle requires at least one negative eigenvalue")
         self.matrix = matrix
-        self.norm = operator_norm(matrix)
         self.manifold = Euclidean(matrix.shape[0])
 
     def value(self, x: Point) -> float:
@@ -177,6 +177,8 @@ def synthetic_matrix(dim: int, rng: RngStream):
     """
     if dim < 2:
         raise ValueError("synthetic spectrum needs dim >= 2")
+    if dim > EIG_DIM_LIMIT:
+        raise ValueError(f"synthetic spectrum dimension {dim} exceeds the supported limit {EIG_DIM_LIMIT}")
     lams = np.empty(dim)
     lams[0] = 2.0
     for k in range(2, dim + 1):

@@ -36,7 +36,7 @@ class Pullback:
         return self.manifold.tangent_basis(self.base)
 
     def _check_arg(self, s: Tangent):
-        if not same_point(s.base, self.base):
+        if s.base is not self.base and not same_point(s.base, self.base):
             raise ValueError("tangent vector is not based at the pullback's base point")
 
     def value(self, s: Tangent) -> float:
@@ -47,8 +47,8 @@ class Pullback:
         """Adjoint of the retraction differential applied to the downstream gradient."""
         self._check_arg(s)
         y = self.manifold.retract(self.base, s)
-        grad_y = self.problem.riemannian_gradient(y)
-        return self.manifold.retraction_adjoint(self.base, s, grad_y)
+        grad_y = self.problem.riemannian_gradient(y).coords
+        return Tangent(self.base, self.manifold._retraction_adjoint_array(self.base.coords, s.coords, grad_y))
 
     def gradient_many(self, tangents: np.ndarray) -> np.ndarray:
         """Exact gradients at rows of `tangents` (ambient tangent coordinates at the base)."""

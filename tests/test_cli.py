@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prgd.cli import EXIT_CONFIG, EXIT_OK, main
+from prgd.numerics import EIG_DIM_LIMIT
 from prgd.problems import save_matrix
 
 
@@ -88,6 +89,17 @@ class TestParams:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lip_grad"] == pytest.approx(7.5, rel=1e-9)
         assert payload["lip_hess"] == pytest.approx(27.0, rel=1e-9)
+
+    @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
+    def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("built a matrix")
+
+        monkeypatch.setattr(np, "diag", no_matrix)
+        monkeypatch.setattr(np.linalg, "qr", no_matrix)
+        code = main(["params", "--problem", problem, "--dim", str(EIG_DIM_LIMIT + 1), "--chi", "4"])
+        assert code == EXIT_CONFIG
+        assert "exceeds the supported limit" in capsys.readouterr().err
 
     def test_theoretical_budget_is_printed_even_when_huge(self, capsys):
         code = main(["params", "--problem", "pca", "--dim", "4", "--mode", "theoretical",

@@ -9,6 +9,7 @@ from prgd.descent import (
     MANIFOLD_STEP,
     TANGENT_STEP,
     PrgdParams,
+    TraceEvent,
     boundary_alpha,
     derive_params,
     prgd,
@@ -16,6 +17,7 @@ from prgd.descent import (
     tangent_space_steps,
 )
 from prgd.errors import NumericalError
+from prgd.manifolds import Sphere, Tangent, same_point
 from prgd.numerics import RngStream
 from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
@@ -183,6 +185,90 @@ class TestTangentSpaceSteps:
         s0 = simple_saddle.manifold.tangent(x, [3.0, 0.0])
         with pytest.raises(ValueError, match="ball"):
             tangent_space_steps(pull, s0, eta=1.0, ball=1.0, horizon=3)
+
+
+def public_api_loop(pull, s0, eta, ball, horizon):
+    """The tangent-space loop written over the validated Pullback API, as a reference."""
+    x = pull.base
+    s = s0.coords
+    events = []
+    for j in range(horizon):
+        grad = pull.gradient(Tangent(x, s)).coords
+        candidate = s - eta * grad
+        truncated = float(np.linalg.norm(candidate)) >= ball
+        alpha = boundary_alpha(s, grad, eta, ball) if truncated else 1.0
+        if truncated:
+            candidate = s - (alpha * eta) * grad
+        s = pull.manifold._project_array(x.coords, candidate)
+        events.append(TraceEvent(
+            t=0, kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
+            f=pull.value(Tangent(x, s)), grad_norm=float(np.linalg.norm(grad)),
+            tangent_norm=float(np.linalg.norm(s)), alpha=alpha,
+            dist_start=float(np.linalg.norm(s - s0.coords)), step=j + 1,
+        ))
+        if truncated:
+            break
+    return s, events
+
+
+def pca6_phase_start():
+    a, _, vecs, _ = synthetic_matrix(6, RngStream(8, 21))
+    problem = PcaProblem(a)
+    x = problem.manifold.point(vecs[:, 2])
+    raw, _ = RngStream(8, 22).standard_normal(6)
+    return problem, x, problem.manifold.project(x, 1e-3 * raw)
+
+
+class TestRawLoopAgainstPublicApi:
+    def check_identical(self, problem, x, s0, eta, ball, horizon):
+        pull = Pullback(problem, x)
+        s_fin, events = tangent_space_steps(pull, s0, eta=eta, ball=ball, horizon=horizon)
+        s_ref, ref_events = public_api_loop(pull, s0, eta, ball, horizon)
+        assert events == ref_events
+        assert np.array_equal(s_fin.coords, s_ref)
+        return events
+
+    def test_pca_on_sphere6(self):
+        problem, x, s0 = pca6_phase_start()
+        events = self.check_identical(problem, x, s0, 1.0 / problem.constants().lip_grad, math.inf, 40)
+        assert len(events) == 40
+
+    def test_quadratic_saddle(self):
+        problem = QuadraticSaddle(np.diag([-1.0, 0.5, 2.0, 1.0]))
+        x = problem.manifold.point([0.0, 0.3, -0.2, 0.1])
+        s0 = problem.manifold.tangent(x, [1e-3, 0.0, 2e-3, -1e-3])
+        events = self.check_identical(problem, x, s0, 0.4, math.inf, 25)
+        assert len(events) == 25
+
+    def test_pca_finite_ball_truncation(self):
+        problem, x, s0 = pca6_phase_start()
+        events = self.check_identical(problem, x, s0, 1.0 / problem.constants().lip_grad, 0.05, 40)
+        # the ball stops the phase part-way, after several full steps
+        assert events[-1].kind == BOUNDARY_TRUNCATION and 1 < len(events) < 40
+
+
+class TestTangentStepCost:
+    def test_one_retraction_and_no_point_comparison_per_step(self, monkeypatch):
+        problem, x, s0 = pca6_phase_start()
+        pull = Pullback(problem, x)
+        calls = {"retract": 0, "same_point": 0}
+        retract = Sphere._retract_array
+
+        def counted_retract(*args):
+            calls["retract"] += 1
+            return retract(*args)
+
+        def counted_same_point(*args):
+            calls["same_point"] += 1
+            return same_point(*args)
+
+        monkeypatch.setattr(Sphere, "_retract_array", counted_retract)
+        monkeypatch.setattr("prgd.manifolds.same_point", counted_same_point)
+        monkeypatch.setattr("prgd.pullback.same_point", counted_same_point)
+        horizon = 30
+        tangent_space_steps(pull, s0, eta=1.0 / problem.constants().lip_grad, ball=math.inf, horizon=horizon)
+        # one retraction per step plus one for the gradient at s0
+        assert calls == {"retract": horizon + 1, "same_point": 0}
 
 
 class TestPrgd:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prgd.manifolds import Euclidean
-from prgd.numerics import RngStream, fd_gradient, min_eigpair
+from prgd.numerics import EIG_DIM_LIMIT, RngStream, fd_gradient, min_eigpair
 from prgd.problems import (
     PcaProblem,
     QuadraticSaddle,
@@ -134,6 +134,14 @@ class TestQuadraticSaddle:
         with pytest.raises(ValueError):
             QuadraticSaddle(np.eye(2))
 
+    def test_oversized_matrix_raises_before_eigensolve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(ValueError, match="exceeds the supported limit"):
+            QuadraticSaddle(np.zeros((EIG_DIM_LIMIT + 1, EIG_DIM_LIMIT + 1)))
+
 
 class TestRiemannianGradientMany:
     # PcaProblem has a closed form; QuadraticSaddle and EuclideanQuadratic use the generic loop
@@ -213,6 +221,14 @@ class TestSyntheticMatrix:
         a1, _, _, _ = synthetic_matrix(6, RngStream(4, 9))
         a2, _, _, _ = synthetic_matrix(6, RngStream(4, 9))
         assert np.array_equal(a1, a2)
+
+    def test_oversized_dimension_raises_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a Gaussian matrix")
+
+        monkeypatch.setattr(RngStream, "standard_normal", no_draw)
+        with pytest.raises(ValueError, match="exceeds the supported limit"):
+            synthetic_matrix(EIG_DIM_LIMIT + 1, RngStream(0, 1))
 
 
 class TestStartVector:
