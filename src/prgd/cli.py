@@ -153,9 +153,7 @@ def _setup(args) -> ProblemSetup:
         lip_grad = consts.lip_grad
         lip_hess = args.rho if args.rho is not None else consts.lip_hess
         # f* = -lambda_max / 2 exactly, so the supplied gap can be exact
-        lams = np.linalg.eigvalsh(problem.matrix)
-        f_star = -0.5 * float(lams[-1])
-        gap = args.gap if args.gap is not None else max(problem.value(x0) - f_star, 1e-12)
+        gap = args.gap if args.gap is not None else max(problem.value(x0) - problem.f_star, 1e-12)
     else:
         lip_grad = problem.norm
         lip_hess = args.rho if args.rho is not None else DEFAULT_QUAD_RHO

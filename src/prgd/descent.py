@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .manifolds import Point, Tangent
-from .numerics import RngStream
+from .numerics import RngStream, _norm
 from .pullback import Pullback
 
 MANIFOLD_STEP = "manifold_step"
@@ -269,8 +269,9 @@ def tangent_space_steps(
     final tangent vector and the per-step events. `first_gradient`, when
     given, is used as the gradient at s0 (the caller already computed it).
     Arguments are validated once, here; the loop runs on coordinate arrays and
-    retracts once per step, using y = Retr_x(s_{j+1}) both for the event value
-    and, through the retraction adjoint, for the next step's gradient.
+    makes one retraction and one fused cost call per step: at
+    y = Retr_x(s_{j+1}) it gives the event value and the Riemannian gradient
+    that the retraction adjoint pulls back into the next step's gradient.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -283,43 +284,46 @@ def tangent_space_steps(
         raise ValueError(f"requires ||s0|| <= ball, got {s0.norm!r} > {ball!r}")
 
     manifold = pull.manifold
-    problem = pull.problem
+    project = manifold._project_array
+    retract = manifold._retract_array
+    adjoint = manifold._retraction_adjoint_array
+    value_and_gradient = pull.problem._value_and_gradient_array
     x = pull.base.coords
     s0c = s0.coords
     s = s0c
-    y = None if first_gradient is not None else Point(manifold, manifold._retract_array(x, s))
+    if first_gradient is None:
+        grad = adjoint(x, s, value_and_gradient(retract(x, s))[1])
+    else:
+        grad = first_gradient.coords
     events: list[TraceEvent] = []
     for j in range(horizon):
-        if y is None:
-            grad = first_gradient.coords
-        else:
-            grad = manifold._retraction_adjoint_array(x, s, problem.riemannian_gradient(y).coords)
-        grad_norm = float(np.linalg.norm(grad))
+        grad_norm = _norm(grad)
         if not math.isfinite(grad_norm):
             raise NumericalError("pullback gradient is non-finite")
         candidate = s - eta * grad
-        truncated = float(np.linalg.norm(candidate)) >= ball
+        truncated = _norm(candidate) >= ball
         if truncated:
             alpha = boundary_alpha(s, grad, eta, ball)
             candidate = s - (alpha * eta) * grad
         else:
             alpha = 1.0
-        s = manifold._project_array(x, candidate)
-        y = Point(manifold, manifold._retract_array(x, s))
+        s = project(x, candidate)
+        f, grad_y = value_and_gradient(retract(x, s))
         events.append(
             TraceEvent(
                 t=anchor_t,
                 kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
-                f=problem.value(y),
+                f=f,
                 grad_norm=grad_norm,
-                tangent_norm=float(np.linalg.norm(s)),
+                tangent_norm=_norm(s),
                 alpha=alpha,
-                dist_start=float(np.linalg.norm(s - s0c)),
+                dist_start=_norm(s - s0c),
                 step=j + 1,
             )
         )
         if truncated:
             break
+        grad = adjoint(x, s, grad_y)
     return Tangent(pull.base, s), events
 
 
@@ -396,17 +400,20 @@ def prgd(
             trace.small_grad_points.append((t, x))
             xi, rng = manifold.sample_ball(x, params.radius, rng)
             s0 = Tangent(x, params.eta * xi.coords)
+            # one retraction of s0 gives the event value and the phase's first gradient
+            f_s0, grad_y = problem._value_and_gradient_array(manifold._retract_array(x.coords, s0.coords))
             trace.events.append(
                 TraceEvent(
                     t=t,
                     kind=PERTURBATION,
-                    f=pull.value(s0),
+                    f=f_s0,
                     grad_norm=grad_norm,
                     tangent_norm=s0.norm,
                 )
             )
             s_fin, evs = tangent_space_steps(
-                pull, s0, params.eta, params.ball, params.horizon, anchor_t=t
+                pull, s0, params.eta, params.ball, params.horizon, anchor_t=t,
+                first_gradient=Tangent(x, manifold._retraction_adjoint_array(x.coords, s0.coords, grad_y)),
             )
             queries += len(evs)
             trace.events.extend(evs)
@@ -443,18 +450,18 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
         raise ValueError("max_iters must be nonnegative")
     problem._check_point(x0)
     manifold = problem.manifold
-    x = x0
-    f_x = problem.value(x)
+    x = x0.coords
+    # one fused call per iterate gives its value and the next loop-top gradient
+    f_x, grad = problem._value_and_gradient_array(x)
     trace = RunTrace(f0=f_x)
-    trace.iterates.append(x.coords)
+    trace.iterates.append(x)
     queries = 0
     t = 0
     terminated = "budget"
 
     while True:
-        grad = problem.riemannian_gradient(x)
         queries += 1
-        grad_norm = float(np.linalg.norm(grad.coords))
+        grad_norm = _norm(grad)
         if not math.isfinite(grad_norm):
             raise NumericalError("Riemannian gradient is non-finite")
         if queries == 1:
@@ -464,25 +471,25 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
             break
         if t >= max_iters:
             break
-        step = -eta * grad.coords
-        x = Point(manifold, manifold._retract_array(x.coords, step))
-        f_new = problem.value(x)
+        step = -eta * grad
+        x = manifold._retract_array(x, step)
+        f_new, grad = problem._value_and_gradient_array(x)
         trace.events.append(
             TraceEvent(
                 t=t,
                 kind=MANIFOLD_STEP,
                 f=f_new,
                 grad_norm=grad_norm,
-                tangent_norm=float(np.linalg.norm(step)),
+                tangent_norm=_norm(step),
                 alpha=1.0,
                 f_before=f_x,
             )
         )
         f_x = f_new
         t += 1
-        trace.iterates.append(x.coords)
+        trace.iterates.append(x)
 
-    trace.final_point = x
+    trace.final_point = Point(manifold, x)
     trace.final_f = f_x
     trace.final_grad_norm = grad_norm
     trace.final_t = t

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, as_vector, sample_unit_ball
+from .numerics import RngStream, _norm, as_vector, sample_unit_ball
 
 POINT_NORM_TOL = 1e-12
 TANGENT_TOL = 1e-10
@@ -246,18 +246,18 @@ class Sphere(Manifold):
         return Tangent(base, c)
 
     def _project_array(self, x, v):
-        return v - (x @ v) * x
+        return v - x.dot(v) * x
 
     def _retract_array(self, x, s):
         y = x + s
-        return y / np.linalg.norm(y)
+        return y / _norm(y)
 
     def retract_many(self, x, tangents):
         y = x + tangents
         return y / np.linalg.norm(y, axis=1, keepdims=True)
 
     def _retraction_adjoint_array(self, x, s, w):
-        return self._project_array(x, w) / float(np.linalg.norm(x + s))
+        return self._project_array(x, w) / _norm(x + s)
 
     def retraction_adjoint(self, x, s, w):
         self._check_adjoint_args(x, s, w)

@@ -64,16 +64,25 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
     return lam, vec
 
 
-def operator_norm(m) -> float:
-    """Spectral norm max|eigenvalue| of a symmetric matrix."""
+def sym_eigenvalues(m) -> np.ndarray:
+    """Eigenvalues, ascending, of a symmetric matrix; sizes above EIG_DIM_LIMIT raise before solving."""
     m = as_sym_matrix(m)
     if m.shape[0] > EIG_DIM_LIMIT:
         raise ValueError(f"matrix dimension {m.shape[0]} exceeds the supported limit {EIG_DIM_LIMIT}")
     try:
-        vals = np.linalg.eigvalsh(0.5 * (m + m.T))
+        return np.linalg.eigvalsh(0.5 * (m + m.T))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"symmetric eigendecomposition did not converge: {exc}") from exc
-    return float(np.abs(vals).max())
+
+
+def operator_norm(m) -> float:
+    """Spectral norm max|eigenvalue| of a symmetric matrix."""
+    return float(np.abs(sym_eigenvalues(m)).max())
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float array: numpy.linalg.norm's own sqrt(v.v), without its dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 def _eval_scalar(fn, point: np.ndarray) -> float:

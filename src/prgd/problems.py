@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import EIG_DIM_LIMIT, RngStream, as_sym_matrix, as_vector, operator_norm
+from .numerics import EIG_DIM_LIMIT, RngStream, as_sym_matrix, as_vector, sym_eigenvalues
 
 
 class CostFunction:
@@ -16,6 +16,8 @@ class CostFunction:
 
     Subclasses set `manifold` and implement `value` and `euclidean_gradient`;
     the Riemannian gradient is the tangent projection of the ambient one.
+    `_value_and_gradient_array` is the unchecked oracle of the descent loops;
+    a subclass may override it to share work between value and gradient.
     """
 
     manifold: Manifold
@@ -28,6 +30,12 @@ class CostFunction:
 
     def riemannian_gradient(self, x: Point) -> Tangent:
         return self.manifold.project(x, self.euclidean_gradient(x))
+
+    def _value_and_gradient_array(self, y: np.ndarray) -> tuple[float, np.ndarray]:
+        """Value and Riemannian-gradient coordinates at manifold coordinates y, without checks."""
+        point = Point(self.manifold, y)
+        grad = np.asarray(self.euclidean_gradient(point), dtype=float)
+        return self.value(point), self.manifold._project_array(y, grad)
 
     def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
         """Riemannian gradients at rows of `coords`, one row each."""
@@ -54,8 +62,8 @@ class ProblemConstants:
 class PcaProblem(CostFunction):
     """f(x) = -1/2 x^T A x on the unit sphere (minimization of the negated Rayleigh quotient).
 
-    The dominant eigenvector of A is the global minimizer; every other unit
-    eigenvector is a critical point.
+    The dominant eigenvector of A is the global minimizer, with value
+    `f_star` = -lambda_max / 2; every other unit eigenvector is a critical point.
     """
 
     def __init__(self, matrix):
@@ -63,7 +71,9 @@ class PcaProblem(CostFunction):
         if matrix.shape[0] < 2:
             raise ValueError("PCA needs an ambient dimension of at least 2")
         self.matrix = matrix
-        self.norm = operator_norm(matrix)
+        eigenvalues = sym_eigenvalues(matrix)
+        self.norm = float(np.abs(eigenvalues).max())
+        self.f_star = -0.5 * float(eigenvalues[-1])
         self.manifold = Sphere(matrix.shape[0])
 
     def value(self, x: Point) -> float:
@@ -73,6 +83,11 @@ class PcaProblem(CostFunction):
     def euclidean_gradient(self, x: Point) -> np.ndarray:
         self._check_point(x)
         return -(self.matrix @ x.coords)
+
+    def _value_and_gradient_array(self, y):
+        ay = self.matrix.dot(y)
+        g = -ay
+        return -0.5 * float(y.dot(ay)), g - y.dot(g) * y
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         return -0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)
@@ -95,8 +110,9 @@ class QuadraticSaddle(CostFunction):
 
     def __init__(self, matrix):
         matrix = as_sym_matrix(matrix)
-        self.norm = operator_norm(matrix)
-        if float(np.linalg.eigvalsh(matrix).min()) >= 0.0:
+        eigenvalues = sym_eigenvalues(matrix)
+        self.norm = float(np.abs(eigenvalues).max())
+        if float(eigenvalues[0]) >= 0.0:
             raise ValueError("quadratic saddle requires at least one negative eigenvalue")
         self.matrix = matrix
         self.manifold = Euclidean(matrix.shape[0])
@@ -108,6 +124,10 @@ class QuadraticSaddle(CostFunction):
     def euclidean_gradient(self, x: Point) -> np.ndarray:
         self._check_point(x)
         return self.matrix @ x.coords
+
+    def _value_and_gradient_array(self, y):
+        hy = self.matrix.dot(y)
+        return 0.5 * float(y.dot(hy)), hy
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)

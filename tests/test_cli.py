@@ -101,6 +101,19 @@ class TestParams:
         assert code == EXIT_CONFIG
         assert "exceeds the supported limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
+    def test_set_up_solves_one_eigenvalue_problem(self, problem, monkeypatch, capsys):
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return eigvalsh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert main(["params", "--problem", problem, "--dim", "300", "--chi", "4"]) == EXIT_OK
+        assert shapes == [(300, 300)]
+
     def test_theoretical_budget_is_printed_even_when_huge(self, capsys):
         code = main(["params", "--problem", "pca", "--dim", "4", "--mode", "theoretical",
                      "--eps", "0.01", "--ball", "1.0", "--start", "saddle"])

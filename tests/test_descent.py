@@ -19,7 +19,7 @@ from prgd.descent import (
 from prgd.errors import NumericalError
 from prgd.manifolds import Sphere, Tangent, same_point
 from prgd.numerics import RngStream
-from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
+from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
 from conftest import EuclideanQuadratic
 from reference_pgd import reference_pgd
@@ -247,6 +247,20 @@ class TestRawLoopAgainstPublicApi:
         assert events[-1].kind == BOUNDARY_TRUNCATION and 1 < len(events) < 40
 
 
+def count_cost_calls(monkeypatch):
+    """Count calls of the fused PCA oracle and of the validated value and gradient."""
+    calls = {"fused": 0, "value": 0, "riemannian_gradient": 0}
+    for owner, attr, key in ((PcaProblem, "_value_and_gradient_array", "fused"),
+                             (PcaProblem, "value", "value"),
+                             (CostFunction, "riemannian_gradient", "riemannian_gradient")):
+        def counted(*args, _original=getattr(owner, attr), _key=key):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
 class TestTangentStepCost:
     def test_one_retraction_and_no_point_comparison_per_step(self, monkeypatch):
         problem, x, s0 = pca6_phase_start()
@@ -269,6 +283,14 @@ class TestTangentStepCost:
         tangent_space_steps(pull, s0, eta=1.0 / problem.constants().lip_grad, ball=math.inf, horizon=horizon)
         # one retraction per step plus one for the gradient at s0
         assert calls == {"retract": horizon + 1, "same_point": 0}
+
+    def test_one_fused_cost_call_per_retraction(self, monkeypatch):
+        problem, x, s0 = pca6_phase_start()
+        pull = Pullback(problem, x)
+        calls = count_cost_calls(monkeypatch)
+        horizon = 30
+        tangent_space_steps(pull, s0, eta=1.0 / problem.constants().lip_grad, ball=math.inf, horizon=horizon)
+        assert calls == {"fused": horizon + 1, "value": 0, "riemannian_gradient": 0}
 
 
 class TestPrgd:
@@ -346,6 +368,32 @@ class TestPrgd:
             if ev.kind in (TANGENT_STEP, BOUNDARY_TRUNCATION):
                 assert ev.tangent_norm <= params.ball * (1 + 1e-12)
 
+    def test_each_phase_start_is_retracted_once(self, pca3, monkeypatch):
+        consts = pca3.constants()
+        params = derive_params(epsilon=1e-3, delta=0.1, dim=2, ell=consts.lip_grad,
+                               lip_grad=consts.lip_grad, lip_hess=consts.lip_hess,
+                               ball=math.inf, gap=1.0, mode="practical", chi=4.0)
+        starts, retracted = [], []
+        steps = tangent_space_steps
+        retract = Sphere._retract_array
+
+        def recording_steps(pull, s0, *args, **kwargs):
+            if s0.norm > 0:  # manifold steps start from the zero tangent
+                starts.append(s0.coords)
+            return steps(pull, s0, *args, **kwargs)
+
+        def recording_retract(self, x, s):
+            retracted.append(s)
+            return retract(self, x, s)
+
+        monkeypatch.setattr("prgd.descent.tangent_space_steps", recording_steps)
+        monkeypatch.setattr(Sphere, "_retract_array", recording_retract)
+        trace = prgd(pca3, pca3.manifold.point([0.0, 1.0, 0.0]), params, RngStream(2, 0),
+                     terminate_on_no_decrease=True)
+        assert len(starts) == trace.n_perturbations >= 1
+        for s0 in starts:
+            assert sum(np.array_equal(s, s0) for s in retracted) == 1
+
     def test_small_grad_visits_recorded(self, pca3):
         consts = pca3.constants()
         params = derive_params(epsilon=1e-3, delta=0.1, dim=2, ell=consts.lip_grad,
@@ -372,6 +420,16 @@ class TestRgd:
         x0 = problem.manifold.point([1.0, 0.0])
         trace = rgd(problem, x0, eta=0.5, epsilon=1e-12, max_iters=1)
         assert np.array_equal(trace.iterates[1], [0.5, 0.0])
+
+    def test_one_fused_cost_call_per_iterate(self, monkeypatch):
+        a, _, _, _ = synthetic_matrix(6, RngStream(3, 44))
+        p = PcaProblem(a)
+        raw, _ = RngStream(19).standard_normal(6)
+        x0 = p.manifold.point(raw / np.linalg.norm(raw))
+        calls = count_cost_calls(monkeypatch)
+        trace = rgd(p, x0, eta=0.2, epsilon=0.0, max_iters=25)
+        assert trace.final_t == 25
+        assert calls == {"fused": 26, "value": 0, "riemannian_gradient": 0}
 
     def test_pca_converges_to_an_eigenvector(self):
         a, lams, vecs, _ = synthetic_matrix(6, RngStream(3, 44))

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from prgd.errors import NumericalError
 from prgd.numerics import (
     RngStream,
+    _norm,
     as_sym_matrix,
     as_vector,
     fd_gradient,
@@ -21,6 +22,14 @@ from prgd.numerics import (
 def random_symmetric(n, seed):
     g, _ = RngStream(seed).standard_normal((n, n))
     return 0.5 * (g + g.T)
+
+
+class TestNorm:
+    @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]))
+    def test_matches_numpy_norm_bitwise(self, n, seed, scale):
+        raw, _ = RngStream(seed).standard_normal(n)
+        v = scale * raw
+        assert _norm(v) == float(np.linalg.norm(v))
 
 
 class TestValidation:

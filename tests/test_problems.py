@@ -159,6 +159,22 @@ class TestRiemannianGradientMany:
             assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+class TestFusedValueAndGradient:
+    # PcaProblem and QuadraticSaddle override the oracle; EuclideanQuadratic uses the generic default
+    @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle, EuclideanQuadratic])
+    def test_matches_value_and_riemannian_gradient_bitwise(self, cls):
+        a, _, _, rng = synthetic_matrix(6, RngStream(43, 1))
+        problem = cls(a - 1.5 * np.eye(6))
+        coords, _ = rng.standard_normal((50, 6))
+        if cls is PcaProblem:
+            coords /= np.linalg.norm(coords, axis=1, keepdims=True)
+        for y in coords:
+            point = problem.manifold.point(y)
+            f, grad = problem._value_and_gradient_array(y)
+            assert f == problem.value(point)
+            assert np.array_equal(grad, problem.riemannian_gradient(point).coords)
+
+
 class TestMatrixIo:
     def test_parse_diagonal(self, tmp_path):
         path = tmp_path / "m.txt"

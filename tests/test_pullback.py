@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from prgd.descent import tangent_space_steps
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Tangent
 from prgd.numerics import RngStream, fd_gradient, fd_hessian, min_eigpair
@@ -212,3 +215,12 @@ class TestHessianAgainstValueRoute:
             Pullback(problem, x).hessian_at_zero()
         with pytest.raises(NumericalError):
             riemannian_hessian_matrix(problem, x)
+
+
+def test_tangent_loop_nonfinite_gradient_is_a_numerical_error():
+    problem = SqrtGradient()
+    x = problem.manifold.point([1.0, 1.0])
+    # the first step lands at (-0.5, -0.5), where the gradient is NaN
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        tangent_space_steps(Pullback(problem, x), problem.manifold.zero_tangent(x),
+                            eta=1.0, ball=math.inf, horizon=2)
