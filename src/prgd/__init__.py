@@ -7,6 +7,7 @@ from .descent import (
     boundary_alpha,
     derive_params,
     prgd,
+    prgd_lockstep,
     rgd,
     tangent_space_steps,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "min_eigpair",
     "operator_norm",
     "prgd",
+    "prgd_lockstep",
     "rgd",
     "sample_unit_ball",
     "save_matrix",

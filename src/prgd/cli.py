@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .descent import PrgdParams, derive_params, prgd, rgd
+from .descent import PrgdParams, derive_params, prgd, prgd_lockstep, rgd
 from .errors import NumericalError
 from .manifolds import Point
 from .numerics import EIG_DIM_LIMIT, RngStream
@@ -238,16 +238,19 @@ class TrialResult:
 def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials: int,
                  algorithm: str = "prgd", terminate: bool = True,
                  rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
-    """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index."""
+    """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
+
+    PRGD trials run in lockstep, as one `prgd_lockstep` block.
+    """
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if algorithm == "rgd":
+        traces = [rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters) for _ in range(trials)]
+    else:
+        traces = prgd_lockstep(problem, x0, params, [RngStream(base_seed + i, i) for i in range(trials)],
+                               terminate_on_no_decrease=terminate)
     results = []
-    for i in range(trials):
-        rng = RngStream(base_seed + i, i)
-        if algorithm == "rgd":
-            trace = rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters)
-        else:
-            trace = prgd(problem, x0, params, rng, terminate_on_no_decrease=terminate)
+    for i, trace in enumerate(traces):
         report = check_second_order_point(problem, trace.final_point, params.epsilon, params.lip_hess)
         alignment = None
         if v_max is not None:

@@ -253,25 +253,38 @@ def boundary_alpha(s: np.ndarray, g: np.ndarray, eta: float, ball: float) -> flo
     return float(alpha)
 
 
-def tangent_space_steps(
-    pull: Pullback,
-    s0: Tangent,
-    eta: float,
-    ball: float,
-    horizon: int,
-    anchor_t: int = 0,
-    first_gradient: Tangent | None = None,
-):
+def _gradient_step(problem, x: np.ndarray, s: np.ndarray, grad: np.ndarray, eta: float, ball: float):
+    """One pullback gradient step on every row of a block of tangent-space states.
+
+    Row i moves s_i to P_{x_i}(s_i - alpha_i * eta * g_i), with alpha_i = 1
+    unless the full step would leave the ball, where `boundary_alpha`
+    truncates it onto the boundary. One projection, retraction, fused cost
+    call and adjoint serve all rows. Returns the new s, the truncated rows as
+    {row: alpha}, y = Retr_x(s), f(y), the Riemannian gradient at y and the
+    pullback gradient at the new s.
+    """
+    manifold = problem.manifold
+    candidate = s - eta * grad
+    alphas = {}
+    for i, norm in enumerate(_norm(candidate).tolist()):
+        if norm < ball:
+            continue
+        alphas[i] = alpha = boundary_alpha(s[i], grad[i], eta, ball)
+        candidate[i] = s[i] - (alpha * eta) * grad[i]
+    s = manifold._project_array(x, candidate)
+    y = manifold._retract_array(x, s)
+    f, grad_y = problem._value_and_gradient_array(y)
+    return s, alphas, y, f, grad_y, manifold._retraction_adjoint_array(x, s, grad_y)
+
+
+def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, horizon: int):
     """Run up to `horizon` gradient steps on the pullback inside the ball of radius `ball`.
 
     Iterates s_{j+1} = s_j - eta * grad; if an iterate would leave the ball the
     final step is truncated onto the boundary and the loop stops. Returns the
-    final tangent vector and the per-step events. `first_gradient`, when
-    given, is used as the gradient at s0 (the caller already computed it).
-    Arguments are validated once, here; the loop runs on coordinate arrays and
-    makes one retraction and one fused cost call per step: at
-    y = Retr_x(s_{j+1}) it gives the event value and the Riemannian gradient
-    that the retraction adjoint pulls back into the next step's gradient.
+    final tangent vector and the per-step events. Arguments are validated once,
+    here; the steps are `prgd_lockstep`'s on a one-row block, each making one
+    retraction and one fused cost call.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -283,48 +296,34 @@ def tangent_space_steps(
     if s0.norm > ball:
         raise ValueError(f"requires ||s0|| <= ball, got {s0.norm!r} > {ball!r}")
 
+    problem = pull.problem
     manifold = pull.manifold
-    project = manifold._project_array
-    retract = manifold._retract_array
-    adjoint = manifold._retraction_adjoint_array
-    value_and_gradient = pull.problem._value_and_gradient_array
-    x = pull.base.coords
-    s0c = s0.coords
-    s = s0c
-    if first_gradient is None:
-        grad = adjoint(x, s, value_and_gradient(retract(x, s))[1])
-    else:
-        grad = first_gradient.coords
+    x = pull.base.coords[None]
+    start = s0.coords[None]
+    grad_y = problem._value_and_gradient_array(manifold._retract_array(x, start))[1]
+    grad = manifold._retraction_adjoint_array(x, start, grad_y)
+    s = start
     events: list[TraceEvent] = []
     for j in range(horizon):
-        grad_norm = _norm(grad)
+        grad_norm = float(_norm(grad[0]))
         if not math.isfinite(grad_norm):
             raise NumericalError("pullback gradient is non-finite")
-        candidate = s - eta * grad
-        truncated = _norm(candidate) >= ball
-        if truncated:
-            alpha = boundary_alpha(s, grad, eta, ball)
-            candidate = s - (alpha * eta) * grad
-        else:
-            alpha = 1.0
-        s = project(x, candidate)
-        f, grad_y = value_and_gradient(retract(x, s))
+        s, alphas, _, f, _, grad = _gradient_step(problem, x, s, grad, eta, ball)
         events.append(
             TraceEvent(
-                t=anchor_t,
-                kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
-                f=f,
+                t=0,
+                kind=BOUNDARY_TRUNCATION if alphas else TANGENT_STEP,
+                f=float(f[0]),
                 grad_norm=grad_norm,
-                tangent_norm=_norm(s),
-                alpha=alpha,
-                dist_start=_norm(s - s0c),
+                tangent_norm=float(_norm(s[0])),
+                alpha=alphas.get(0, 1.0),
+                dist_start=float(_norm(s[0] - start[0])),
                 step=j + 1,
             )
         )
-        if truncated:
+        if alphas:
             break
-        grad = adjoint(x, s, grad_y)
-    return Tangent(pull.base, s), events
+    return Tangent(pull.base, s[0]), events
 
 
 def prgd(
@@ -350,94 +349,158 @@ def prgd(
     `stop_on_gap_exhausted` (on by default), the run also halts once f has
     decreased by more than `params.gap` below f(x0), since the promised gap
     is then exhausted; disable it to match the textbook loop exactly.
+
+    One run is the one-row case of `prgd_lockstep`.
+    """
+    return prgd_lockstep(problem, x0, params, [rng], terminate_on_no_decrease, stop_on_gap_exhausted)[0]
+
+
+class _Trial:
+    """The scalars of one lockstep run; its arrays are one row of each block.
+
+    `x` is the anchor point (a copy of its block row), `grad_norm` the
+    gradient norm there, and `step` is 0 for a manifold step or j >= 1 for
+    step j of a perturbation phase.
+    """
+
+    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "step")
+
+    def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float):
+        self.trace, self.rng, self.x, self.f_x = trace, rng, x, f_x
+        self.grad_norm = math.nan
+        self.t = self.queries = self.step = 0
+
+    def finish(self, manifold, terminated: str, grad_norm: float):
+        trace = self.trace
+        trace.final_point = Point(manifold, self.x)
+        trace.final_f = self.f_x
+        trace.final_t = self.t
+        trace.final_grad_norm = grad_norm
+        trace.gradient_queries = self.queries + 1
+        trace.terminated = terminated
+
+
+def prgd_lockstep(
+    problem,
+    x0: Point,
+    params: PrgdParams,
+    rngs: list[RngStream],
+    terminate_on_no_decrease: bool = False,
+    stop_on_gap_exhausted: bool = True,
+) -> list[RunTrace]:
+    """Independent `prgd` runs from x0, one per stream in `rngs`, advanced in lockstep.
+
+    The runs form a block with one row each: the anchor x, the tangent vector
+    s, the phase start s0 and the pullback gradient at s. Every tick takes one
+    gradient step on every row, a manifold step or step j of a perturbation
+    phase, through one projection, retraction, fused cost call and adjoint for
+    the whole block. A row's loop-top gradient is the Riemannian gradient that
+    its last fused call computed at its new anchor. Python runs per row only
+    to record events, to start a phase (the ball draw is on the row's own
+    stream), to truncate a step at the ball and to stop a run; a stopped run
+    leaves the block. Rows share no arithmetic, so trace i is bit-identical
+    to `prgd(problem, x0, params, rngs[i], ...)`.
     """
     problem._check_point(x0)
     manifold = problem.manifold
-    x = x0
-    f_x = problem.value(x)
-    trace = RunTrace(f0=f_x)
-    trace.iterates.append(x.coords)
-    t = 0
-    queries = 0
-    terminated = "budget"
-
-    while t <= params.budget:
-        if stop_on_gap_exhausted and f_x < trace.f0 - params.gap:
-            terminated = "gap_exhausted"
-            break
-        grad = problem.riemannian_gradient(x)
-        queries += 1
-        grad_norm = float(np.linalg.norm(grad.coords))
-        if not math.isfinite(grad_norm):
-            raise NumericalError("Riemannian gradient is non-finite")
-        if queries == 1:
-            trace.grad_norm0 = grad_norm
-        pull = Pullback(problem, x)
-        if grad_norm > params.epsilon:
-            # the single inner step reuses the loop-top gradient, costing no extra query
-            s_fin, evs = tangent_space_steps(
-                pull, manifold.zero_tangent(x), params.eta, params.ball, 1,
-                anchor_t=t, first_gradient=grad,
-            )
-            ev = evs[0]
-            trace.events.append(
-                TraceEvent(
-                    t=t,
-                    kind=MANIFOLD_STEP,
-                    f=ev.f,
-                    grad_norm=grad_norm,
-                    tangent_norm=ev.tangent_norm,
-                    alpha=ev.alpha,
-                    f_before=f_x,
-                )
-            )
-            x = Point(manifold, manifold._retract_array(x.coords, s_fin.coords))
-            f_x = ev.f
-            t += 1
-            trace.iterates.append(x.coords)
-        else:
-            trace.events.append(TraceEvent(t=t, kind=SMALL_GRAD_VISIT, f=f_x, grad_norm=grad_norm))
-            trace.small_grad_points.append((t, x))
-            xi, rng = manifold.sample_ball(x, params.radius, rng)
-            s0 = Tangent(x, params.eta * xi.coords)
+    eta, ball, horizon = params.eta, params.ball, params.horizon
+    start = np.ascontiguousarray(x0.coords)
+    f0, grad0 = problem._value_and_gradient_array(start)
+    f0 = float(f0)
+    trials = [_Trial(RunTrace(f0=f0, iterates=[start]), rng, start, f0) for rng in rngs]
+    traces = [trial.trace for trial in trials]
+    x = np.tile(start, (len(trials), 1))
+    grad = np.tile(grad0, (len(trials), 1))
+    s = np.zeros_like(x)
+    s0 = np.zeros_like(x)
+    top = list(range(len(trials)))  # rows at a new anchor, whose loop top runs before the next tick
+    stopped: list[int] = []
+    while True:
+        for i, grad_norm in zip(top, _norm(grad[top]).tolist() if top else ()):
+            trial = trials[i]
+            if not math.isfinite(grad_norm):
+                raise NumericalError("Riemannian gradient is non-finite")
+            if trial.t > params.budget:
+                trial.finish(manifold, "budget", grad_norm)
+                stopped.append(i)
+                continue
+            if stop_on_gap_exhausted and trial.f_x < f0 - params.gap:
+                trial.finish(manifold, "gap_exhausted", grad_norm)
+                stopped.append(i)
+                continue
+            trial.queries += 1
+            if trial.queries == 1:
+                trial.trace.grad_norm0 = grad_norm
+            trial.grad_norm = grad_norm
+            trial.step = 0
+            if grad_norm > params.epsilon:
+                continue
+            events = trial.trace.events
+            events.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
+            point = Point(manifold, trial.x)
+            trial.trace.small_grad_points.append((trial.t, point))
+            xi, trial.rng = manifold.sample_ball(point, params.radius, trial.rng)
+            start_s = eta * xi.coords
+            start_norm = float(_norm(start_s))
+            if start_norm > ball:
+                raise ValueError(f"requires ||s0|| <= ball, got {start_norm!r} > {ball!r}")
             # one retraction of s0 gives the event value and the phase's first gradient
-            f_s0, grad_y = problem._value_and_gradient_array(manifold._retract_array(x.coords, s0.coords))
-            trace.events.append(
-                TraceEvent(
-                    t=t,
-                    kind=PERTURBATION,
-                    f=f_s0,
-                    grad_norm=grad_norm,
-                    tangent_norm=s0.norm,
-                )
-            )
-            s_fin, evs = tangent_space_steps(
-                pull, s0, params.eta, params.ball, params.horizon, anchor_t=t,
-                first_gradient=Tangent(x, manifold._retraction_adjoint_array(x.coords, s0.coords, grad_y)),
-            )
-            queries += len(evs)
-            trace.events.extend(evs)
-            f_end = evs[-1].f
-            if terminate_on_no_decrease and f_end - f_x > -params.score_drop / 2.0:
-                # the phase ran (and spent its queries), so the counter still advances
-                t += params.horizon
-                terminated = "decrease_threshold"
-                trace.suspected_second_order = True
-                break
-            x = Point(manifold, manifold._retract_array(x.coords, s_fin.coords))
-            f_x = f_end
-            t += params.horizon
-            trace.iterates.append(x.coords)
+            f_s0, grad_y = problem._value_and_gradient_array(manifold._retract_array(trial.x, start_s))
+            events.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
+                                     tangent_norm=start_norm))
+            grad[i] = manifold._retraction_adjoint_array(trial.x, start_s, grad_y)
+            s[i] = start_s
+            s0[i] = start_s
+            trial.step = 1
+        if stopped:
+            keep = np.ones(len(trials), dtype=bool)
+            keep[stopped] = False
+            trials = [trial for trial, kept in zip(trials, keep) if kept]
+            x, s, s0, grad = x[keep], s[keep], s0[keep], grad[keep]
+            stopped = []
+        if not trials:
+            return traces
 
-    trace.final_point = x
-    trace.final_f = f_x
-    trace.final_t = t
-    grad_fin = problem.riemannian_gradient(x)
-    queries += 1
-    trace.final_grad_norm = float(np.linalg.norm(grad_fin.coords))
-    trace.gradient_queries = queries
-    trace.terminated = terminated
-    return trace
+        grad_norms = _norm(grad).tolist()
+        if not all(map(math.isfinite, grad_norms)):
+            raise NumericalError("pullback gradient is non-finite")
+        s, alphas, y, f, grad_y, grad = _gradient_step(problem, x, s, grad, eta, ball)
+        values = f.tolist()
+        tangent_norms = _norm(s).tolist()
+        dists = _norm(s - s0).tolist()
+        top = []
+        for i, trial in enumerate(trials):
+            trace = trial.trace
+            if trial.step == 0:
+                trace.events.append(TraceEvent(t=trial.t, kind=MANIFOLD_STEP, f=values[i], grad_norm=grad_norms[i],
+                                               tangent_norm=tangent_norms[i], alpha=alphas.get(i, 1.0),
+                                               f_before=trial.f_x))
+                trial.t += 1
+            else:
+                truncated = i in alphas
+                trace.events.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
+                                               f=values[i], grad_norm=grad_norms[i], tangent_norm=tangent_norms[i],
+                                               alpha=alphas.get(i, 1.0), dist_start=dists[i], step=trial.step))
+                if not truncated and trial.step < horizon:
+                    trial.step += 1
+                    continue
+                # the phase ran (and spent its queries), so the counter advances even if the run stops here
+                trial.queries += trial.step
+                trial.t += horizon
+                if terminate_on_no_decrease and values[i] - trial.f_x > -params.score_drop / 2.0:
+                    trace.suspected_second_order = True
+                    trial.finish(manifold, "decrease_threshold", trial.grad_norm)
+                    stopped.append(i)
+                    continue
+            trial.x = y[i].copy()
+            trial.f_x = values[i]
+            trace.iterates.append(trial.x)
+            top.append(i)
+        if top:
+            # a new anchor is the retracted point, and its loop-top gradient the fused one there
+            x[top] = y[top]
+            grad[top] = grad_y[top]
+            s[top] = 0.0
 
 
 def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTrace:

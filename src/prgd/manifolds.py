@@ -38,7 +38,13 @@ def same_point(a: Point, b: Point) -> bool:
 
 
 class Manifold:
-    """Common interface: metric, projection, retraction, adjoint, ball sampling."""
+    """Common interface: metric, projection, retraction, adjoint, ball sampling.
+
+    The unchecked `_project_array`, `_retract_array` and
+    `_retraction_adjoint_array` kernels take coordinate arrays: 1-d vectors,
+    or blocks whose rows are independent (point, vector) pairs. Each row of a
+    block gets the same float operations as a 1-d call, bit for bit.
+    """
 
     name = "abstract"
     ambient_dim = 0
@@ -246,18 +252,18 @@ class Sphere(Manifold):
         return Tangent(base, c)
 
     def _project_array(self, x, v):
-        return v - x.dot(v) * x
+        return v - np.vecdot(x, v, keepdims=True) * x
 
     def _retract_array(self, x, s):
         y = x + s
-        return y / _norm(y)
+        return y / _norm(y, keepdims=True)
 
     def retract_many(self, x, tangents):
         y = x + tangents
         return y / np.linalg.norm(y, axis=1, keepdims=True)
 
     def _retraction_adjoint_array(self, x, s, w):
-        return self._project_array(x, w) / _norm(x + s)
+        return self._project_array(x, w) / _norm(x + s, keepdims=True)
 
     def retraction_adjoint(self, x, s, w):
         self._check_adjoint_args(x, s, w)

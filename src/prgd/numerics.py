@@ -16,13 +16,17 @@ DEFAULT_HESS_H = 1e-4
 
 
 def as_vector(entries) -> np.ndarray:
-    """Validate entries as a finite 1-d float64 vector of length >= 1."""
+    """Validate entries as a finite 1-d float64 vector of length >= 1, returned contiguous.
+
+    BLAS sums a strided vector in another order than a contiguous one, so a
+    point's memory layout would otherwise change the bits of a trajectory.
+    """
     v = np.asarray(entries, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a 1-d vector with at least one entry, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must all be finite")
-    return v
+    return np.ascontiguousarray(v)
 
 
 def as_sym_matrix(entries, rtol: float = SYM_RTOL) -> np.ndarray:
@@ -80,9 +84,14 @@ def operator_norm(m) -> float:
     return float(np.abs(sym_eigenvalues(m)).max())
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-d float array: numpy.linalg.norm's own sqrt(v.v), without its dispatch."""
-    return math.sqrt(v.dot(v))
+def _norm(v: np.ndarray, keepdims: bool = False):
+    """Euclidean norms of the rows of v, or the norm of a 1-d v: sqrt of the row self-dot.
+
+    `np.vecdot` gives each row the same BLAS dot as `ndarray.dot`, so every
+    norm equals numpy.linalg.norm of its row bit for bit; `keepdims` keeps a
+    trailing axis of length 1 for broadcasting against v.
+    """
+    return np.sqrt(np.vecdot(v, v, keepdims=keepdims))
 
 
 def _eval_scalar(fn, point: np.ndarray) -> float:

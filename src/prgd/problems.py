@@ -16,8 +16,9 @@ class CostFunction:
 
     Subclasses set `manifold` and implement `value` and `euclidean_gradient`;
     the Riemannian gradient is the tangent projection of the ambient one.
-    `_value_and_gradient_array` is the unchecked oracle of the descent loops;
-    a subclass may override it to share work between value and gradient.
+    `_value_and_gradient_array` is the unchecked oracle of the descent loops,
+    for one point or for a block of points (one per row); a subclass may
+    override it to share work between value and gradient.
     """
 
     manifold: Manifold
@@ -31,8 +32,14 @@ class CostFunction:
     def riemannian_gradient(self, x: Point) -> Tangent:
         return self.manifold.project(x, self.euclidean_gradient(x))
 
-    def _value_and_gradient_array(self, y: np.ndarray) -> tuple[float, np.ndarray]:
-        """Value and Riemannian-gradient coordinates at manifold coordinates y, without checks."""
+    def _value_and_gradient_array(self, y: np.ndarray):
+        """Value and Riemannian-gradient coordinates at manifold coordinates y, without checks.
+
+        For a block y, one value and one gradient row per row of y.
+        """
+        if y.ndim == 2:
+            pairs = [self._value_and_gradient_array(row) for row in y]
+            return np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
         point = Point(self.manifold, y)
         grad = np.asarray(self.euclidean_gradient(point), dtype=float)
         return self.value(point), self.manifold._project_array(y, grad)
@@ -85,9 +92,11 @@ class PcaProblem(CostFunction):
         return -(self.matrix @ x.coords)
 
     def _value_and_gradient_array(self, y):
-        ay = self.matrix.dot(y)
-        g = -ay
-        return -0.5 * float(y.dot(ay)), g - y.dot(g) * y
+        # np.matvec and np.vecdot give each row the BLAS gemv and dot of a 1-d call; with
+        # g = -Ay, g - (y.g) y is exactly (y.Ay) y - Ay, as negation commutes with rounding
+        ay = np.matvec(self.matrix, y)
+        yay = np.vecdot(y, ay)
+        return -0.5 * yay, yay[..., None] * y - ay
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         return -0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)
@@ -126,8 +135,8 @@ class QuadraticSaddle(CostFunction):
         return self.matrix @ x.coords
 
     def _value_and_gradient_array(self, y):
-        hy = self.matrix.dot(y)
-        return 0.5 * float(y.dot(hy)), hy
+        hy = np.matvec(self.matrix, y)
+        return 0.5 * np.vecdot(y, hy), hy
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         return 0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)

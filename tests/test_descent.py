@@ -1,12 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from prgd.cli import escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
     MANIFOLD_STEP,
+    PERTURBATION,
+    SMALL_GRAD_VISIT,
     TANGENT_STEP,
     PrgdParams,
     TraceEvent,
@@ -21,6 +25,7 @@ from prgd.manifolds import Sphere, Tangent, same_point
 from prgd.numerics import RngStream
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
+from prgd.verify import random_point
 from conftest import EuclideanQuadratic
 from reference_pgd import reference_pgd
 
@@ -293,7 +298,149 @@ class TestTangentStepCost:
         assert calls == {"fused": horizon + 1, "value": 0, "riemannian_gradient": 0}
 
 
+def public_api_prgd(problem, x0, params, rng, terminate):
+    """The PRGD outer loop written over the validated API, as a reference for the lockstep kernel.
+
+    Returns (events, iterates, final point, gradient queries, stop reason).
+    """
+    manifold = problem.manifold
+    x = x0
+    f_x = f0 = problem.value(x)
+    events, iterates = [], [x.coords]
+    t = queries = 0
+    terminated = "budget"
+    while t <= params.budget:
+        if f_x < f0 - params.gap:
+            terminated = "gap_exhausted"
+            break
+        grad = problem.riemannian_gradient(x).coords
+        grad_norm = float(np.linalg.norm(grad))
+        queries += 1
+        pull = Pullback(problem, x)
+        if grad_norm > params.epsilon:
+            # a manifold step is one tangent step from zero with the loop-top gradient
+            zero = np.zeros(manifold.ambient_dim)
+            alpha = 1.0
+            if float(np.linalg.norm(zero - params.eta * grad)) >= params.ball:
+                alpha = boundary_alpha(zero, grad, params.eta, params.ball)
+            s = manifold.project(x, zero - (alpha * params.eta) * grad).coords
+            events.append(TraceEvent(t=t, kind=MANIFOLD_STEP, f=pull.value(Tangent(x, s)), grad_norm=grad_norm,
+                                     tangent_norm=float(np.linalg.norm(s)), alpha=alpha, f_before=f_x))
+            t += 1
+        else:
+            events.append(TraceEvent(t=t, kind=SMALL_GRAD_VISIT, f=f_x, grad_norm=grad_norm))
+            xi, rng = manifold.sample_ball(x, params.radius, rng)
+            s0 = Tangent(x, params.eta * xi.coords)
+            events.append(TraceEvent(t=t, kind=PERTURBATION, f=pull.value(s0), grad_norm=grad_norm,
+                                     tangent_norm=s0.norm))
+            s, phase = public_api_loop(pull, s0, params.eta, params.ball, params.horizon)
+            events.extend(dataclasses.replace(ev, t=t) for ev in phase)
+            queries += len(phase)
+            t += params.horizon
+            if terminate and phase[-1].f - f_x > -params.score_drop / 2.0:
+                terminated = "decrease_threshold"
+                break
+        x = manifold.retract(x, Tangent(x, s))
+        f_x = events[-1].f
+        iterates.append(x.coords)
+    return events, iterates, x, queries + 1, terminated
+
+
+def pca_saddle(dim, ball=math.inf):
+    """A synthetic PCA problem, its second eigenvector and practical parameters for escaping it."""
+    a, _, vecs, _ = synthetic_matrix(dim, RngStream(1, 2**48))
+    problem = PcaProblem(a)
+    saddle = problem.manifold.point(vecs[:, 1])
+    consts = problem.constants()
+    params = derive_params(epsilon=1e-3, delta=0.1, dim=dim - 1, ell=consts.lip_grad,
+                           lip_grad=consts.lip_grad, lip_hess=consts.lip_hess, ball=ball,
+                           gap=problem.value(saddle) - problem.f_star, mode="practical", chi=4.0)
+    return problem, saddle, params
+
+
+def assert_same_run(trace, other):
+    assert trace.events == other.events
+    assert len(trace.iterates) == len(other.iterates)
+    assert all(np.array_equal(p, q) for p, q in zip(trace.iterates, other.iterates))
+    assert np.array_equal(trace.final_point.coords, other.final_point.coords)
+    for name in ("f0", "grad_norm0", "final_f", "final_grad_norm", "final_t", "gradient_queries",
+                 "terminated", "suspected_second_order"):
+        assert getattr(trace, name) == getattr(other, name), name
+
+
+class TestPrgdAgainstPublicApi:
+    @pytest.mark.parametrize("ball, terminate, start", [
+        (math.inf, True, "saddle"),
+        (0.05, True, "saddle"),
+        (math.inf, False, "saddle"),
+        (math.inf, True, "random"),
+    ])
+    def test_pca_runs_match_the_reference_loop(self, ball, terminate, start):
+        problem, x0, params = pca_saddle(12, ball)
+        if start == "random":
+            # descend to the top eigenvector, where the first phase fails to decrease f
+            x0, _ = random_point(problem.manifold, RngStream(6, 1))
+            params = dataclasses.replace(params, gap=1.0)
+        trace = prgd(problem, x0, params, RngStream(3, 0), terminate_on_no_decrease=terminate)
+        events, iterates, x, queries, terminated = public_api_prgd(problem, x0, params, RngStream(3, 0), terminate)
+        assert trace.events == events
+        assert len(trace.iterates) == len(iterates)
+        assert all(np.array_equal(p, q) for p, q in zip(trace.iterates, iterates))
+        assert np.array_equal(trace.final_point.coords, x.coords)
+        assert (trace.gradient_queries, trace.terminated) == (queries, terminated)
+        assert trace.n_perturbations >= 1
+        if start == "random":
+            assert trace.n_manifold_steps >= 1
+
+
+class TestStudyEqualsSingleRuns:
+    """A study's lockstep block repeats each trial's single `prgd` run bit for bit."""
+
+    def check(self, problem, x0, params, trials, terminate=True):
+        study = escape_study(problem, x0, params, base_seed=1, trials=trials, terminate=terminate)
+        for i, res in enumerate(study):
+            assert_same_run(res.trace, prgd(problem, x0, params, RngStream(1 + i, i),
+                                            terminate_on_no_decrease=terminate))
+        return [res.trace for res in study]
+
+    def test_pca_d50_from_the_saddle(self):
+        traces = self.check(*pca_saddle(50), trials=10)
+        # rows leave the block at different ticks, by both stopping rules
+        assert {tr.terminated for tr in traces} == {"gap_exhausted", "decrease_threshold"}
+        assert len({tr.final_t for tr in traces}) > 1
+
+    def test_quadratic_saddle(self):
+        h = np.diag([-0.5, 0.8, 1.0, 0.3, 0.9, -0.2, 0.6, 1.0, 0.7, 0.4])
+        problem = QuadraticSaddle(h)
+        params = PrgdParams(epsilon=0.3, delta=0.1, dim=10, ell=1.0, lip_grad=1.0,
+                            lip_hess=1.0, ball=math.inf, gap=2.0, chi=4.0,
+                            eta=1.0, radius=0.05, horizon=10, score_drop=1e-6,
+                            locality=1e-2, budget=200, mode="practical")
+        traces = self.check(problem, problem.manifold.point(np.full(10, 0.01)), params, 6, terminate=False)
+        assert all(tr.n_perturbations >= 1 for tr in traces)
+        assert any(tr.n_manifold_steps >= 1 for tr in traces)
+
+    def test_finite_ball_truncates_rows_mid_block(self):
+        traces = self.check(*pca_saddle(50, ball=0.05), trials=10)
+        steps = [ev.step for tr in traces for ev in tr.events if ev.kind == BOUNDARY_TRUNCATION]
+        # every row truncates once, at its own step, while the other rows keep stepping
+        assert len(steps) == 10 and len(set(steps)) > 1
+
+    def test_small_budget_stops_rows_with_budget(self):
+        problem, saddle, params = pca_saddle(50)
+        traces = self.check(problem, saddle, dataclasses.replace(params, budget=200), 6, terminate=False)
+        assert all(tr.terminated == "budget" for tr in traces)
+
+
 class TestPrgd:
+    def test_point_memory_layout_does_not_change_the_run(self):
+        problem, saddle, params = pca_saddle(50)
+        _, _, vecs, _ = synthetic_matrix(50, RngStream(1, 2**48))
+        strided = prgd(problem, problem.manifold.point(vecs[:, 1]), params, RngStream(1, 0), True)
+        contiguous = prgd(problem, problem.manifold.point(vecs[:, 1].copy()), params, RngStream(1, 0), True)
+        assert strided.events == contiguous.events
+        assert np.array_equal(strided.final_point.coords, contiguous.final_point.coords)
+
     def test_determinism_bitwise(self, simple_saddle):
         params = practical(chi=4.0, epsilon=0.3)
         x0 = simple_saddle.manifold.point([0.01, 0.02])
@@ -374,19 +521,20 @@ class TestPrgd:
                                lip_grad=consts.lip_grad, lip_hess=consts.lip_hess,
                                ball=math.inf, gap=1.0, mode="practical", chi=4.0)
         starts, retracted = [], []
-        steps = tangent_space_steps
+        sample_ball = Sphere.sample_ball
         retract = Sphere._retract_array
 
-        def recording_steps(pull, s0, *args, **kwargs):
-            if s0.norm > 0:  # manifold steps start from the zero tangent
-                starts.append(s0.coords)
-            return steps(pull, s0, *args, **kwargs)
+        def recording_sample_ball(self, x, radius, rng):
+            # a phase starts at s0 = eta * xi
+            xi, rng = sample_ball(self, x, radius, rng)
+            starts.append(params.eta * xi.coords)
+            return xi, rng
 
         def recording_retract(self, x, s):
-            retracted.append(s)
+            retracted.extend(np.array(s, ndmin=2))  # a copy, one tangent vector per row of a block
             return retract(self, x, s)
 
-        monkeypatch.setattr("prgd.descent.tangent_space_steps", recording_steps)
+        monkeypatch.setattr(Sphere, "sample_ball", recording_sample_ball)
         monkeypatch.setattr(Sphere, "_retract_array", recording_retract)
         trace = prgd(pca3, pca3.manifold.point([0.0, 1.0, 0.0]), params, RngStream(2, 0),
                      terminate_on_no_decrease=True)

@@ -32,7 +32,34 @@ class TestNorm:
         assert _norm(v) == float(np.linalg.norm(v))
 
 
+class TestRowPrimitives:
+    """The descent kernels run on blocks with np.vecdot and np.matvec; each row must get the BLAS
+    dot and gemv of a 1-d `ndarray.dot`, or a block of trials would not repeat single runs."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 31, 50, 64, 127, 200, 300])
+    def test_rows_match_ndarray_dot_bitwise(self, n):
+        a = random_symmetric(n, n)
+        for rows in (1, 2, 7, 50):
+            uv, _ = RngStream(n, rows).standard_normal((2, rows, n))
+            u, v = uv
+            dots = np.vecdot(u, v)
+            products = np.matvec(a, u)
+            norms = _norm(u)
+            for i in range(rows):
+                assert dots[i] == u[i].dot(v[i])
+                assert np.array_equal(products[i], a.dot(u[i]))
+                assert norms[i] == np.linalg.norm(u[i])
+            # the same kernels take 1-d vectors too
+            assert np.vecdot(u[0], v[0]) == u[0].dot(v[0])
+            assert np.array_equal(np.matvec(a, u[0]), a.dot(u[0]))
+
+
 class TestValidation:
+    def test_vector_is_contiguous(self):
+        column = np.arange(12.0).reshape(3, 4)[:, 1]
+        v = as_vector(column)
+        assert v.flags.c_contiguous and np.array_equal(v, column)
+
     def test_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             as_vector([1.0, math.nan])

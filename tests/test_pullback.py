@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prgd.descent import tangent_space_steps
+from prgd.descent import derive_params, prgd, tangent_space_steps
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Tangent
 from prgd.numerics import RngStream, fd_gradient, fd_hessian, min_eigpair
@@ -224,3 +224,13 @@ def test_tangent_loop_nonfinite_gradient_is_a_numerical_error():
     with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
         tangent_space_steps(Pullback(problem, x), problem.manifold.zero_tangent(x),
                             eta=1.0, ball=math.inf, horizon=2)
+
+
+def test_prgd_loop_top_nonfinite_gradient_is_a_numerical_error():
+    problem = SqrtGradient()
+    x = problem.manifold.point([-1.0, -1.0])
+    params = derive_params(epsilon=0.01, delta=0.1, dim=2, ell=1.0, lip_grad=1.0, lip_hess=1.0,
+                           ball=math.inf, gap=1.0, mode="practical", chi=4.0)
+    # the gradient is NaN at the start point itself, so the first loop top must reject it
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError):
+        prgd(problem, x, params, RngStream(0))
