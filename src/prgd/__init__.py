@@ -13,7 +13,7 @@ from .descent import (
 )
 from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import RngStream, fd_gradient, fd_hessian, min_eigpair, operator_norm, sample_unit_ball
+from .numerics import RngStream, min_eigpair, operator_norm, sample_unit_ball
 from .problems import CostFunction, PcaProblem, QuadraticSaddle, load_matrix, save_matrix, synthetic_matrix
 from .pullback import Pullback
 from .verify import (
@@ -48,8 +48,6 @@ __all__ = [
     "derive_params",
     "empirical_grad_lipschitz",
     "empirical_hess_lipschitz",
-    "fd_gradient",
-    "fd_hessian",
     "load_matrix",
     "min_eigpair",
     "operator_norm",

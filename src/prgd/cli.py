@@ -240,24 +240,27 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
                  rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
     """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
 
-    PRGD trials run in lockstep, as one `prgd_lockstep` block.
+    PRGD trials run in lockstep, as one `prgd_lockstep` block. `rgd` draws
+    nothing, so its trials are one run: it runs and is certified once, and
+    every trial record repeats it.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if algorithm == "rgd":
-        traces = [rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters) for _ in range(trials)]
+        traces = [rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters)]
     else:
         traces = prgd_lockstep(problem, x0, params, [RngStream(base_seed + i, i) for i in range(trials)],
                                terminate_on_no_decrease=terminate)
-    results = []
-    for i, trace in enumerate(traces):
+    outcomes = []
+    for trace in traces:
         report = check_second_order_point(problem, trace.final_point, params.epsilon, params.lip_hess)
         alignment = None
         if v_max is not None:
             alignment = abs(float(trace.final_point.coords @ v_max))
-        results.append(TrialResult(seed=base_seed + i, stream=i, trace=trace,
-                                   report=report, alignment=alignment))
-    return results
+        outcomes.append((trace, report, alignment))
+    if algorithm == "rgd":
+        outcomes *= trials
+    return [TrialResult(base_seed + i, i, *outcome) for i, outcome in enumerate(outcomes)]
 
 
 def run_escape_study(args) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,9 +173,11 @@ def derive_params(
     )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One algorithm event; `f` is the value after the event's step where applicable."""
+class TraceEvent(NamedTuple):
+    """One algorithm event; `f` is the value after the event's step where applicable.
+
+    An immutable named tuple, cheap to build once per row per tick.
+    """
 
     t: int
     kind: str
@@ -272,9 +275,9 @@ def _gradient_step(problem, x: np.ndarray, s: np.ndarray, grad: np.ndarray, eta:
         alphas[i] = alpha = boundary_alpha(s[i], grad[i], eta, ball)
         candidate[i] = s[i] - (alpha * eta) * grad[i]
     s = manifold._project_array(x, candidate)
-    y = manifold._retract_array(x, s)
+    y, scale = manifold._retract_scaled_array(x, s)
     f, grad_y = problem._value_and_gradient_array(y)
-    return s, alphas, y, f, grad_y, manifold._retraction_adjoint_array(x, s, grad_y)
+    return s, alphas, y, f, grad_y, manifold._scaled_adjoint_array(x, scale, grad_y)
 
 
 def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, horizon: int):
@@ -394,12 +397,13 @@ def prgd_lockstep(
     s, the phase start s0 and the pullback gradient at s. Every tick takes one
     gradient step on every row, a manifold step or step j of a perturbation
     phase, through one projection, retraction, fused cost call and adjoint for
-    the whole block. A row's loop-top gradient is the Riemannian gradient that
-    its last fused call computed at its new anchor. Python runs per row only
-    to record events, to start a phase (the ball draw is on the row's own
-    stream), to truncate a step at the ball and to stop a run; a stopped run
-    leaves the block. Rows share no arithmetic, so trace i is bit-identical
-    to `prgd(problem, x0, params, rngs[i], ...)`.
+    the whole block, and one norm pass over the new gradients. A row's
+    loop-top gradient is the Riemannian gradient that its last fused call
+    computed at its new anchor. Python runs per row only to record events, to
+    start a phase (the ball draw is on the row's own stream), to truncate a
+    step at the ball and to stop a run; a stopped run leaves the block. Rows
+    share no arithmetic, so trace i is bit-identical to
+    `prgd(problem, x0, params, rngs[i], ...)`.
     """
     problem._check_point(x0)
     manifold = problem.manifold
@@ -411,13 +415,16 @@ def prgd_lockstep(
     traces = [trial.trace for trial in trials]
     x = np.tile(start, (len(trials), 1))
     grad = np.tile(grad0, (len(trials), 1))
+    # row norms of grad, taken once per tick after the step and patched where a phase starts
+    grad_norms = _norm(grad).tolist()
     s = np.zeros_like(x)
     s0 = np.zeros_like(x)
     top = list(range(len(trials)))  # rows at a new anchor, whose loop top runs before the next tick
     stopped: list[int] = []
     while True:
-        for i, grad_norm in zip(top, _norm(grad[top]).tolist() if top else ()):
+        for i in top:
             trial = trials[i]
+            grad_norm = grad_norms[i]
             if not math.isfinite(grad_norm):
                 raise NumericalError("Riemannian gradient is non-finite")
             if trial.t > params.budget:
@@ -449,6 +456,7 @@ def prgd_lockstep(
             events.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
                                      tangent_norm=start_norm))
             grad[i] = manifold._retraction_adjoint_array(trial.x, start_s, grad_y)
+            grad_norms[i] = float(_norm(grad[i]))
             s[i] = start_s
             s0[i] = start_s
             trial.step = 1
@@ -456,12 +464,12 @@ def prgd_lockstep(
             keep = np.ones(len(trials), dtype=bool)
             keep[stopped] = False
             trials = [trial for trial, kept in zip(trials, keep) if kept]
+            grad_norms = [norm for norm, kept in zip(grad_norms, keep) if kept]
             x, s, s0, grad = x[keep], s[keep], s0[keep], grad[keep]
             stopped = []
         if not trials:
             return traces
 
-        grad_norms = _norm(grad).tolist()
         if not all(map(math.isfinite, grad_norms)):
             raise NumericalError("pullback gradient is non-finite")
         s, alphas, y, f, grad_y, grad = _gradient_step(problem, x, s, grad, eta, ball)
@@ -470,8 +478,14 @@ def prgd_lockstep(
         dists = _norm(s - s0).tolist()
         top = []
         for i, trial in enumerate(trials):
-            trace = trial.trace
-            if trial.step == 0:
+            trace, step = trial.trace, trial.step
+            if 0 < step < horizon and i not in alphas:
+                # inside a phase and not truncated: only the event and the step count change
+                trace.events.append(TraceEvent(trial.t, TANGENT_STEP, values[i], grad_norms[i], tangent_norms[i],
+                                               1.0, dists[i], step))
+                trial.step = step + 1
+                continue
+            if step == 0:
                 trace.events.append(TraceEvent(t=trial.t, kind=MANIFOLD_STEP, f=values[i], grad_norm=grad_norms[i],
                                                tangent_norm=tangent_norms[i], alpha=alphas.get(i, 1.0),
                                                f_before=trial.f_x))
@@ -480,12 +494,9 @@ def prgd_lockstep(
                 truncated = i in alphas
                 trace.events.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
                                                f=values[i], grad_norm=grad_norms[i], tangent_norm=tangent_norms[i],
-                                               alpha=alphas.get(i, 1.0), dist_start=dists[i], step=trial.step))
-                if not truncated and trial.step < horizon:
-                    trial.step += 1
-                    continue
+                                               alpha=alphas.get(i, 1.0), dist_start=dists[i], step=step))
                 # the phase ran (and spent its queries), so the counter advances even if the run stops here
-                trial.queries += trial.step
+                trial.queries += step
                 trial.t += horizon
                 if terminate_on_no_decrease and values[i] - trial.f_x > -params.score_drop / 2.0:
                     trace.suspected_second_order = True
@@ -501,6 +512,7 @@ def prgd_lockstep(
             x[top] = y[top]
             grad[top] = grad_y[top]
             s[top] = 0.0
+        grad_norms = _norm(grad).tolist()
 
 
 def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTrace:

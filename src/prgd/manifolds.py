@@ -44,6 +44,10 @@ class Manifold:
     `_retraction_adjoint_array` kernels take coordinate arrays: 1-d vectors,
     or blocks whose rows are independent (point, vector) pairs. Each row of a
     block gets the same float operations as a 1-d call, bit for bit.
+    `_retract_scaled_array` is the one retraction a manifold implements: it
+    also returns the scale (for the sphere ||x + s||) that
+    `_scaled_adjoint_array` takes, so a step's adjoint reuses what its
+    retraction computed.
     """
 
     name = "abstract"
@@ -57,9 +61,17 @@ class Manifold:
         raise NotImplementedError
 
     def _retract_array(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return self._retract_scaled_array(x, s)[0]
 
     def _retraction_adjoint_array(self, x: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _retract_scaled_array(self, x: np.ndarray, s: np.ndarray):
+        """Retr_x(s) and the scale that `_scaled_adjoint_array` takes for the same (x, s)."""
+        raise NotImplementedError
+
+    def _scaled_adjoint_array(self, x: np.ndarray, scale, w: np.ndarray) -> np.ndarray:
+        """`_retraction_adjoint_array` given the scale `_retract_scaled_array` returned."""
         raise NotImplementedError
 
     def retract_many(self, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -175,13 +187,16 @@ class Euclidean(Manifold):
     def _project_array(self, x, v):
         return v
 
-    def _retract_array(self, x, s):
-        return x + s
+    def _retract_scaled_array(self, x, s):
+        return x + s, None
 
     def retract_many(self, x, tangents):
         return x + tangents
 
     def _retraction_adjoint_array(self, x, s, w):
+        return w
+
+    def _scaled_adjoint_array(self, x, scale, w):
         return w
 
     def retraction_adjoint(self, x, s, w):
@@ -254,16 +269,20 @@ class Sphere(Manifold):
     def _project_array(self, x, v):
         return v - np.vecdot(x, v, keepdims=True) * x
 
-    def _retract_array(self, x, s):
+    def _retract_scaled_array(self, x, s):
         y = x + s
-        return y / _norm(y, keepdims=True)
+        scale = _norm(y, keepdims=True)
+        return y / scale, scale
 
     def retract_many(self, x, tangents):
         y = x + tangents
         return y / np.linalg.norm(y, axis=1, keepdims=True)
 
     def _retraction_adjoint_array(self, x, s, w):
-        return self._project_array(x, w) / _norm(x + s, keepdims=True)
+        return self._scaled_adjoint_array(x, _norm(x + s, keepdims=True), w)
+
+    def _scaled_adjoint_array(self, x, scale, w):
+        return self._project_array(x, w) / scale
 
     def retraction_adjoint(self, x, s, w):
         self._check_adjoint_args(x, s, w)

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra, finite-difference oracles, and deterministic RNG streams."""
+"""Dense symmetric linear algebra, the gradient-difference Hessian, and deterministic RNG streams."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .errors import NumericalError
 
 EIG_DIM_LIMIT = 2000
 SYM_RTOL = 1e-12
-DEFAULT_GRAD_H = 1e-5
 DEFAULT_HESS_H = 1e-4
 
 
@@ -92,52 +91,6 @@ def _norm(v: np.ndarray, keepdims: bool = False):
     trailing axis of length 1 for broadcasting against v.
     """
     return np.sqrt(np.vecdot(v, v, keepdims=keepdims))
-
-
-def _eval_scalar(fn, point: np.ndarray) -> float:
-    val = float(fn(point))
-    if not math.isfinite(val):
-        raise NumericalError(f"scalar function returned non-finite value {val!r}")
-    return val
-
-
-def fd_gradient(fn, s, h: float = DEFAULT_GRAD_H) -> np.ndarray:
-    """Central-difference gradient of a scalar function at s."""
-    s = as_vector(s)
-    if not (h > 0):
-        raise ValueError("finite-difference step h must be positive")
-    grad = np.empty_like(s)
-    for i in range(s.size):
-        offset = np.zeros_like(s)
-        offset[i] = h
-        grad[i] = (_eval_scalar(fn, s + offset) - _eval_scalar(fn, s - offset)) / (2.0 * h)
-    return grad
-
-
-def fd_hessian(fn, s, h: float = DEFAULT_HESS_H) -> np.ndarray:
-    """Central-difference Hessian of a scalar function at s, symmetrized as (M + M^T)/2."""
-    s = as_vector(s)
-    if not (h > 0):
-        raise ValueError("finite-difference step h must be positive")
-    n = s.size
-    f0 = _eval_scalar(fn, s)
-    hess = np.empty((n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = h
-        hess[i, i] = (_eval_scalar(fn, s + ei) - 2.0 * f0 + _eval_scalar(fn, s - ei)) / (h * h)
-        for j in range(i + 1, n):
-            ej = np.zeros(n)
-            ej[j] = h
-            val = (
-                _eval_scalar(fn, s + ei + ej)
-                - _eval_scalar(fn, s + ei - ej)
-                - _eval_scalar(fn, s - ei + ej)
-                + _eval_scalar(fn, s - ei - ej)
-            ) / (4.0 * h * h)
-            hess[i, j] = val
-            hess[j, i] = val
-    return 0.5 * (hess + hess.T)
 
 
 def fd_hessian_from_gradients(gradient_many, center, basis, h: float = DEFAULT_HESS_H) -> np.ndarray:

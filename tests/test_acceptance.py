@@ -20,10 +20,11 @@ from prgd.descent import (
     prgd,
 )
 from prgd.manifolds import Euclidean, Sphere
-from prgd.numerics import RngStream, fd_gradient
+from prgd.numerics import RngStream
 from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
 from prgd.verify import audit_trace, coupling_experiment, random_point
+from fd_oracles import fd_gradient
 from reference_pgd import reference_pgd
 
 

@@ -80,6 +80,16 @@ class TestParams:
         assert code == EXIT_CONFIG
         assert "ball^2 * lip_hess" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["params", "study"])
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+    def test_nonpositive_epsilon_is_config_error(self, command, eps, tmp_path, capsys):
+        argv = [command, "--problem", "pca", "--dim", "5", "--chi", "4", "--eps", eps]
+        if command == "study":
+            argv += ["--out", str(tmp_path / "s")]
+        assert main(argv) == EXIT_CONFIG
+        assert "epsilon must be positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_pca_constants_from_matrix_file(self, tmp_path, capsys):
         path = tmp_path / "a.txt"
         save_matrix(path, np.diag([3.0, 1.0]))

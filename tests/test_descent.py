@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from prgd import cli
 from prgd.cli import escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
@@ -25,7 +26,7 @@ from prgd.manifolds import Sphere, Tangent, same_point
 from prgd.numerics import RngStream
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
-from prgd.verify import random_point
+from prgd.verify import check_second_order_point, random_point
 from conftest import EuclideanQuadratic
 from reference_pgd import reference_pgd
 
@@ -140,6 +141,24 @@ class TestBoundaryAlpha:
             boundary_alpha(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 1.0, 1.0)
         with pytest.raises(NumericalError, match="leave the ball"):
             boundary_alpha(np.array([0.0, 0.0]), np.array([0.1, 0.0]), 1.0, 1.0)
+
+
+class TestTraceEvent:
+    def test_fields_and_defaults(self):
+        assert TraceEvent._fields == ("t", "kind", "f", "grad_norm", "tangent_norm", "alpha", "dist_start",
+                                      "step", "f_before")
+        assert TraceEvent._field_defaults == dict.fromkeys(TraceEvent._fields[3:])
+        ev = TraceEvent(4, TANGENT_STEP, -0.5, 0.1, 0.2, 1.0, 0.3, 2)
+        assert ev == TraceEvent(t=4, kind=TANGENT_STEP, f=-0.5, grad_norm=0.1, tangent_norm=0.2, alpha=1.0,
+                                dist_start=0.3, step=2, f_before=None)
+
+    def test_fields_cannot_be_set(self):
+        ev = TraceEvent(t=0, kind=MANIFOLD_STEP, f=1.0, grad_norm=0.5)
+        for name in TraceEvent._fields:
+            with pytest.raises(AttributeError):
+                setattr(ev, name, 2.0)
+        assert ev._replace(t=3) == TraceEvent(t=3, kind=MANIFOLD_STEP, f=1.0, grad_norm=0.5)
+        assert ev.t == 0
 
 
 class TestTangentSpaceSteps:
@@ -271,7 +290,8 @@ class TestTangentStepCost:
         problem, x, s0 = pca6_phase_start()
         pull = Pullback(problem, x)
         calls = {"retract": 0, "same_point": 0}
-        retract = Sphere._retract_array
+        # every sphere retraction, plain or handing its scale to the adjoint, runs this kernel
+        retract = Sphere._retract_scaled_array
 
         def counted_retract(*args):
             calls["retract"] += 1
@@ -281,7 +301,7 @@ class TestTangentStepCost:
             calls["same_point"] += 1
             return same_point(*args)
 
-        monkeypatch.setattr(Sphere, "_retract_array", counted_retract)
+        monkeypatch.setattr(Sphere, "_retract_scaled_array", counted_retract)
         monkeypatch.setattr("prgd.manifolds.same_point", counted_same_point)
         monkeypatch.setattr("prgd.pullback.same_point", counted_same_point)
         horizon = 30
@@ -334,7 +354,7 @@ def public_api_prgd(problem, x0, params, rng, terminate):
             events.append(TraceEvent(t=t, kind=PERTURBATION, f=pull.value(s0), grad_norm=grad_norm,
                                      tangent_norm=s0.norm))
             s, phase = public_api_loop(pull, s0, params.eta, params.ball, params.horizon)
-            events.extend(dataclasses.replace(ev, t=t) for ev in phase)
+            events.extend(ev._replace(t=t) for ev in phase)
             queries += len(phase)
             t += params.horizon
             if terminate and phase[-1].f - f_x > -params.score_drop / 2.0:
@@ -522,7 +542,7 @@ class TestPrgd:
                                ball=math.inf, gap=1.0, mode="practical", chi=4.0)
         starts, retracted = [], []
         sample_ball = Sphere.sample_ball
-        retract = Sphere._retract_array
+        retract = Sphere._retract_scaled_array
 
         def recording_sample_ball(self, x, radius, rng):
             # a phase starts at s0 = eta * xi
@@ -535,7 +555,7 @@ class TestPrgd:
             return retract(self, x, s)
 
         monkeypatch.setattr(Sphere, "sample_ball", recording_sample_ball)
-        monkeypatch.setattr(Sphere, "_retract_array", recording_retract)
+        monkeypatch.setattr(Sphere, "_retract_scaled_array", recording_retract)
         trace = prgd(pca3, pca3.manifold.point([0.0, 1.0, 0.0]), params, RngStream(2, 0),
                      terminate_on_no_decrease=True)
         assert len(starts) == trace.n_perturbations >= 1
@@ -589,3 +609,26 @@ class TestRgd:
         assert trace.final_grad_norm <= 1e-6
         overlaps = np.abs(vecs.T @ trace.final_point.coords)
         assert overlaps.max() >= 1.0 - 1e-6
+
+    def test_study_runs_and_certifies_once(self, monkeypatch):
+        problem, _, params = pca_saddle(12)
+        _, _, vecs, _ = synthetic_matrix(12, RngStream(1, 2**48))
+        x0, _ = random_point(problem.manifold, RngStream(6, 1))
+        single = rgd(problem, x0, params.eta, params.epsilon, 500)
+        report = check_second_order_point(problem, single.final_point, params.epsilon, params.lip_hess)
+        calls = {"rgd": 0, "check_second_order_point": 0}
+        for name in calls:
+            def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        study = escape_study(problem, x0, params, base_seed=7, trials=5, algorithm="rgd",
+                             rgd_max_iters=500, v_max=vecs[:, 0])
+        assert calls == {"rgd": 1, "check_second_order_point": 1}
+        assert [(res.seed, res.stream) for res in study] == [(7 + i, i) for i in range(5)]
+        assert single.final_t >= 1
+        for res in study:
+            assert_same_run(res.trace, single)
+            assert res.report.as_dict() == report.as_dict()
+            assert res.alignment == abs(float(single.final_point.coords @ vecs[:, 0]))

@@ -11,12 +11,11 @@ from prgd.numerics import (
     _norm,
     as_sym_matrix,
     as_vector,
-    fd_gradient,
-    fd_hessian,
     min_eigpair,
     operator_norm,
     sample_unit_ball,
 )
+from fd_oracles import fd_gradient, fd_hessian
 
 
 def random_symmetric(n, seed):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prgd.manifolds import Euclidean
-from prgd.numerics import EIG_DIM_LIMIT, RngStream, fd_gradient, min_eigpair
+from prgd.numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
 from prgd.problems import (
     PcaProblem,
     QuadraticSaddle,
@@ -14,6 +14,7 @@ from prgd.problems import (
     synthetic_matrix,
 )
 from conftest import EuclideanQuadratic
+from fd_oracles import fd_gradient
 
 
 class TestPcaValue:

@@ -6,11 +6,12 @@ import pytest
 from prgd.descent import derive_params, prgd, tangent_space_steps
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Tangent
-from prgd.numerics import RngStream, fd_gradient, fd_hessian, min_eigpair
+from prgd.numerics import RngStream, min_eigpair
 from prgd.problems import CostFunction, PcaProblem, synthetic_matrix
 from prgd.pullback import Pullback
 from prgd.verify import random_point, riemannian_hessian_matrix
 from conftest import EuclideanQuadratic
+from fd_oracles import fd_gradient, fd_hessian
 
 
 def random_sphere_point(sph, rng):
