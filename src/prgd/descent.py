@@ -55,20 +55,9 @@ class PrgdParams:
     def __post_init__(self):
         if self.mode not in ("theoretical", "practical"):
             raise ValueError(f"mode must be 'theoretical' or 'practical', got {self.mode!r}")
-        positive = {
-            "epsilon": self.epsilon,
-            "ell": self.ell,
-            "lip_grad": self.lip_grad,
-            "lip_hess": self.lip_hess,
-            "ball": self.ball,
-            "gap": self.gap,
-            "chi": self.chi,
-            "eta": self.eta,
-            "radius": self.radius,
-            "score_drop": self.score_drop,
-            "locality": self.locality,
-        }
-        for name, val in positive.items():
+        for name in ("epsilon", "ell", "lip_grad", "lip_hess", "ball", "gap", "chi", "eta", "radius",
+                     "score_drop", "locality"):
+            val = getattr(self, name)
             if not val > 0:
                 raise ValueError(f"{name} must be positive, got {val!r}")
         if not 0 < self.delta < 1:
@@ -269,7 +258,8 @@ def _gradient_step(problem, x: np.ndarray, s: np.ndarray, grad: np.ndarray, eta:
     manifold = problem.manifold
     candidate = s - eta * grad
     alphas = {}
-    for i, norm in enumerate(_norm(candidate).tolist()):
+    # no finite step leaves an infinite ball
+    for i, norm in enumerate(_norm(candidate).tolist() if ball < math.inf else ()):
         if norm < ball:
             continue
         alphas[i] = alpha = boundary_alpha(s[i], grad[i], eta, ball)

@@ -75,7 +75,7 @@ class Manifold:
         raise NotImplementedError
 
     def retract_many(self, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-        """Retract each row of `tangents` from base coordinates x."""
+        """Retract each row of `tangents` from x; a (count, n) stack of bases x takes (count, rows, n) tangents."""
         raise NotImplementedError
 
     def _check_point(self, x: Point, role: str = "point"):
@@ -121,7 +121,7 @@ class Manifold:
         raise NotImplementedError
 
     def retraction_adjoint_many(self, x: np.ndarray, tangents: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Row-wise `retraction_adjoint`: pull row i of w at Retr_x(tangents[i]) back to x."""
+        """Row-wise `retraction_adjoint`: pull row i of w at Retr_x(tangents[i]) back to x; stacks as `retract_many`."""
         raise NotImplementedError
 
     def _check_adjoint_args(self, x: Point, s: Tangent, w: Tangent):
@@ -132,8 +132,8 @@ class Manifold:
         if not (w.base.manifold == self and np.array_equal(w.base.coords, y)):
             raise ValueError("w must be a tangent vector at Retr_x(s)")
 
-    def sample_ball(self, x: Point, radius: float, rng: RngStream) -> tuple[Tangent, RngStream]:
-        """Uniform draw from the tangent ball of the given radius at x."""
+    def sample_ball(self, x: Point, radius: float, rng: RngStream, basis=None) -> tuple[Tangent, RngStream]:
+        """Uniform draw from the tangent ball of the given radius at x; `basis` may pass in `tangent_basis(x)`."""
         raise NotImplementedError
 
     def tangent_basis(self, x: Point) -> np.ndarray:
@@ -191,7 +191,7 @@ class Euclidean(Manifold):
         return x + s, None
 
     def retract_many(self, x, tangents):
-        return x + tangents
+        return x[..., None, :] + tangents
 
     def _retraction_adjoint_array(self, x, s, w):
         return w
@@ -206,7 +206,7 @@ class Euclidean(Manifold):
     def retraction_adjoint_many(self, x, tangents, w):
         return w
 
-    def sample_ball(self, x, radius, rng):
+    def sample_ball(self, x, radius, rng, basis=None):
         self._check_point(x)
         if radius < 0:
             raise ValueError("radius must be nonnegative")
@@ -275,8 +275,8 @@ class Sphere(Manifold):
         return y / scale, scale
 
     def retract_many(self, x, tangents):
-        y = x + tangents
-        return y / np.linalg.norm(y, axis=1, keepdims=True)
+        y = x[..., None, :] + tangents
+        return y / np.linalg.norm(y, axis=-1, keepdims=True)
 
     def _retraction_adjoint_array(self, x, s, w):
         return self._scaled_adjoint_array(x, _norm(x + s, keepdims=True), w)
@@ -289,15 +289,15 @@ class Sphere(Manifold):
         return Tangent(x, self._retraction_adjoint_array(x.coords, s.coords, w.coords))
 
     def retraction_adjoint_many(self, x, tangents, w):
-        scale = np.linalg.norm(x + tangents, axis=1, keepdims=True)
-        return (w - np.outer(w @ x, x)) / scale
+        scale = np.linalg.norm(x[..., None, :] + tangents, axis=-1, keepdims=True)
+        return (w - (w @ x[..., None]) * x[..., None, :]) / scale
 
-    def sample_ball(self, x, radius, rng):
+    def sample_ball(self, x, radius, rng, basis=None):
         self._check_point(x)
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         ball, rng = sample_unit_ball(self.intrinsic_dim, rng)
-        ambient = self.tangent_basis(x) @ (radius * ball)
+        ambient = (self.tangent_basis(x) if basis is None else basis) @ (radius * ball)
         ambient = self._project_array(x.coords, ambient)
         nrm = float(np.linalg.norm(ambient))
         if nrm > radius:  # pragma: no cover - round-off guard

@@ -28,17 +28,18 @@ def as_vector(entries) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-def as_sym_matrix(entries, rtol: float = SYM_RTOL) -> np.ndarray:
-    """Validate entries as a finite square matrix, symmetric to relative tolerance rtol."""
+def as_sym_matrix(entries, rtol: float = SYM_RTOL, stacked: bool = False) -> np.ndarray:
+    """Validate entries as a finite square matrix (`stacked`: a stack of them), symmetric to relative tolerance rtol."""
     m = np.asarray(entries, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise ValueError(f"expected a {'stack of square matrices' if stacked else 'square matrix'}, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must all be finite")
-    scale = max(float(np.abs(m).max()), 1.0)
-    asym = float(np.abs(m - m.T).max())
-    if asym > rtol * scale:
-        raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds {rtol:.1e} * scale")
+    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    asym = np.abs(m - m.mT).max(axis=(-2, -1))
+    bad = asym > rtol * scale
+    if bad.any():
+        raise ValueError(f"matrix is not symmetric: max asymmetry {asym[bad][0]:.3e} exceeds {rtol:.1e} * scale")
     return m
 
 
@@ -68,19 +69,21 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
 
 
 def sym_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues, ascending, of a symmetric matrix; sizes above EIG_DIM_LIMIT raise before solving."""
-    m = as_sym_matrix(m)
-    if m.shape[0] > EIG_DIM_LIMIT:
-        raise ValueError(f"matrix dimension {m.shape[0]} exceeds the supported limit {EIG_DIM_LIMIT}")
+    """Eigenvalues, ascending, of a symmetric matrix or of each of a stack (one LAPACK call each); sizes above
+    EIG_DIM_LIMIT raise before solving."""
+    m = as_sym_matrix(m, stacked=np.ndim(m) == 3)
+    if m.shape[-1] > EIG_DIM_LIMIT:
+        raise ValueError(f"matrix dimension {m.shape[-1]} exceeds the supported limit {EIG_DIM_LIMIT}")
     try:
-        return np.linalg.eigvalsh(0.5 * (m + m.T))
+        return np.linalg.eigvalsh(0.5 * (m + m.mT))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"symmetric eigendecomposition did not converge: {exc}") from exc
 
 
-def operator_norm(m) -> float:
-    """Spectral norm max|eigenvalue| of a symmetric matrix."""
-    return float(np.abs(sym_eigenvalues(m)).max())
+def operator_norm(m):
+    """Spectral norm max|eigenvalue| of a symmetric matrix, or an array of them for a stack."""
+    norms = np.abs(sym_eigenvalues(m)).max(axis=-1)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def _norm(v: np.ndarray, keepdims: bool = False):
@@ -97,16 +100,18 @@ def fd_hessian_from_gradients(gradient_many, center, basis, h: float = DEFAULT_H
     """Central-difference Hessian in the orthonormal columns of `basis`, symmetrized.
 
     Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j].
+    A (count, n, k) stack of bases with (count, 1, n) centers gives a stack of Hessians, each
+    with the bits of a 2-d call: `np.matmul` makes one gemm per matrix.
     """
     if not (h > 0):
         raise ValueError("finite-difference step h must be positive")
-    steps = h * basis.T
-    grads = gradient_many(np.concatenate([center + steps, center - steps]))
+    steps = h * basis.mT
+    grads = gradient_many(np.concatenate([center + steps, center - steps], axis=-2))
     if not np.all(np.isfinite(grads)):
         raise NumericalError("gradient oracle returned non-finite values during Hessian estimation")
-    k = basis.shape[1]
-    hess = (grads[:k] - grads[k:]) @ basis / (2.0 * h)
-    return 0.5 * (hess + hess.T)
+    k = basis.shape[-1]
+    hess = (grads[..., :k, :] - grads[..., k:, :]) @ basis / (2.0 * h)
+    return 0.5 * (hess + hess.mT)
 
 
 @dataclass(frozen=True)

@@ -45,8 +45,10 @@ class CostFunction:
         return self.value(point), self.manifold._project_array(y, grad)
 
     def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
-        """Riemannian gradients at rows of `coords`, one row each."""
-        return np.array([self.riemannian_gradient(self.manifold.point(row)).coords for row in coords])
+        """Riemannian gradients at rows of `coords`, one row each; leading stack axes are kept."""
+        rows = coords.reshape(-1, coords.shape[-1])
+        grads = [self.riemannian_gradient(self.manifold.point(row)).coords for row in rows]
+        return np.array(grads).reshape(coords.shape)
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         """Values at rows of `coords` (manifold points in ambient coordinates)."""
@@ -103,7 +105,7 @@ class PcaProblem(CostFunction):
 
     def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
         grads = -(coords @ self.matrix.T)
-        return grads - np.einsum("ij,ij->i", grads, coords)[:, None] * coords
+        return grads - np.einsum("...j,...j->...", grads, coords)[..., None] * coords
 
     def constants(self) -> ProblemConstants:
         """Lipschitz constants valid on every tangent space (no ball restriction)."""

@@ -52,9 +52,7 @@ class Pullback:
 
     def gradient_many(self, tangents: np.ndarray) -> np.ndarray:
         """Exact gradients at rows of `tangents` (ambient tangent coordinates at the base)."""
-        x = self.base.coords
-        points = self.manifold.retract_many(x, tangents)
-        return self.manifold.retraction_adjoint_many(x, tangents, self.problem.riemannian_gradient_many(points))
+        return pullback_gradient_rows(self.problem, self.base.coords, tangents)
 
     def hessian_at_zero(self, h: float = DEFAULT_HESS_H) -> np.ndarray:
         """Finite-difference Hessian at the tangent-space origin, in the orthonormal basis."""
@@ -64,3 +62,10 @@ class Pullback:
         """Finite-difference Hessian at a tangent point, in the same orthonormal basis."""
         self._check_arg(s)
         return fd_hessian_from_gradients(self.gradient_many, self.basis @ (self.basis.T @ s.coords), self.basis, h)
+
+
+def pullback_gradient_rows(problem, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+    """Unchecked `Pullback.gradient_many` at base coordinates x, or at a stack of bases as `retract_many` takes."""
+    manifold = problem.manifold
+    points = manifold.retract_many(x, tangents)
+    return manifold.retraction_adjoint_many(x, tangents, problem.riemannian_gradient_many(points))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -16,12 +17,18 @@ from .descent import (
     RunTrace,
     tangent_space_steps,
 )
+from .errors import NumericalError
 from .manifolds import Point, Sphere, Tangent
-from .numerics import DEFAULT_HESS_H, RngStream, fd_hessian_from_gradients, min_eigpair, operator_norm
-from .pullback import Pullback
+from .numerics import DEFAULT_HESS_H, RngStream, _norm, fd_hessian_from_gradients, min_eigpair, operator_norm
+from .pullback import Pullback, pullback_gradient_rows
 
 AUDIT_SLACK = 1e-9
 DECREASE_SLACK = 1e-12
+# a Lipschitz sample needs ||s|| >= MIN_SAMPLE_NORM, so the ball must be wider
+MIN_SAMPLE_NORM = 1e-8
+# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats
+SWEEP_CHUNK = 8
+SWEEP_BLOCK_FLOATS = 2**17
 
 
 @dataclass(frozen=True)
@@ -95,40 +102,70 @@ def random_point(manifold, rng: RngStream) -> tuple[Point, RngStream]:
     return manifold.point(gauss), rng
 
 
-def _sample_pair(problem, ball, rng, min_norm=1e-8):
-    x, rng = random_point(problem.manifold, rng)
+def _sample_pair(manifold, ball, rng, keep_basis):
+    """Coordinates of a random point x and a ball draw s at x, ||s|| >= MIN_SAMPLE_NORM, and (`keep_basis`)
+    the tangent basis at x, built once for the draws and the caller."""
+    x, rng = random_point(manifold, rng)
+    basis = manifold.tangent_basis(x) if keep_basis else None
     while True:
-        s, rng = problem.manifold.sample_ball(x, ball, rng)
-        if s.norm >= min_norm:
-            return x, s, rng
+        s, rng = manifold.sample_ball(x, ball, rng, basis)
+        if s.norm >= MIN_SAMPLE_NORM:
+            return x.coords, s.coords, basis, rng
+
+
+def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample, keep_basis):
+    """Max of `block_ratios(x, s, bases)` over n_samples samples, drawn in stream order.
+
+    Each chunk of samples is evaluated as one stacked block: at most SWEEP_CHUNK samples and
+    about SWEEP_BLOCK_FLOATS floats of their rows_per_sample rows. A non-finite ratio raises.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if not (MIN_SAMPLE_NORM < ball < math.inf):
+        raise ValueError(f"ball must lie in ({MIN_SAMPLE_NORM}, inf), got {ball!r}")
+    manifold = problem.manifold
+    chunk = max(1, min(SWEEP_CHUNK, SWEEP_BLOCK_FLOATS // (rows_per_sample * manifold.ambient_dim)))
+    worst = 0.0
+    for first in range(0, n_samples, chunk):
+        draws = []
+        for _ in range(min(chunk, n_samples - first)):
+            *draw, rng = _sample_pair(manifold, ball, rng, keep_basis)
+            draws.append(draw)
+        x, s, bases = zip(*draws)
+        ratios = block_ratios(np.array(x), np.array(s), np.array(bases) if keep_basis else None)
+        if not np.all(np.isfinite(ratios)):
+            raise NumericalError("non-finite pullback gradient or Lipschitz ratio")
+        worst = max(worst, float(ratios.max()))
+    return worst
 
 
 def empirical_grad_lipschitz(problem, ball: float, n_samples: int, rng: RngStream) -> float:
     """Max of ||grad-pullback(s) - grad-pullback(0)|| / ||s|| over random base points and s."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    worst = 0.0
-    for _ in range(n_samples):
-        x, s, rng = _sample_pair(problem, ball, rng)
-        pull = Pullback(problem, x)
-        g_s = pull.gradient(s).coords
-        g_0 = problem.riemannian_gradient(x).coords
-        worst = max(worst, float(np.linalg.norm(g_s - g_0)) / s.norm)
-    return worst
+    manifold = problem.manifold
+
+    def block_ratios(x, s, _):
+        y, scale = manifold._retract_scaled_array(x, s)
+        g_s = manifold._scaled_adjoint_array(x, scale, problem._value_and_gradient_array(y)[1])
+        g_0 = problem._value_and_gradient_array(x)[1]
+        return _norm(g_s - g_0) / _norm(s)
+
+    return _sweep(problem, ball, n_samples, rng, block_ratios, 1, keep_basis=False)
 
 
 def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStream,
                              fd_h: float = DEFAULT_HESS_H) -> float:
     """Max operator-norm ratio ||hess-pullback(s) - hess-pullback(0)|| / ||s||, intrinsic basis."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    worst = 0.0
-    for _ in range(n_samples):
-        x, s, rng = _sample_pair(problem, ball, rng)
-        pull = Pullback(problem, x)
-        diff = pull.hessian_at(s, fd_h) - pull.hessian_at_zero(fd_h)
-        worst = max(worst, operator_norm(diff) / s.norm)
-    return worst
+    k = problem.manifold.intrinsic_dim
+
+    def block_ratios(x, s, bases):
+        gradients = partial(pullback_gradient_rows, problem, x)
+        # s projected onto the basis span, as `Pullback.hessian_at` centres it
+        center = (bases @ (bases.mT @ s[..., None])).mT
+        diff = (fd_hessian_from_gradients(gradients, center, bases, fd_h)
+                - fd_hessian_from_gradients(gradients, 0.0, bases, fd_h))
+        return operator_norm(diff) / _norm(s)
+
+    return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * k, keep_basis=True)
 
 
 @dataclass

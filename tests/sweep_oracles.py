@@ -1,0 +1,42 @@
+"""Per-sample Lipschitz sweeps, the reference for the library's stacked block sweeps.
+
+These are the sample-at-a-time loops the block sweeps replaced: the same draws
+in the same stream order, one pullback and one pair of gradients or
+finite-difference Hessians per sample, through the validated public routes.
+The block sweeps must return the same ratios bit for bit.
+"""
+
+import numpy as np
+
+from prgd.numerics import DEFAULT_HESS_H, operator_norm
+from prgd.pullback import Pullback
+from prgd.verify import random_point
+
+
+def sample_pair(problem, ball, rng, min_norm=1e-8):
+    x, rng = random_point(problem.manifold, rng)
+    while True:
+        s, rng = problem.manifold.sample_ball(x, ball, rng)
+        if s.norm >= min_norm:
+            return x, s, rng
+
+
+def grad_lipschitz_loop(problem, ball, n_samples, rng):
+    worst = 0.0
+    for _ in range(n_samples):
+        x, s, rng = sample_pair(problem, ball, rng)
+        pull = Pullback(problem, x)
+        g_s = pull.gradient(s).coords
+        g_0 = problem.riemannian_gradient(x).coords
+        worst = max(worst, float(np.linalg.norm(g_s - g_0)) / s.norm)
+    return worst
+
+
+def hess_lipschitz_loop(problem, ball, n_samples, rng, fd_h=DEFAULT_HESS_H):
+    worst = 0.0
+    for _ in range(n_samples):
+        x, s, rng = sample_pair(problem, ball, rng)
+        pull = Pullback(problem, x)
+        diff = pull.hessian_at(s, fd_h) - pull.hessian_at_zero(fd_h)
+        worst = max(worst, operator_norm(diff) / s.norm)
+    return worst

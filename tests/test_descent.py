@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prgd import cli
+from prgd import cli, descent
 from prgd.cli import escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
@@ -450,6 +450,36 @@ class TestStudyEqualsSingleRuns:
         problem, saddle, params = pca_saddle(50)
         traces = self.check(problem, saddle, dataclasses.replace(params, budget=200), 6, terminate=False)
         assert all(tr.terminated == "budget" for tr in traces)
+
+
+class TestBallTest:
+    """A step is tested against the ball, and truncated by `boundary_alpha`, only when the ball is finite."""
+
+    def counted_studies(self, monkeypatch, ball):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return boundary_alpha(*args)
+
+        monkeypatch.setattr(descent, "boundary_alpha", counted)
+        traces = [res.trace for res in escape_study(*pca_saddle(20, ball=ball), base_seed=1, trials=5)]
+        return traces, len(calls)
+
+    def test_infinite_ball_never_calls_boundary_alpha(self, monkeypatch):
+        traces, calls = self.counted_studies(monkeypatch, math.inf)
+        assert calls == 0
+        assert all(tr.n_perturbations >= 1 for tr in traces)
+
+    def test_finite_ball_truncation_is_unchanged(self, monkeypatch):
+        traces, calls = self.counted_studies(monkeypatch, 0.05)
+        truncated = [ev for tr in traces for ev in tr.events if ev.alpha is not None and ev.alpha < 1.0]
+        assert calls == len(truncated) >= 5
+        assert all(ev.kind == BOUNDARY_TRUNCATION for ev in truncated if ev.step is not None)
+        problem, x0, params = pca_saddle(20, ball=0.05)
+        for i, trace in enumerate(traces):
+            events, _, _, _, _ = public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)
+            assert trace.events == events
 
 
 class TestPrgd:

@@ -129,6 +129,25 @@ class TestOperatorNorm:
         assert operator_norm(m) == pytest.approx(oracle, rel=1e-12)
 
 
+class TestStackedSymmetricMatrices:
+    def test_operator_norms_of_a_stack_match_each_matrix(self):
+        stack = np.array([random_symmetric(7, seed) for seed in range(6)])
+        norms = operator_norm(stack)
+        assert norms.shape == (6,)
+        assert [float(v) for v in norms] == [operator_norm(m) for m in stack]
+
+    def test_one_asymmetric_matrix_fails_the_stack(self):
+        stack = np.array([random_symmetric(4, seed) for seed in range(3)])
+        stack[1, 0, 3] += 1e-6
+        with pytest.raises(ValueError, match="not symmetric"):
+            operator_norm(stack)
+        with pytest.raises(ValueError, match="stack of square matrices"):
+            as_sym_matrix(stack[0], stacked=True)
+        # an input matrix is never a stack
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            as_sym_matrix(np.array([random_symmetric(4, 0)] * 2))
+
+
 class TestFdGradient:
     def test_quadratic_is_exact_to_roundoff(self):
         grad = fd_gradient(lambda s: 0.5 * float(s @ s), np.array([1.0, 2.0]), h=1e-5)

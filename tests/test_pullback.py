@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ import pytest
 from prgd.descent import derive_params, prgd, tangent_space_steps
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Tangent
-from prgd.numerics import RngStream, min_eigpair
+from prgd.numerics import RngStream, fd_hessian_from_gradients, min_eigpair
 from prgd.problems import CostFunction, PcaProblem, synthetic_matrix
-from prgd.pullback import Pullback
+from prgd.pullback import Pullback, pullback_gradient_rows
 from prgd.verify import random_point, riemannian_hessian_matrix
 from conftest import EuclideanQuadratic
 from fd_oracles import fd_gradient, fd_hessian
@@ -143,6 +144,30 @@ class TestGradient:
         for row, s in zip(got, steps):
             ref = pull.gradient(s).coords
             assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class TestStackedPullbacks:
+    """A stack of base points gives each pullback's gradient rows and FD Hessian bit for bit."""
+
+    @pytest.mark.parametrize("problem_name", ["pca", "quadratic"])
+    def test_stack_matches_each_pullback(self, problem_name):
+        problem, _, rng = problem_and_point(problem_name, RngStream(16, 2))
+        pulls, steps = [], []
+        for _ in range(5):
+            x, rng = random_point(problem.manifold, rng)
+            s, rng = problem.manifold.sample_ball(x, 2.0, rng)
+            pulls.append(Pullback(problem, x))
+            steps.append(s)
+        x = np.array([pull.base.coords for pull in pulls])
+        tangents = np.array([[s.coords, -0.5 * s.coords, 0.0 * s.coords] for s in steps])
+        rows = pullback_gradient_rows(problem, x, tangents)
+        for pull, block, got in zip(pulls, tangents, rows):
+            assert np.array_equal(got, pull.gradient_many(block))
+        bases = np.array([pull.basis for pull in pulls])
+        centers = np.array([pull.basis @ (pull.basis.T @ s.coords) for pull, s in zip(pulls, steps)])
+        hessians = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), centers[:, None, :], bases)
+        for pull, s, got in zip(pulls, steps, hessians):
+            assert np.array_equal(got, pull.hessian_at(s))
 
 
 class TestHessianAtZero:

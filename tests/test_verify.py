@@ -13,10 +13,13 @@ from prgd.descent import (
     derive_params,
     prgd,
 )
-from prgd.manifolds import Sphere
+from prgd import verify
+from prgd.errors import NumericalError
+from prgd.manifolds import Euclidean, Sphere
 from prgd.numerics import RngStream, min_eigpair
-from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
+from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.verify import (
+    SWEEP_CHUNK,
     check_second_order_point,
     audit_trace,
     coupling_experiment,
@@ -26,6 +29,7 @@ from prgd.verify import (
     riemannian_hessian_matrix,
 )
 from conftest import EuclideanQuadratic
+from sweep_oracles import grad_lipschitz_loop, hess_lipschitz_loop
 
 
 def pca_params(problem, chi, epsilon=1e-3, gap=1.0, ball=math.inf):
@@ -148,6 +152,91 @@ class TestEmpiricalLipschitz:
         p = PcaProblem(a)
         ratio = empirical_hess_lipschitz(p, ball=5.0, n_samples=100, rng=RngStream(15, 0))
         assert ratio <= 9.0 * p.norm
+
+
+def sweep_problem(name):
+    """Criterion 3's d=20 PCA problem, or an indefinite quadratic: closed-form or row-by-row gradients."""
+    a, _, _, _ = synthetic_matrix(20, RngStream(11, 2**48))
+    if name == "pca":
+        return PcaProblem(a)
+    if name == "quadratic_saddle":
+        return QuadraticSaddle(a - 1.5 * np.eye(20))
+    return EuclideanQuadratic(a[:6, :6] - 1.5 * np.eye(6))
+
+
+class SqrtGradient(CostFunction):
+    """sum_i x_i^(3/2) on R^2: NaN value and gradient wherever a coordinate is negative."""
+
+    manifold = Euclidean(2)
+
+    def value(self, x):
+        with np.errstate(invalid="ignore"):
+            return float(np.sum(x.coords**1.5))
+
+    def euclidean_gradient(self, x):
+        with np.errstate(invalid="ignore"):
+            return 1.5 * np.sqrt(x.coords)
+
+    def riemannian_gradient_many(self, coords):
+        with np.errstate(invalid="ignore"):
+            return 1.5 * np.sqrt(coords)
+
+
+class TestBlockSweeps:
+    """The stacked sweeps return the per-sample loops' ratios bit for bit, in bounded memory."""
+
+    @pytest.mark.parametrize("name", ["pca", "quadratic_saddle", "generic"])
+    @pytest.mark.parametrize("n_samples", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 200])
+    def test_ratios_match_the_per_sample_loop(self, name, n_samples, monkeypatch):
+        problem = sweep_problem(name)
+        points = []
+
+        def counted(manifold, rng):
+            points.append(rng)
+            return random_point(manifold, rng)
+
+        monkeypatch.setattr(verify, "random_point", counted)
+        # criterion 3's streams
+        assert (empirical_grad_lipschitz(problem, 5.0, n_samples, RngStream(40, 0))
+                == grad_lipschitz_loop(problem, 5.0, n_samples, RngStream(40, 0)))
+        assert (empirical_hess_lipschitz(problem, 5.0, n_samples, RngStream(41, 0))
+                == hess_lipschitz_loop(problem, 5.0, n_samples, RngStream(41, 0)))
+        # every sample is drawn: equal maxima alone could hide a dropped one
+        assert len(points) == 2 * n_samples
+
+    def test_small_ball_and_large_dimension_match_the_loop(self):
+        # at n = 300 a block of Hessian rows would exceed the float cap, so each sample is its own block
+        a, _, _, _ = synthetic_matrix(300, RngStream(3, 2**48))
+        problem = PcaProblem(a)
+        assert (empirical_hess_lipschitz(problem, 1e-3, 2, RngStream(3, 0))
+                == hess_lipschitz_loop(problem, 1e-3, 2, RngStream(3, 0)))
+        assert (empirical_grad_lipschitz(problem, 1e-3, 20, RngStream(3, 0))
+                == grad_lipschitz_loop(problem, 1e-3, 20, RngStream(3, 0)))
+
+    @pytest.mark.parametrize("sweep", [empirical_grad_lipschitz, empirical_hess_lipschitz])
+    @pytest.mark.parametrize("ball", [1e-9, 0.0, math.inf, math.nan, -1.0])
+    def test_ball_without_room_for_a_sample_is_rejected(self, diag_pca, sweep, ball):
+        # every draw would be shorter than the minimum sample norm, or NaN, and be redrawn forever
+        with pytest.raises(ValueError, match="ball"):
+            sweep(diag_pca, ball, 10, RngStream(1))
+
+    @pytest.mark.parametrize("sweep", [empirical_grad_lipschitz, empirical_hess_lipschitz])
+    def test_non_finite_gradient_raises(self, sweep):
+        with pytest.raises(NumericalError):
+            sweep(SqrtGradient(), 1.0, 20, RngStream(2))
+
+    def test_hessian_sweep_memory_does_not_grow_with_samples(self):
+        a, _, _, _ = synthetic_matrix(8, RngStream(11, 2**48))
+        problem = PcaProblem(a)
+        peaks = []
+        for n_samples in (200, 2000):
+            tracemalloc.start()
+            try:
+                empirical_hess_lipschitz(problem, 5.0, n_samples, RngStream(41, 0))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 class TestTraceAudit:
