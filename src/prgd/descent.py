@@ -101,8 +101,8 @@ def derive_params(
     """
     if mode not in ("theoretical", "practical"):
         raise ValueError(f"mode must be 'theoretical' or 'practical', got {mode!r}")
-    for name, val in (("epsilon", epsilon), ("ell", ell), ("lip_grad", lip_grad),
-                      ("lip_hess", lip_hess), ("ball", ball), ("gap", gap)):
+    # the hypotheses on lip_grad and ball are PrgdParams' checks; these guard the arithmetic below
+    for name, val in (("epsilon", epsilon), ("ell", ell), ("lip_hess", lip_hess), ("gap", gap)):
         if not val > 0:
             raise ValueError(f"{name} must be positive, got {val!r}")
     if not 0 < delta < 1:
@@ -114,10 +114,6 @@ def derive_params(
     if mode == "theoretical":
         if not math.isfinite(ball):
             raise ValueError("theoretical mode requires a finite ball (the +inf sentinel is practical-mode only)")
-        if not epsilon <= ball**2 * lip_hess:
-            raise ValueError("requires epsilon <= ball^2 * lip_hess")
-        if not lip_grad >= root:
-            raise ValueError("requires lip_grad >= sqrt(lip_hess * epsilon)")
         if not epsilon**1.5 <= 3.0 * math.sqrt(lip_hess) * gap:
             raise ValueError("requires epsilon^(3/2) <= 3 * sqrt(lip_hess) * gap")
         chi0 = max(
@@ -293,8 +289,8 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
     manifold = pull.manifold
     x = pull.base.coords[None]
     start = s0.coords[None]
-    grad_y = problem._value_and_gradient_array(manifold._retract_array(x, start))[1]
-    grad = manifold._retraction_adjoint_array(x, start, grad_y)
+    y, scale = manifold._retract_scaled_array(x, start)
+    grad = manifold._scaled_adjoint_array(x, scale, problem._value_and_gradient_array(y)[1])
     s = start
     events: list[TraceEvent] = []
     for j in range(horizon):
@@ -442,10 +438,11 @@ def prgd_lockstep(
             if start_norm > ball:
                 raise ValueError(f"requires ||s0|| <= ball, got {start_norm!r} > {ball!r}")
             # one retraction of s0 gives the event value and the phase's first gradient
-            f_s0, grad_y = problem._value_and_gradient_array(manifold._retract_array(trial.x, start_s))
+            y, scale = manifold._retract_scaled_array(trial.x, start_s)
+            f_s0, grad_y = problem._value_and_gradient_array(y)
             events.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
                                      tangent_norm=start_norm))
-            grad[i] = manifold._retraction_adjoint_array(trial.x, start_s, grad_y)
+            grad[i] = manifold._scaled_adjoint_array(trial.x, scale, grad_y)
             grad_norms[i] = float(_norm(grad[i]))
             s[i] = start_s
             s0[i] = start_s

@@ -40,13 +40,13 @@ def same_point(a: Point, b: Point) -> bool:
 class Manifold:
     """Common interface: metric, projection, retraction, adjoint, ball sampling.
 
-    The unchecked `_project_array`, `_retract_array` and
-    `_retraction_adjoint_array` kernels take coordinate arrays: 1-d vectors,
-    or blocks whose rows are independent (point, vector) pairs. Each row of a
-    block gets the same float operations as a 1-d call, bit for bit.
-    `_retract_scaled_array` is the one retraction a manifold implements: it
-    also returns the scale (for the sphere ||x + s||) that
-    `_scaled_adjoint_array` takes, so a step's adjoint reuses what its
+    A manifold implements three unchecked kernels on coordinate arrays:
+    `_project_array`, `_retract_scaled_array` and `_scaled_adjoint_array`.
+    They take 1-d vectors, or blocks and stacks whose rows are independent
+    (point, vector) pairs; one base point serves a block of vectors as
+    `x[..., None, :]`. Each row gets the same float operations as a 1-d call,
+    bit for bit. The retraction also returns the scale (for the sphere
+    ||x + s||) that the adjoint takes, so an adjoint reuses what its
     retraction computed.
     """
 
@@ -63,19 +63,12 @@ class Manifold:
     def _retract_array(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         return self._retract_scaled_array(x, s)[0]
 
-    def _retraction_adjoint_array(self, x: np.ndarray, s: np.ndarray, w: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _retract_scaled_array(self, x: np.ndarray, s: np.ndarray):
         """Retr_x(s) and the scale that `_scaled_adjoint_array` takes for the same (x, s)."""
         raise NotImplementedError
 
     def _scaled_adjoint_array(self, x: np.ndarray, scale, w: np.ndarray) -> np.ndarray:
-        """`_retraction_adjoint_array` given the scale `_retract_scaled_array` returned."""
-        raise NotImplementedError
-
-    def retract_many(self, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-        """Retract each row of `tangents` from x; a (count, n) stack of bases x takes (count, rows, n) tangents."""
+        """Pull w at Retr_x(s) back to x, given the scale `_retract_scaled_array` returned for (x, s)."""
         raise NotImplementedError
 
     def _check_point(self, x: Point, role: str = "point"):
@@ -120,17 +113,15 @@ class Manifold:
         """Adjoint of the retraction differential, pulling w at Retr_x(s) back to x."""
         raise NotImplementedError
 
-    def retraction_adjoint_many(self, x: np.ndarray, tangents: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Row-wise `retraction_adjoint`: pull row i of w at Retr_x(tangents[i]) back to x; stacks as `retract_many`."""
-        raise NotImplementedError
-
     def _check_adjoint_args(self, x: Point, s: Tangent, w: Tangent):
+        """Validate (x, s, w) for `retraction_adjoint`; returns the scale of Retr_x(s) for its adjoint."""
         self._check_tangent(s)
         if not same_point(s.base, x):
             raise ValueError("tangent vector is not based at x")
-        y = self._retract_array(x.coords, s.coords)
+        y, scale = self._retract_scaled_array(x.coords, s.coords)
         if not (w.base.manifold == self and np.array_equal(w.base.coords, y)):
             raise ValueError("w must be a tangent vector at Retr_x(s)")
+        return scale
 
     def sample_ball(self, x: Point, radius: float, rng: RngStream, basis=None) -> tuple[Tangent, RngStream]:
         """Uniform draw from the tangent ball of the given radius at x; `basis` may pass in `tangent_basis(x)`."""
@@ -191,20 +182,14 @@ class Euclidean(Manifold):
         return x + s, None
 
     def retract_many(self, x, tangents):
-        return x[..., None, :] + tangents
-
-    def _retraction_adjoint_array(self, x, s, w):
-        return w
+        return self._retract_array(x[..., None, :], tangents)
 
     def _scaled_adjoint_array(self, x, scale, w):
         return w
 
     def retraction_adjoint(self, x, s, w):
-        self._check_adjoint_args(x, s, w)
-        return Tangent(x, self._retraction_adjoint_array(x.coords, s.coords, w.coords))
-
-    def retraction_adjoint_many(self, x, tangents, w):
-        return w
+        scale = self._check_adjoint_args(x, s, w)
+        return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
     def sample_ball(self, x, radius, rng, basis=None):
         self._check_point(x)
@@ -275,22 +260,14 @@ class Sphere(Manifold):
         return y / scale, scale
 
     def retract_many(self, x, tangents):
-        y = x[..., None, :] + tangents
-        return y / np.linalg.norm(y, axis=-1, keepdims=True)
-
-    def _retraction_adjoint_array(self, x, s, w):
-        return self._scaled_adjoint_array(x, _norm(x + s, keepdims=True), w)
+        return self._retract_array(x[..., None, :], tangents)
 
     def _scaled_adjoint_array(self, x, scale, w):
         return self._project_array(x, w) / scale
 
     def retraction_adjoint(self, x, s, w):
-        self._check_adjoint_args(x, s, w)
-        return Tangent(x, self._retraction_adjoint_array(x.coords, s.coords, w.coords))
-
-    def retraction_adjoint_many(self, x, tangents, w):
-        scale = np.linalg.norm(x[..., None, :] + tangents, axis=-1, keepdims=True)
-        return (w - (w @ x[..., None]) * x[..., None, :]) / scale
+        scale = self._check_adjoint_args(x, s, w)
+        return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
     def sample_ball(self, x, radius, rng, basis=None):
         self._check_point(x)

@@ -16,9 +16,10 @@ class CostFunction:
 
     Subclasses set `manifold` and implement `value` and `euclidean_gradient`;
     the Riemannian gradient is the tangent projection of the ambient one.
-    `_value_and_gradient_array` is the unchecked oracle of the descent loops,
-    for one point or for a block of points (one per row); a subclass may
-    override it to share work between value and gradient.
+    `_value_and_gradient_array` is the unchecked oracle of the descent loops
+    and the block gradients, for one point or for any stack of points (one per
+    row along the last axis); a subclass may override it to share work between
+    value and gradient, or to evaluate a block at once.
     """
 
     manifold: Manifold
@@ -35,20 +36,19 @@ class CostFunction:
     def _value_and_gradient_array(self, y: np.ndarray):
         """Value and Riemannian-gradient coordinates at manifold coordinates y, without checks.
 
-        For a block y, one value and one gradient row per row of y.
+        For a block or stack y, one value and one gradient row per row of y; leading axes are kept.
         """
-        if y.ndim == 2:
-            pairs = [self._value_and_gradient_array(row) for row in y]
-            return np.array([f for f, _ in pairs]), np.array([g for _, g in pairs])
+        if y.ndim > 1:
+            pairs = [self._value_and_gradient_array(row) for row in y.reshape(-1, y.shape[-1])]
+            values = np.array([f for f, _ in pairs]).reshape(y.shape[:-1])
+            return values, np.array([g for _, g in pairs]).reshape(y.shape)
         point = Point(self.manifold, y)
         grad = np.asarray(self.euclidean_gradient(point), dtype=float)
         return self.value(point), self.manifold._project_array(y, grad)
 
     def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
         """Riemannian gradients at rows of `coords`, one row each; leading stack axes are kept."""
-        rows = coords.reshape(-1, coords.shape[-1])
-        grads = [self.riemannian_gradient(self.manifold.point(row)).coords for row in rows]
-        return np.array(grads).reshape(coords.shape)
+        return self._value_and_gradient_array(coords)[1]
 
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         """Values at rows of `coords` (manifold points in ambient coordinates)."""

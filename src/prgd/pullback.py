@@ -46,9 +46,10 @@ class Pullback:
     def gradient(self, s: Tangent) -> Tangent:
         """Adjoint of the retraction differential applied to the downstream gradient."""
         self._check_arg(s)
-        y = self.manifold.retract(self.base, s)
-        grad_y = self.problem.riemannian_gradient(y).coords
-        return Tangent(self.base, self.manifold._retraction_adjoint_array(self.base.coords, s.coords, grad_y))
+        self.manifold._check_tangent(s)
+        y, scale = self.manifold._retract_scaled_array(self.base.coords, s.coords)
+        grad_y = self.problem.riemannian_gradient(Point(self.manifold, y)).coords
+        return Tangent(self.base, self.manifold._scaled_adjoint_array(self.base.coords, scale, grad_y))
 
     def gradient_many(self, tangents: np.ndarray) -> np.ndarray:
         """Exact gradients at rows of `tangents` (ambient tangent coordinates at the base)."""
@@ -65,7 +66,8 @@ class Pullback:
 
 
 def pullback_gradient_rows(problem, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Unchecked `Pullback.gradient_many` at base coordinates x, or at a stack of bases as `retract_many` takes."""
+    """Unchecked `Pullback.gradient_many` at base coordinates x, or of (count, rows, n) tangents at (count, n) bases."""
     manifold = problem.manifold
-    points = manifold.retract_many(x, tangents)
-    return manifold.retraction_adjoint_many(x, tangents, problem.riemannian_gradient_many(points))
+    x = x[..., None, :]
+    points, scale = manifold._retract_scaled_array(x, tangents)
+    return manifold._scaled_adjoint_array(x, scale, problem.riemannian_gradient_many(points))

@@ -194,24 +194,35 @@ class TestRetractionAdjoint:
 
     @pytest.mark.parametrize("manifold", [Euclidean(6), Sphere(6)])
     def test_many_matches_row_by_row(self, manifold):
+        # the kernel pair on a (50, n) block at one base and a (count, rows, n) stack at count bases
         rng = RngStream(31)
-        if isinstance(manifold, Sphere):
-            x, rng = sphere_point(manifold, rng)
-        else:
-            c, rng = rng.standard_normal(6)
-            x = manifold.point(c)
-        tangents, ws, want = [], [], []
-        for _ in range(50):
-            s, rng = manifold.sample_ball(x, 2.0, rng)
-            raw, rng = rng.standard_normal(6)
-            w = manifold.project(manifold.retract(x, s), raw)
-            tangents.append(s.coords)
-            ws.append(w.coords)
-            want.append(manifold.retraction_adjoint(x, s, w).coords)
-        got = manifold.retraction_adjoint_many(x.coords, np.array(tangents), np.array(ws))
-        assert got.shape == (50, 6)
-        for row, ref in zip(got, want):
-            assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+        for count, rows in ((1, 50), (4, 7)):
+            bases, tangents, ws, want_y, want = [], [], [], [], []
+            for _ in range(count):
+                if isinstance(manifold, Sphere):
+                    x, rng = sphere_point(manifold, rng)
+                else:
+                    c, rng = rng.standard_normal(6)
+                    x = manifold.point(c)
+                bases.append(x.coords)
+                for _ in range(rows):
+                    s, rng = manifold.sample_ball(x, 2.0, rng)
+                    raw, rng = rng.standard_normal(6)
+                    y = manifold.retract(x, s)
+                    w = manifold.project(y, raw)
+                    tangents.append(s.coords)
+                    ws.append(w.coords)
+                    want_y.append(y.coords)
+                    want.append(manifold.retraction_adjoint(x, s, w).coords)
+            x = np.array(bases)[:, None, :]
+            tangents, ws = np.array(tangents).reshape(count, rows, 6), np.array(ws).reshape(count, rows, 6)
+            if count == 1:
+                x, tangents, ws = x[0], tangents[0], ws[0]
+            y, scale = manifold._retract_scaled_array(x, tangents)
+            got = manifold._scaled_adjoint_array(x, scale, ws)
+            assert got.shape == y.shape == tangents.shape
+            assert np.array_equal(y.reshape(-1, 6), np.array(want_y))
+            assert np.array_equal(got.reshape(-1, 6), np.array(want))
 
 
 class TestSampleBall:

@@ -145,7 +145,7 @@ class TestQuadraticSaddle:
 
 
 class TestRiemannianGradientMany:
-    # PcaProblem has a closed form; QuadraticSaddle and EuclideanQuadratic use the generic loop
+    # PcaProblem has one GEMM; QuadraticSaddle and EuclideanQuadratic go through their block oracle
     @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle, EuclideanQuadratic])
     def test_matches_row_by_row(self, cls):
         a, _, _, rng = synthetic_matrix(6, RngStream(41, 1))
@@ -174,6 +174,18 @@ class TestFusedValueAndGradient:
             f, grad = problem._value_and_gradient_array(y)
             assert f == problem.value(point)
             assert np.array_equal(grad, problem.riemannian_gradient(point).coords)
+
+    def test_generic_oracle_keeps_leading_stack_axes(self):
+        a, _, _, rng = synthetic_matrix(4, RngStream(47, 1))
+        problem = EuclideanQuadratic(a - 1.5 * np.eye(4))
+        stack, _ = rng.standard_normal((3, 5, 4))
+        f, grad = problem._value_and_gradient_array(stack)
+        assert f.shape == (3, 5) and grad.shape == (3, 5, 4)
+        for i in range(3):
+            for j in range(5):
+                f_row, grad_row = problem._value_and_gradient_array(stack[i, j])
+                assert f[i, j] == f_row
+                assert np.array_equal(grad[i, j], grad_row)
 
 
 class TestMatrixIo:

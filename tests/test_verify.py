@@ -98,6 +98,21 @@ class TestCriticalityReport:
         # each finite-difference Hessian is one batch of exact gradients
         assert calls == {"basis": 1, "batch": 1}
 
+    def test_generic_certificate_queries_the_validated_gradient_once(self, monkeypatch):
+        # the FD Hessian's 2k gradients come from the block oracle; only the gradient norm is validated
+        calls = []
+        gradient = CostFunction.riemannian_gradient
+
+        def counted(self, x):
+            calls.append(x)
+            return gradient(self, x)
+
+        monkeypatch.setattr(CostFunction, "riemannian_gradient", counted)
+        problem = EuclideanQuadratic(np.diag([-1.0, 0.5, 2.0, 3.0]))
+        report = check_second_order_point(problem, problem.manifold.point(np.zeros(4)), eps=1e-3, rho=1.0)
+        assert len(calls) == 1
+        assert report.min_eig_pullback == pytest.approx(-1.0, abs=1e-6)
+
     def test_riemannian_hessian_matches_analytic(self, diag_pca):
         x = diag_pca.manifold.point([0.0, 1.0])
         hess = riemannian_hessian_matrix(diag_pca, x)
