@@ -325,8 +325,8 @@ def verify_cmd(args) -> int:
     checks.append(("retraction_second_order", worst_acc <= 1e-6, f"max acceleration residual {worst_acc:.3e}"))
 
     if isinstance(problem, PcaProblem):
-        grad_bound = 2.5 * problem.norm
-        hess_bound = 9.0 * problem.norm
+        consts = problem.constants()
+        grad_bound, hess_bound = consts.lip_grad, consts.lip_hess
     else:
         grad_bound = problem.norm * (1.0 + 1e-9)
         hess_bound = 1e-4 * max(problem.norm, 1.0)
@@ -339,18 +339,11 @@ def verify_cmd(args) -> int:
                    f"max ratio {hess_ratio:.6f} vs bound {hess_bound:.6f}"))
 
     params = setup.params
-    if isinstance(problem, PcaProblem):
-        top = manifold.point(setup.v_max)
-        rep_top = check_second_order_point(problem, top, params.epsilon, params.lip_hess)
-        rep_saddle = check_second_order_point(problem, setup.saddle, params.epsilon, params.lip_hess)
-        checks.append(("criticality_at_dominant", rep_top.verdict,
-                       f"min eig {rep_top.min_eig_pullback:.6f}"))
-        checks.append(("criticality_at_saddle", not rep_saddle.verdict,
-                       f"min eig {rep_saddle.min_eig_pullback:.6f}"))
-    else:
-        rep_saddle = check_second_order_point(problem, setup.saddle, params.epsilon, params.lip_hess)
-        checks.append(("criticality_at_saddle", not rep_saddle.verdict,
-                       f"min eig {rep_saddle.min_eig_pullback:.6f}"))
+    if setup.v_max is not None:
+        rep_top = check_second_order_point(problem, manifold.point(setup.v_max), params.epsilon, params.lip_hess)
+        checks.append(("criticality_at_dominant", rep_top.verdict, f"min eig {rep_top.min_eig_pullback:.6f}"))
+    rep_saddle = check_second_order_point(problem, setup.saddle, params.epsilon, params.lip_hess)
+    checks.append(("criticality_at_saddle", not rep_saddle.verdict, f"min eig {rep_saddle.min_eig_pullback:.6f}"))
 
     trace = prgd(problem, setup.saddle, params, RngStream(args.seed, 0), terminate_on_no_decrease=True)
     audit = audit_trace(trace, params)

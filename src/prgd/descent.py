@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NumericalError
 from .manifolds import Point, Tangent
 from .numerics import RngStream, _norm
-from .pullback import Pullback
+from .pullback import Pullback, pullback_step
 
 MANIFOLD_STEP = "manifold_step"
 PERTURBATION = "perturbation"
@@ -251,7 +251,6 @@ def _gradient_step(problem, x: np.ndarray, s: np.ndarray, grad: np.ndarray, eta:
     {row: alpha}, y = Retr_x(s), f(y), the Riemannian gradient at y and the
     pullback gradient at the new s.
     """
-    manifold = problem.manifold
     candidate = s - eta * grad
     alphas = {}
     # no finite step leaves an infinite ball
@@ -260,10 +259,8 @@ def _gradient_step(problem, x: np.ndarray, s: np.ndarray, grad: np.ndarray, eta:
             continue
         alphas[i] = alpha = boundary_alpha(s[i], grad[i], eta, ball)
         candidate[i] = s[i] - (alpha * eta) * grad[i]
-    s = manifold._project_array(x, candidate)
-    y, scale = manifold._retract_scaled_array(x, s)
-    f, grad_y = problem._value_and_gradient_array(y)
-    return s, alphas, y, f, grad_y, manifold._scaled_adjoint_array(x, scale, grad_y)
+    s = problem.manifold._project_array(x, candidate)
+    return s, alphas, *pullback_step(problem, x, s)
 
 
 def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, horizon: int):
@@ -286,11 +283,9 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
         raise ValueError(f"requires ||s0|| <= ball, got {s0.norm!r} > {ball!r}")
 
     problem = pull.problem
-    manifold = pull.manifold
     x = pull.base.coords[None]
     start = s0.coords[None]
-    y, scale = manifold._retract_scaled_array(x, start)
-    grad = manifold._scaled_adjoint_array(x, scale, problem._value_and_gradient_array(y)[1])
+    grad = pullback_step(problem, x, start)[3]
     s = start
     events: list[TraceEvent] = []
     for j in range(horizon):
@@ -321,7 +316,6 @@ def prgd(
     params: PrgdParams,
     rng: RngStream,
     terminate_on_no_decrease: bool = False,
-    stop_on_gap_exhausted: bool = True,
 ) -> RunTrace:
     """Perturbed Riemannian gradient descent from x0.
 
@@ -334,14 +328,13 @@ def prgd(
 
     With `terminate_on_no_decrease`, a perturbation phase that fails to
     decrease the pullback by score_drop/2 halts the run and flags the
-    pre-perturbation point as a suspected second-order point. With
-    `stop_on_gap_exhausted` (on by default), the run also halts once f has
-    decreased by more than `params.gap` below f(x0), since the promised gap
-    is then exhausted; disable it to match the textbook loop exactly.
+    pre-perturbation point as a suspected second-order point. The run always
+    halts once f has decreased by more than `params.gap` below f(x0), since
+    the promised gap is then exhausted.
 
     One run is the one-row case of `prgd_lockstep`.
     """
-    return prgd_lockstep(problem, x0, params, [rng], terminate_on_no_decrease, stop_on_gap_exhausted)[0]
+    return prgd_lockstep(problem, x0, params, [rng], terminate_on_no_decrease)[0]
 
 
 class _Trial:
@@ -375,7 +368,6 @@ def prgd_lockstep(
     params: PrgdParams,
     rngs: list[RngStream],
     terminate_on_no_decrease: bool = False,
-    stop_on_gap_exhausted: bool = True,
 ) -> list[RunTrace]:
     """Independent `prgd` runs from x0, one per stream in `rngs`, advanced in lockstep.
 
@@ -417,7 +409,7 @@ def prgd_lockstep(
                 trial.finish(manifold, "budget", grad_norm)
                 stopped.append(i)
                 continue
-            if stop_on_gap_exhausted and trial.f_x < f0 - params.gap:
+            if trial.f_x < f0 - params.gap:
                 trial.finish(manifold, "gap_exhausted", grad_norm)
                 stopped.append(i)
                 continue
@@ -438,11 +430,9 @@ def prgd_lockstep(
             if start_norm > ball:
                 raise ValueError(f"requires ||s0|| <= ball, got {start_norm!r} > {ball!r}")
             # one retraction of s0 gives the event value and the phase's first gradient
-            y, scale = manifold._retract_scaled_array(trial.x, start_s)
-            f_s0, grad_y = problem._value_and_gradient_array(y)
+            _, f_s0, _, grad[i] = pullback_step(problem, trial.x, start_s)
             events.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
                                      tangent_norm=start_norm))
-            grad[i] = manifold._scaled_adjoint_array(trial.x, scale, grad_y)
             grad_norms[i] = float(_norm(grad[i]))
             s[i] = start_s
             s0[i] = start_s

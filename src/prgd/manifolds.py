@@ -15,6 +15,7 @@ from .numerics import RngStream, _norm, as_vector, sample_unit_ball
 
 POINT_NORM_TOL = 1e-12
 TANGENT_TOL = 1e-10
+RETRACTION_CHECK_H = 1e-4
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,15 @@ class Manifold:
         """Pull w at Retr_x(s) back to x, given the scale `_retract_scaled_array` returned for (x, s)."""
         raise NotImplementedError
 
-    def _check_point(self, x: Point, role: str = "point"):
+    def _check_point(self, x: Point):
         if x.manifold != self:
-            raise ValueError(f"{role} belongs to manifold {x.manifold.name}, expected {self.name}")
+            raise ValueError(f"point belongs to manifold {x.manifold.name}, expected {self.name}")
 
-    def _check_tangent(self, s: Tangent, role: str = "tangent"):
-        self._check_point(s.base, role=f"base of {role}")
+    def _check_tangent(self, s: Tangent):
+        if s.base.manifold != self:
+            raise ValueError(f"base of tangent belongs to manifold {s.base.manifold.name}, expected {self.name}")
         if s.coords.shape != (self.ambient_dim,):
-            raise ValueError(f"{role} has shape {s.coords.shape}, expected ({self.ambient_dim},)")
+            raise ValueError(f"tangent has shape {s.coords.shape}, expected ({self.ambient_dim},)")
 
     def tangent(self, base: Point, coords) -> Tangent:
         """Wrap validated coordinates as a tangent vector at `base`."""
@@ -131,16 +133,15 @@ class Manifold:
         """Orthonormal basis of the tangent space at x, columns in ambient coordinates."""
         raise NotImplementedError
 
-    def check_second_order(self, x: Point, s: Tangent, h: float = 1e-4) -> float:
+    def check_second_order(self, x: Point, s: Tangent) -> float:
         """Finite-difference norm of the intrinsic initial acceleration of t -> Retr_x(t s).
 
-        Requires a unit tangent s; a second-order retraction returns ~0.
+        Requires a unit tangent s; a second-order retraction returns ~0. The step is RETRACTION_CHECK_H.
         """
         self._check_tangent(s)
         if abs(s.norm - 1.0) > 1e-9:
             raise ValueError("check_second_order requires a unit tangent vector")
-        if not (h > 0):
-            raise ValueError("h must be positive")
+        h = RETRACTION_CHECK_H
         gp = self._retract_array(x.coords, h * s.coords)
         gm = self._retract_array(x.coords, -h * s.coords)
         acc = (gp - 2.0 * x.coords + gm) / (h * h)
@@ -202,7 +203,7 @@ class Euclidean(Manifold):
         self._check_point(x)
         return np.eye(self.dim)
 
-    def check_second_order(self, x, s, h: float = 1e-4) -> float:
+    def check_second_order(self, x, s) -> float:
         # radial curves are straight lines; the acceleration is identically zero
         self._check_tangent(s)
         if abs(s.norm - 1.0) > 1e-9:

@@ -28,8 +28,8 @@ def as_vector(entries) -> np.ndarray:
     return np.ascontiguousarray(v)
 
 
-def as_sym_matrix(entries, rtol: float = SYM_RTOL, stacked: bool = False) -> np.ndarray:
-    """Validate entries as a finite square matrix (`stacked`: a stack of them), symmetric to relative tolerance rtol."""
+def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
+    """Validate entries as a finite square matrix (`stacked`: a stack of them), symmetric to relative SYM_RTOL."""
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"expected a {'stack of square matrices' if stacked else 'square matrix'}, got shape {m.shape}")
@@ -37,9 +37,9 @@ def as_sym_matrix(entries, rtol: float = SYM_RTOL, stacked: bool = False) -> np.
         raise ValueError("matrix entries must all be finite")
     scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
     asym = np.abs(m - m.mT).max(axis=(-2, -1))
-    bad = asym > rtol * scale
+    bad = asym > SYM_RTOL * scale
     if bad.any():
-        raise ValueError(f"matrix is not symmetric: max asymmetry {asym[bad][0]:.3e} exceeds {rtol:.1e} * scale")
+        raise ValueError(f"matrix is not symmetric: max asymmetry {asym[bad][0]:.3e} exceeds {SYM_RTOL:.1e} * scale")
     return m
 
 
@@ -96,15 +96,15 @@ def _norm(v: np.ndarray, keepdims: bool = False):
     return np.sqrt(np.vecdot(v, v, keepdims=keepdims))
 
 
-def fd_hessian_from_gradients(gradient_many, center, basis, h: float = DEFAULT_HESS_H) -> np.ndarray:
+def fd_hessian_from_gradients(gradient_many, center, basis) -> np.ndarray:
     """Central-difference Hessian in the orthonormal columns of `basis`, symmetrized.
 
-    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j].
+    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j],
+    with h = DEFAULT_HESS_H.
     A (count, n, k) stack of bases with (count, 1, n) centers gives a stack of Hessians, each
     with the bits of a 2-d call: `np.matmul` makes one gemm per matrix.
     """
-    if not (h > 0):
-        raise ValueError("finite-difference step h must be positive")
+    h = DEFAULT_HESS_H
     steps = h * basis.mT
     grads = gradient_many(np.concatenate([center + steps, center - steps], axis=-2))
     if not np.all(np.isfinite(grads)):
@@ -145,10 +145,6 @@ class RngStream:
 
     def _next(self) -> "RngStream":
         return RngStream(self.seed, self.stream, self.index + 1)
-
-    def with_stream(self, stream: int) -> "RngStream":
-        """A fresh sub-stream of the same seed; draws are independent of this one's."""
-        return RngStream(self.seed, stream, 0)
 
     def standard_normal(self, shape=None):
         """Draw standard normals; returns (values, advanced stream)."""

@@ -65,7 +65,6 @@ class CostFunction:
 class ProblemConstants:
     lip_grad: float
     lip_hess: float
-    ball_hint: float
 
 
 class PcaProblem(CostFunction):
@@ -109,11 +108,7 @@ class PcaProblem(CostFunction):
 
     def constants(self) -> ProblemConstants:
         """Lipschitz constants valid on every tangent space (no ball restriction)."""
-        return ProblemConstants(
-            lip_grad=2.5 * self.norm,
-            lip_hess=9.0 * self.norm,
-            ball_hint=math.inf,
-        )
+        return ProblemConstants(lip_grad=2.5 * self.norm, lip_hess=9.0 * self.norm)
 
 
 class QuadraticSaddle(CostFunction):

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .manifolds import Point, Tangent, same_point
-from .numerics import DEFAULT_HESS_H, fd_hessian_from_gradients
+from .numerics import fd_hessian_from_gradients
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,25 @@ class Pullback:
         """Exact gradients at rows of `tangents` (ambient tangent coordinates at the base)."""
         return pullback_gradient_rows(self.problem, self.base.coords, tangents)
 
-    def hessian_at_zero(self, h: float = DEFAULT_HESS_H) -> np.ndarray:
+    def hessian_at_zero(self) -> np.ndarray:
         """Finite-difference Hessian at the tangent-space origin, in the orthonormal basis."""
-        return fd_hessian_from_gradients(self.gradient_many, 0.0, self.basis, h)
+        return fd_hessian_from_gradients(self.gradient_many, 0.0, self.basis)
 
-    def hessian_at(self, s: Tangent, h: float = DEFAULT_HESS_H) -> np.ndarray:
+    def hessian_at(self, s: Tangent) -> np.ndarray:
         """Finite-difference Hessian at a tangent point, in the same orthonormal basis."""
         self._check_arg(s)
-        return fd_hessian_from_gradients(self.gradient_many, self.basis @ (self.basis.T @ s.coords), self.basis, h)
+        return fd_hessian_from_gradients(self.gradient_many, self.basis @ (self.basis.T @ s.coords), self.basis)
+
+
+def pullback_step(problem, x: np.ndarray, s: np.ndarray):
+    """Unchecked (y, f(y), grad f(y), pullback gradient at s) for y = Retr_x(s), rows of s at rows of x.
+
+    One retraction, one fused cost call and one adjoint.
+    """
+    manifold = problem.manifold
+    y, scale = manifold._retract_scaled_array(x, s)
+    f, grad_y = problem._value_and_gradient_array(y)
+    return y, f, grad_y, manifold._scaled_adjoint_array(x, scale, grad_y)
 
 
 def pullback_gradient_rows(problem, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:

@@ -19,8 +19,8 @@ from .descent import (
 )
 from .errors import NumericalError
 from .manifolds import Point, Sphere, Tangent
-from .numerics import DEFAULT_HESS_H, RngStream, _norm, fd_hessian_from_gradients, min_eigpair, operator_norm
-from .pullback import Pullback, pullback_gradient_rows
+from .numerics import RngStream, _norm, fd_hessian_from_gradients, min_eigpair, operator_norm
+from .pullback import Pullback, pullback_gradient_rows, pullback_step
 
 AUDIT_SLACK = 1e-9
 DECREASE_SLACK = 1e-12
@@ -58,7 +58,7 @@ class CriticalityReport:
         }
 
 
-def riemannian_hessian_matrix(problem, x: Point, h: float = DEFAULT_HESS_H) -> np.ndarray:
+def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
     """Riemannian Hessian in an orthonormal tangent basis, by differencing the gradient field.
 
     Hess f(x)[u] is the tangent projection of the derivative of the gradient
@@ -69,20 +69,17 @@ def riemannian_hessian_matrix(problem, x: Point, h: float = DEFAULT_HESS_H) -> n
     manifold = problem.manifold
     return fd_hessian_from_gradients(
         lambda tangents: problem.riemannian_gradient_many(manifold.retract_many(x.coords, tangents)),
-        0.0, manifold.tangent_basis(x), h)
+        0.0, manifold.tangent_basis(x))
 
 
-def check_second_order_point(problem, x: Point, eps: float, rho: float,
-                             fd_h: float = DEFAULT_HESS_H) -> CriticalityReport:
+def check_second_order_point(problem, x: Point, eps: float, rho: float) -> CriticalityReport:
     """Evaluate the eps-second-order conditions at x: small gradient, bounded negative curvature."""
     if not (eps > 0 and rho > 0):
         raise ValueError("eps and rho must be positive")
-    if not (fd_h > 0):
-        raise ValueError("fd_h must be positive")
     problem._check_point(x)
     grad_norm = float(np.linalg.norm(problem.riemannian_gradient(x).coords))
     pull = Pullback(problem, x)
-    lam, vec = min_eigpair(pull.hessian_at_zero(fd_h))
+    lam, vec = min_eigpair(pull.hessian_at_zero())
     ambient = problem.manifold._project_array(x.coords, pull.basis @ vec)
     return CriticalityReport(
         grad_norm=grad_norm,
@@ -141,19 +138,16 @@ def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample, keep_ba
 
 def empirical_grad_lipschitz(problem, ball: float, n_samples: int, rng: RngStream) -> float:
     """Max of ||grad-pullback(s) - grad-pullback(0)|| / ||s|| over random base points and s."""
-    manifold = problem.manifold
 
     def block_ratios(x, s, _):
-        y, scale = manifold._retract_scaled_array(x, s)
-        g_s = manifold._scaled_adjoint_array(x, scale, problem._value_and_gradient_array(y)[1])
+        g_s = pullback_step(problem, x, s)[3]
         g_0 = problem._value_and_gradient_array(x)[1]
         return _norm(g_s - g_0) / _norm(s)
 
     return _sweep(problem, ball, n_samples, rng, block_ratios, 1, keep_basis=False)
 
 
-def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStream,
-                             fd_h: float = DEFAULT_HESS_H) -> float:
+def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStream) -> float:
     """Max operator-norm ratio ||hess-pullback(s) - hess-pullback(0)|| / ||s||, intrinsic basis."""
     k = problem.manifold.intrinsic_dim
 
@@ -161,8 +155,7 @@ def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
         gradients = partial(pullback_gradient_rows, problem, x)
         # s projected onto the basis span, as `Pullback.hessian_at` centres it
         center = (bases @ (bases.mT @ s[..., None])).mT
-        diff = (fd_hessian_from_gradients(gradients, center, bases, fd_h)
-                - fd_hessian_from_gradients(gradients, 0.0, bases, fd_h))
+        diff = fd_hessian_from_gradients(gradients, center, bases) - fd_hessian_from_gradients(gradients, 0.0, bases)
         return operator_norm(diff) / _norm(s)
 
     return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * k, keep_basis=True)
@@ -243,20 +236,18 @@ def audit_trace(trace: RunTrace, params: PrgdParams) -> TraceAuditReport:
     return report
 
 
-def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float,
-                        fd_h: float = DEFAULT_HESS_H) -> tuple[float, float]:
+def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tuple[float, float]:
     """Deterministic two-start escape test along the most negative curvature direction.
 
     Starts the tangent loop at +/-(eta*r0/2) times the bottom eigenvector of
-    the pullback Hessian and returns both value decreases after the full
-    horizon; when the hypotheses hold, the smaller decrease is at most
-    -score_drop.
+    the pullback Hessian, as `check_second_order_point` finds it, and returns
+    both value decreases after the full horizon; when the hypotheses hold, the
+    smaller decrease is at most -score_drop.
     """
-    problem._check_point(x)
     if not (r0 > 0):
         raise ValueError("r0 must be positive")
-    pull = Pullback(problem, x)
-    lam, vec = min_eigpair(pull.hessian_at_zero(fd_h))
+    report = check_second_order_point(problem, x, params.epsilon, params.lip_hess)
+    lam = report.min_eig_pullback
     bar = -math.sqrt(params.lip_hess * params.epsilon)
     if lam > bar:
         raise ValueError(
@@ -273,11 +264,10 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float,
         raise ValueError(
             f"hypothesis failed: localization budget {reach:.6e} exceeds the locality radius {params.locality:.6e}"
         )
-    direction = problem.manifold._project_array(x.coords, pull.basis @ vec)
-    s_plus = Tangent(x, half * direction)
-    s_minus = Tangent(x, -half * direction)
+    pull = Pullback(problem, x)
     drops = []
-    for s0 in (s_plus, s_minus):
+    for step in (half, -half):
+        s0 = Tangent(x, step * report.eigvec.coords)
         f_start = pull.value(s0)
         s_end, _ = tangent_space_steps(pull, s0, params.eta, params.ball, params.horizon)
         drops.append(pull.value(s_end) - f_start)

@@ -8,7 +8,7 @@ The block sweeps must return the same ratios bit for bit.
 
 import numpy as np
 
-from prgd.numerics import DEFAULT_HESS_H, operator_norm
+from prgd.numerics import operator_norm
 from prgd.pullback import Pullback
 from prgd.verify import random_point
 
@@ -32,11 +32,11 @@ def grad_lipschitz_loop(problem, ball, n_samples, rng):
     return worst
 
 
-def hess_lipschitz_loop(problem, ball, n_samples, rng, fd_h=DEFAULT_HESS_H):
+def hess_lipschitz_loop(problem, ball, n_samples, rng):
     worst = 0.0
     for _ in range(n_samples):
         x, s, rng = sample_pair(problem, ball, rng)
         pull = Pullback(problem, x)
-        diff = pull.hessian_at(s, fd_h) - pull.hessian_at_zero(fd_h)
+        diff = pull.hessian_at(s) - pull.hessian_at_zero()
         worst = max(worst, operator_norm(diff) / s.norm)
     return worst

@@ -320,7 +320,7 @@ class TestSecondOrderCheck:
         sph = Sphere(3)
         x = sph.point([1.0, 0.0, 0.0])
         s = sph.tangent(x, [0.0, 1.0, 0.0])
-        assert sph.check_second_order(x, s, h=1e-4) <= 1e-6
+        assert sph.check_second_order(x, s) <= 1e-6
 
     def test_sphere_random_cases(self):
         sph = Sphere(5)
@@ -329,7 +329,7 @@ class TestSecondOrderCheck:
             x, rng = sphere_point(sph, rng)
             raw, rng = sph.sample_ball(x, 1.0, rng)
             unit = sph.project(x, raw.coords / raw.norm)
-            assert sph.check_second_order(x, unit, h=1e-4) <= 1e-6
+            assert sph.check_second_order(x, unit) <= 1e-6
 
     def test_requires_unit_tangent(self):
         sph = Sphere(3)

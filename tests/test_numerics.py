@@ -291,9 +291,6 @@ class TestRngStream:
         u2, _ = rng.uniform()
         assert u1 == u2
 
-    def test_with_stream(self):
-        assert RngStream(5, 0).with_stream(12) == RngStream(5, 12)
-
     @given(st.integers(min_value=0, max_value=2**64 - 1))
     def test_any_valid_seed_works(self, seed):
         val, nxt = RngStream(seed).uniform()

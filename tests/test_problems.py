@@ -102,7 +102,6 @@ class TestPcaConstants:
         consts = p.constants()
         assert consts.lip_grad == pytest.approx(5.0, rel=1e-12)
         assert consts.lip_hess == pytest.approx(18.0, rel=1e-12)
-        assert math.isinf(consts.ball_hint)
 
     def test_diag31(self, diag_pca):
         consts = diag_pca.constants()

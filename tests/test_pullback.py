@@ -8,8 +8,8 @@ from prgd.descent import derive_params, prgd, tangent_space_steps
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Tangent
 from prgd.numerics import RngStream, fd_hessian_from_gradients, min_eigpair
-from prgd.problems import CostFunction, PcaProblem, synthetic_matrix
-from prgd.pullback import Pullback, pullback_gradient_rows
+from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
+from prgd.pullback import Pullback, pullback_gradient_rows, pullback_step
 from prgd.verify import random_point, riemannian_hessian_matrix
 from conftest import EuclideanQuadratic
 from fd_oracles import fd_gradient, fd_hessian
@@ -144,6 +144,29 @@ class TestGradient:
         for row, s in zip(got, steps):
             ref = pull.gradient(s).coords
             assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class TestPullbackStep:
+    """The descent loops' one-call step gives each row the validated pullback's value and gradient bit for bit."""
+
+    @pytest.mark.parametrize("problem_name", ["pca", "quadratic_saddle", "euclidean_quadratic"])
+    def test_block_matches_pullback(self, problem_name):
+        rng = RngStream(23, 4)
+        a, _, _, rng = synthetic_matrix(6, rng)
+        problem = {"pca": PcaProblem(a), "quadratic_saddle": QuadraticSaddle(a - 1.5 * np.eye(6)),
+                   "euclidean_quadratic": EuclideanQuadratic(a - 1.5 * np.eye(6))}[problem_name]
+        x, rng = random_point(problem.manifold, rng)
+        pull = Pullback(problem, x)
+        steps = []
+        for radius in np.geomspace(1e-6, 3.0, 12):
+            s, rng = problem.manifold.sample_ball(x, float(radius), rng)
+            steps.append(s)
+        y, f, _, grads = pullback_step(problem, x.coords[None], np.array([s.coords for s in steps]))
+        assert y.shape == grads.shape == (12, 6) and f.shape == (12,)
+        for s, y_row, f_row, grad_row in zip(steps, y, f, grads):
+            assert np.array_equal(y_row, problem.manifold.retract(x, s).coords)
+            assert f_row == pull.value(s)
+            assert np.array_equal(grad_row, pull.gradient(s).coords)
 
 
 class TestStackedPullbacks:
