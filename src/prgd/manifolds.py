@@ -41,14 +41,15 @@ def same_point(a: Point, b: Point) -> bool:
 class Manifold:
     """Common interface: metric, projection, retraction, adjoint, ball sampling.
 
-    A manifold implements three unchecked kernels on coordinate arrays:
-    `_project_array`, `_retract_scaled_array` and `_scaled_adjoint_array`.
-    They take 1-d vectors, or blocks and stacks whose rows are independent
-    (point, vector) pairs; one base point serves a block of vectors as
-    `x[..., None, :]`. Each row gets the same float operations as a 1-d call,
-    bit for bit. The retraction also returns the scale (for the sphere
-    ||x + s||) that the adjoint takes, so an adjoint reuses what its
-    retraction computed.
+    A manifold implements five unchecked kernels on coordinate arrays:
+    `_project_array`, `_retract_scaled_array`, `_scaled_adjoint_array`,
+    `_tangent_basis_array` and `_ball_tangent_array`. They take 1-d vectors,
+    or blocks and stacks whose rows are independent (point, vector) pairs; one
+    base point serves a block of vectors as `x[..., None, :]`. Each row gets
+    the same float operations as a 1-d call, bit for bit. The retraction also
+    returns the scale (for the sphere ||x + s||) that the adjoint takes, so an
+    adjoint reuses what its retraction computed. `tangent_basis` and
+    `sample_ball` are validated one-point calls of the last two.
     """
 
     name = "abstract"
@@ -70,6 +71,14 @@ class Manifold:
 
     def _scaled_adjoint_array(self, x: np.ndarray, scale, w: np.ndarray) -> np.ndarray:
         """Pull w at Retr_x(s) back to x, given the scale `_retract_scaled_array` returned for (x, s)."""
+        raise NotImplementedError
+
+    def _tangent_basis_array(self, x: np.ndarray) -> np.ndarray:
+        """Orthonormal tangent basis at each point, shape (..., ambient_dim, intrinsic_dim)."""
+        raise NotImplementedError
+
+    def _ball_tangent_array(self, x: np.ndarray, basis: np.ndarray, radius, unit: np.ndarray) -> np.ndarray:
+        """Map unit-ball draws (..., intrinsic_dim) to ambient tangents of norm <= radius at x, through `basis`."""
         raise NotImplementedError
 
     def _check_point(self, x: Point):
@@ -125,13 +134,18 @@ class Manifold:
             raise ValueError("w must be a tangent vector at Retr_x(s)")
         return scale
 
-    def sample_ball(self, x: Point, radius: float, rng: RngStream, basis=None) -> tuple[Tangent, RngStream]:
-        """Uniform draw from the tangent ball of the given radius at x; `basis` may pass in `tangent_basis(x)`."""
-        raise NotImplementedError
+    def sample_ball(self, x: Point, radius: float, rng: RngStream) -> tuple[Tangent, RngStream]:
+        """Uniform draw from the tangent ball of the given radius at x: one `sample_unit_ball` draw."""
+        self._check_point(x)
+        if radius < 0:
+            raise ValueError("radius must be nonnegative")
+        unit, rng = sample_unit_ball(self.intrinsic_dim, rng)
+        return Tangent(x, self._ball_tangent_array(x.coords, self._tangent_basis_array(x.coords), radius, unit)), rng
 
     def tangent_basis(self, x: Point) -> np.ndarray:
         """Orthonormal basis of the tangent space at x, columns in ambient coordinates."""
-        raise NotImplementedError
+        self._check_point(x)
+        return self._tangent_basis_array(x.coords)
 
     def check_second_order(self, x: Point, s: Tangent) -> float:
         """Finite-difference norm of the intrinsic initial acceleration of t -> Retr_x(t s).
@@ -192,16 +206,16 @@ class Euclidean(Manifold):
         scale = self._check_adjoint_args(x, s, w)
         return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
-    def sample_ball(self, x, radius, rng, basis=None):
-        self._check_point(x)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        ball, rng = sample_unit_ball(self.dim, rng)
-        return Tangent(x, radius * ball), rng
+    def _tangent_basis_array(self, x):
+        # a read-only view: the identity is never copied per point
+        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim))
 
-    def tangent_basis(self, x):
-        self._check_point(x)
-        return np.eye(self.dim)
+    def _ball_tangent_array(self, x, basis, radius, unit):
+        return radius * unit
+
+    # each class holds its own name for these, so the bench tracer can wrap them per class
+    sample_ball = Manifold.sample_ball
+    tangent_basis = Manifold.tangent_basis
 
     def check_second_order(self, x, s) -> float:
         # radial curves are straight lines; the acceleration is identically zero
@@ -270,32 +284,34 @@ class Sphere(Manifold):
         scale = self._check_adjoint_args(x, s, w)
         return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
-    def sample_ball(self, x, radius, rng, basis=None):
-        self._check_point(x)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
-        ball, rng = sample_unit_ball(self.intrinsic_dim, rng)
-        ambient = (self.tangent_basis(x) if basis is None else basis) @ (radius * ball)
-        ambient = self._project_array(x.coords, ambient)
-        nrm = float(np.linalg.norm(ambient))
-        if nrm > radius:  # pragma: no cover - round-off guard
-            ambient = ambient * (radius / nrm)
-        return Tangent(x, ambient), rng
+    def _tangent_basis_array(self, x):
+        """Orthonormal basis of x-perp at each point: a Householder reflector with one column dropped.
 
-    def tangent_basis(self, x):
-        """Orthonormal basis of x-perp: a Householder reflector with one column dropped.
-
-        With p the index of the largest |x_i| and v = x + sign(x_p) e_p, the
-        reflector I - v v^T / (1 + |x_p|) maps e_p to -sign(x_p) x, so its other
-        columns span x-perp. The sign choice keeps the denominator >= 1.
-        Deterministic given coordinates; O(n^2).
+        With p the index of the largest |x_i| (the first on a tie) and
+        v = x + sign(x_p) e_p, the reflector I - v v^T / (1 + |x_p|) maps e_p to
+        -sign(x_p) x, so its other columns span x-perp. The sign choice keeps the
+        denominator >= 1. Deterministic given coordinates; O(n^2) per point.
         """
-        self._check_point(x)
-        xc = x.coords
-        p = int(np.argmax(np.abs(xc)))
-        v = xc.copy()
-        v[p] += np.copysign(1.0, xc[p])
-        others = np.delete(np.arange(self.n), p)
-        basis = np.outer(v, v[others] / -(1.0 + abs(xc[p])))
-        basis[others, np.arange(self.n - 1)] += 1.0
+        n = self.n
+        p = np.argmax(np.abs(x), axis=-1, keepdims=True)
+        at_p = np.arange(n) == p
+        x_p = x[at_p]
+        v = x.copy()
+        v[at_p] = x_p + np.copysign(1.0, x_p)
+        w = v[~at_p].reshape(x.shape[:-1] + (n - 1,)) / -(1.0 + np.abs(x_p.reshape(p.shape)))
+        basis = v[..., :, None] * w[..., None, :]
+        # kept column j is column others[j] of the reflector: add the identity's entry (others[j], j)
+        others = np.arange(n - 1) + (np.arange(n - 1) >= p)
+        stack = basis.reshape(-1, n, n - 1)
+        stack[np.arange(len(stack))[:, None], others.reshape(-1, n - 1), np.arange(n - 1)] += 1.0
         return basis
+
+    def _ball_tangent_array(self, x, basis, radius, unit):
+        ambient = self._project_array(x, np.matvec(basis, radius * unit))
+        nrm = _norm(ambient, keepdims=True)
+        # round-off guard: a row longer than radius is scaled back onto the sphere of that radius
+        return ambient * np.divide(radius, nrm, out=np.ones_like(nrm), where=nrm > radius)
+
+    # each class holds its own name for these, so the bench tracer can wrap them per class
+    sample_ball = Manifold.sample_ball
+    tangent_basis = Manifold.tangent_basis

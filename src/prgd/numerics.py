@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +115,12 @@ def fd_hessian_from_gradients(gradient_many, center, basis) -> np.ndarray:
     return 0.5 * (hess + hess.mT)
 
 
+# one re-keyed Philox bit generator and Generator per thread, made at a thread's first draw; every draw
+# writes the whole state first, so no draw depends on the one before it
+_PHILOX = threading.local()
+_EMPTY_BUFFER = (0, 0, 0, 0)
+
+
 @dataclass(frozen=True)
 class RngStream:
     """Splittable counter-based random stream (Philox), advanced by value.
@@ -138,13 +145,36 @@ class RngStream:
             object.__setattr__(self, name, val)
 
     def _generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream], dtype=np.uint64)
-        # each draw owns a disjoint 2^192-block of the Philox counter space
-        counter = np.array([0, 0, 0, self.index], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(counter=counter, key=key))
+        """This thread's generator, set to the state of a fresh `Philox(counter, key)`.
+
+        The key is (seed, stream) and the counter (0, 0, 0, index), so each draw
+        owns a disjoint 2^192-block of the counter space; the buffer is empty.
+        Writing the state costs far less than building a new bit generator.
+        """
+        try:
+            bits, gen = _PHILOX.pair
+        except AttributeError:
+            bits = np.random.Philox(key=0)
+            gen = np.random.Generator(bits)
+            _PHILOX.pair = bits, gen
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, self.index), "key": (self.seed, self.stream)},
+            "buffer": _EMPTY_BUFFER,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
     def _next(self) -> "RngStream":
-        return RngStream(self.seed, self.stream, self.index + 1)
+        """The stream one draw on; its fields are already valid, so only the new index is checked."""
+        index = self.index + 1
+        if index >= 2**64:
+            raise ValueError(f"index must lie in [0, 2^64), got {index}")
+        nxt = object.__new__(RngStream)
+        vars(nxt).update(seed=self.seed, stream=self.stream, index=index)
+        return nxt
 
     def standard_normal(self, shape=None):
         """Draw standard normals; returns (values, advanced stream)."""

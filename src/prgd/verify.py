@@ -19,14 +19,14 @@ from .descent import (
 )
 from .errors import NumericalError
 from .manifolds import Point, Sphere, Tangent
-from .numerics import RngStream, _norm, fd_hessian_from_gradients, min_eigpair, operator_norm
+from .numerics import RngStream, _norm, fd_hessian_from_gradients, min_eigpair, operator_norm, sample_unit_ball
 from .pullback import Pullback, pullback_gradient_rows, pullback_step
 
 AUDIT_SLACK = 1e-9
 DECREASE_SLACK = 1e-12
 # a Lipschitz sample needs ||s|| >= MIN_SAMPLE_NORM, so the ball must be wider
 MIN_SAMPLE_NORM = 1e-8
-# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats
+# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats (rows and tangent bases)
 SWEEP_CHUNK = 8
 SWEEP_BLOCK_FLOATS = 2**17
 
@@ -99,40 +99,58 @@ def random_point(manifold, rng: RngStream) -> tuple[Point, RngStream]:
     return manifold.point(gauss), rng
 
 
-def _sample_pair(manifold, ball, rng, keep_basis):
-    """Coordinates of a random point x and a ball draw s at x, ||s|| >= MIN_SAMPLE_NORM, and (`keep_basis`)
-    the tangent basis at x, built once for the draws and the caller."""
-    x, rng = random_point(manifold, rng)
-    basis = manifold.tangent_basis(x) if keep_basis else None
-    while True:
-        s, rng = manifold.sample_ball(x, ball, rng, basis)
-        if s.norm >= MIN_SAMPLE_NORM:
-            return x.coords, s.coords, basis, rng
+def _draw_chunk(manifold, ball, count, rng):
+    """Up to `count` samples (x, tangent bases at x, s) and the advanced stream, drawn in stream order.
+
+    Each sample draws a random point x, then unit-ball draws until its tangent s in
+    the ball has ||s|| >= MIN_SAMPLE_NORM. The draws are made first and the bases
+    and tangents of the whole chunk in one stacked pass. A row that needs a redraw
+    ends the chunk there, since every later row's draws move down the stream.
+    """
+    k = manifold.intrinsic_dim
+    x, unit, after = [], [], []
+    for _ in range(count):
+        point, rng = random_point(manifold, rng)
+        u, rng = sample_unit_ball(k, rng)
+        x.append(point.coords)
+        unit.append(u)
+        after.append(rng)
+    x = np.array(x)
+    bases = manifold._tangent_basis_array(x)
+    s = manifold._ball_tangent_array(x, bases, ball, np.array(unit))
+    short = np.flatnonzero(_norm(s) < MIN_SAMPLE_NORM)
+    if short.size:
+        last = short[0]
+        x, bases, s, rng = x[:last + 1], bases[:last + 1], s[:last + 1], after[last]
+        while _norm(s[last]) < MIN_SAMPLE_NORM:
+            u, rng = sample_unit_ball(k, rng)
+            s[last] = manifold._ball_tangent_array(x[last], bases[last], ball, u)
+    return x, bases, s, rng
 
 
-def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample, keep_basis):
+def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
     """Max of `block_ratios(x, s, bases)` over n_samples samples, drawn in stream order.
 
     Each chunk of samples is evaluated as one stacked block: at most SWEEP_CHUNK samples and
-    about SWEEP_BLOCK_FLOATS floats of their rows_per_sample rows. A non-finite ratio raises.
+    about SWEEP_BLOCK_FLOATS floats of their tangent bases and rows_per_sample rows. A
+    non-finite ratio raises.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if not (MIN_SAMPLE_NORM < ball < math.inf):
         raise ValueError(f"ball must lie in ({MIN_SAMPLE_NORM}, inf), got {ball!r}")
     manifold = problem.manifold
-    chunk = max(1, min(SWEEP_CHUNK, SWEEP_BLOCK_FLOATS // (rows_per_sample * manifold.ambient_dim)))
+    n = manifold.ambient_dim
+    chunk = max(1, min(SWEEP_CHUNK, SWEEP_BLOCK_FLOATS // ((rows_per_sample + manifold.intrinsic_dim) * n)))
     worst = 0.0
-    for first in range(0, n_samples, chunk):
-        draws = []
-        for _ in range(min(chunk, n_samples - first)):
-            *draw, rng = _sample_pair(manifold, ball, rng, keep_basis)
-            draws.append(draw)
-        x, s, bases = zip(*draws)
-        ratios = block_ratios(np.array(x), np.array(s), np.array(bases) if keep_basis else None)
+    done = 0
+    while done < n_samples:
+        x, bases, s, rng = _draw_chunk(manifold, ball, min(chunk, n_samples - done), rng)
+        ratios = block_ratios(x, s, bases)
         if not np.all(np.isfinite(ratios)):
             raise NumericalError("non-finite pullback gradient or Lipschitz ratio")
         worst = max(worst, float(ratios.max()))
+        done += len(x)
     return worst
 
 
@@ -144,7 +162,7 @@ def empirical_grad_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
         g_0 = problem._value_and_gradient_array(x)[1]
         return _norm(g_s - g_0) / _norm(s)
 
-    return _sweep(problem, ball, n_samples, rng, block_ratios, 1, keep_basis=False)
+    return _sweep(problem, ball, n_samples, rng, block_ratios, 1)
 
 
 def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStream) -> float:
@@ -158,7 +176,7 @@ def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
         diff = fd_hessian_from_gradients(gradients, center, bases) - fd_hessian_from_gradients(gradients, 0.0, bases)
         return operator_norm(diff) / _norm(s)
 
-    return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * k, keep_basis=True)
+    return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * k)
 
 
 @dataclass

@@ -4,12 +4,36 @@ import numpy as np
 import pytest
 
 from prgd.manifolds import Euclidean, Sphere
-from prgd.numerics import RngStream
+from prgd.numerics import RngStream, sample_unit_ball
+from sweep_oracles import householder_basis, sphere_ball_tangent
 
 
 def sphere_point(sph, rng):
     g, rng = rng.standard_normal(sph.ambient_dim)
     return sph.point(g / np.linalg.norm(g)), rng
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes: unlike np.array_equal, -0.0 and 0.0 differ."""
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def basis_test_points(n, seed):
+    """Random unit vectors, ties in |x_i|, negative largest entries and the +/- coordinate axes of R^n."""
+    sph = Sphere(n)
+    rng = RngStream(seed, n)
+    points = []
+    for _ in range(8):
+        x, rng = sphere_point(sph, rng)
+        points += [x.coords, -x.coords]
+    ties = np.ones(n)
+    ties[1::2] = -1.0
+    points += [ties / np.linalg.norm(ties), -ties / np.linalg.norm(ties)]
+    top = np.linspace(0.1, 0.5, n)
+    top[n // 2] = -1.0
+    points.append(top / np.linalg.norm(top))
+    points += [sign * axis for axis in np.eye(n) for sign in (1.0, -1.0)]
+    return sph, np.array(points)
 
 
 class TestPointsAndTangents:
@@ -265,6 +289,31 @@ class TestSampleBall:
         with pytest.raises(ValueError):
             eu.sample_ball(eu.point([0.0, 0.0]), -1.0, RngStream(1))
 
+    @pytest.mark.parametrize("manifold", [Sphere(2), Sphere(7), Sphere(40), Euclidean(1), Euclidean(5)])
+    def test_stacked_map_matches_per_point_draws(self, manifold):
+        # one stacked pass over draws at many points gives each point's validated sample_ball, bit for bit
+        if isinstance(manifold, Sphere):
+            _, x = basis_test_points(manifold.n, 3)
+        else:
+            x, _ = RngStream(3).standard_normal((12, manifold.dim))
+        radii = np.resize([0.0, 0.3, 1.0, 7.5], len(x))
+        rng = RngStream(19, manifold.ambient_dim)
+        units, draws = [], []
+        for xi, radius in zip(x, radii):
+            units.append(sample_unit_ball(manifold.intrinsic_dim, rng)[0])
+            s, rng = manifold.sample_ball(manifold.point(xi), radius, rng)
+            draws.append(s.coords)
+        bases = manifold._tangent_basis_array(x)
+        stacked = manifold._ball_tangent_array(x, bases, radii[:, None], np.array(units))
+        assert same_bits(stacked, np.array(draws))
+        for i in range(len(x)):
+            one_row = manifold._ball_tangent_array(x[i], bases[i], radii[i], units[i])
+            assert same_bits(one_row, draws[i])
+            if isinstance(manifold, Sphere):
+                assert same_bits(draws[i], sphere_ball_tangent(x[i], householder_basis(x[i]), radii[i], units[i]))
+            else:
+                assert same_bits(draws[i], radii[i] * units[i])
+
 
 class TestTangentBasis:
     @pytest.mark.parametrize("seed", range(5))
@@ -307,6 +356,22 @@ class TestTangentBasis:
     def test_euclidean_identity(self):
         eu = Euclidean(3)
         assert np.array_equal(eu.tangent_basis(eu.point([1.0, 2.0, 3.0])), np.eye(3))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 50])
+    def test_stacked_kernel_matches_per_point(self, n):
+        sph, x = basis_test_points(n, 7)
+        stacked = sph._tangent_basis_array(x)
+        assert stacked.shape == (len(x), n, n - 1)
+        for xi, basis in zip(x, stacked):
+            assert same_bits(basis, sph.tangent_basis(sph.point(xi)))
+            assert same_bits(basis, householder_basis(xi))
+        # any leading axes
+        assert same_bits(sph._tangent_basis_array(x[:6].reshape(2, 3, n)), stacked[:6].reshape(2, 3, n, n - 1))
+
+    def test_euclidean_stacked_identity(self):
+        eu = Euclidean(3)
+        x, _ = RngStream(2).standard_normal((4, 3))
+        assert np.array_equal(eu._tangent_basis_array(x), np.broadcast_to(np.eye(3), (4, 3, 3)))
 
 
 class TestSecondOrderCheck:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -302,3 +304,118 @@ class TestRngStream:
             RngStream(-1)
         with pytest.raises(ValueError):
             RngStream(2**64)
+
+
+def fresh_philox(seed, stream, index):
+    """The draw-per-generator oracle: a new Philox keyed (seed, stream) at counter (0, 0, 0, index)."""
+    key = np.array([seed, stream], dtype=np.uint64)
+    counter = np.array([0, 0, 0, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+
+
+# draws recorded with one fresh Philox generator per draw; they must never change
+PINNED_DRAWS = [
+    (lambda: RngStream(0).standard_normal()[0], "0x1.463cb3872ecbdp-3"),
+    (lambda: RngStream(0).uniform()[0], "0x1.7a5d3204726c0p-7"),
+    (lambda: RngStream(2024, 7, 3).standard_normal(3)[0],
+     ["0x1.888fe084f9e73p+0", "0x1.ce9b0a8aa404ep-3", "0x1.89b0dc181ff9fp+0"]),
+    (lambda: RngStream(2**64 - 1, 2**64 - 1, 2**64 - 2).uniform(2)[0], ["0x1.c0406955466dcp-3", "0x1.f12dbb27d1c2cp-1"]),
+    (lambda: RngStream(11, 2**48, 2**40).standard_normal((2, 1))[0].ravel(),
+     ["0x1.54ef185c7718fp-2", "0x1.464ecdb8f2866p-6"]),
+    # normals, then a uniform from the same generator, as `sample_unit_ball` draws them
+    (lambda: (lambda g: [*g.standard_normal(2), g.random()])(RngStream(5, 1, 9)._generator()),
+     ["0x1.924f46f7d3f58p-3", "0x1.28424ff150c81p+0", "0x1.9c58ec218038ep-1"]),
+    (lambda: (lambda g: [*g.standard_normal(2), g.random()])(RngStream(3, 0, 2**64 - 1)._generator()),
+     ["0x1.e86c6124a0586p+0", "-0x1.02cd16346b3acp-3", "0x1.341065bbd19ccp-3"]),
+]
+
+
+class TestRekeyedGenerator:
+    """Each draw re-keys one generator per thread; it must give a fresh generator's draws, bit for bit."""
+
+    def test_matches_a_fresh_generator_per_draw(self):
+        pick = np.random.default_rng(20261018)
+        for trial in range(3000):
+            seed, stream, index = (int(v) for v in pick.integers(0, 2**64, 3, dtype=np.uint64))
+            index = (0, 2**64 - 1, index)[trial % 3]
+            size = int(pick.integers(1, 40))
+            oracle = fresh_philox(seed, stream, index)
+            want = oracle.standard_normal(size), oracle.random()
+            gen = RngStream(seed, stream, index)._generator()
+            got = gen.standard_normal(size), gen.random()
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], (seed, stream, index, size)
+
+    @pytest.mark.parametrize("index", [0, 1, 2**63, 2**64 - 2])
+    def test_public_draws_match_the_oracle(self, index):
+        rng = RngStream(2**64 - 1, 17, index)
+        for shape in (None, 5, (3, 4)):
+            got, nxt = rng.standard_normal(shape)
+            want = fresh_philox(2**64 - 1, 17, index).standard_normal(shape)
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(want) and nxt.index == index + 1
+            got, _ = rng.uniform(shape)
+            want = fresh_philox(2**64 - 1, 17, index).random(shape)
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+        point, _ = sample_unit_ball(7, rng)
+        oracle = fresh_philox(2**64 - 1, 17, index)
+        direction, u = oracle.standard_normal(7), oracle.random()
+        assert np.array_equal(point, direction * (u ** (1.0 / 7) / np.linalg.norm(direction)))
+
+    @pytest.mark.parametrize("draw,want", PINNED_DRAWS)
+    def test_pinned_draws(self, draw, want):
+        got = draw()
+        assert (got.hex() if np.ndim(got) == 0 else [float(v).hex() for v in got]) == want
+
+    def test_advance_does_not_revalidate(self, monkeypatch):
+        calls = []
+        post_init = RngStream.__post_init__
+        monkeypatch.setattr(RngStream, "__post_init__", lambda self: calls.append(1) or post_init(self))
+        rng = RngStream(4, 2)
+        assert len(calls) == 1
+        for _ in range(10):
+            _, rng = sample_unit_ball(3, rng)
+            _, rng = rng.uniform()
+        assert len(calls) == 1
+        assert rng == RngStream(4, 2, 20) and hash(rng) == hash(RngStream(4, 2, 20))
+        with pytest.raises(AttributeError):
+            rng.index = 0
+
+    def test_last_index_raises_on_advance(self):
+        last = RngStream(1, 2, 2**64 - 1)
+        for draw in (last.standard_normal, last.uniform, lambda: sample_unit_ball(3, last)):
+            with pytest.raises(ValueError, match="index must lie in"):
+                draw()
+
+    def test_threads_reproduce_their_serial_draws(self):
+        # threads draw from different streams at once, with thread switches as often as the interpreter
+        # allows; a generator shared between them would hand one thread's state to another's draw
+        streams = range(1, 5)
+
+        def draws(stream, out, start=None):
+            if start is not None:
+                start.wait(timeout=30)
+            rng = RngStream(77, stream)
+            for _ in range(2000):
+                point, rng = sample_unit_ball(4, rng)
+                value, rng = rng.uniform()
+                out.append((point, value))
+
+        serial = {stream: [] for stream in streams}
+        for stream in streams:
+            draws(stream, serial[stream])
+        results = {stream: [] for stream in streams}
+        start = threading.Barrier(len(streams))
+        workers = [threading.Thread(target=draws, args=(stream, results[stream], start)) for stream in streams]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for stream in streams:
+            assert len(results[stream]) == len(serial[stream])
+            for (p, v), (q, w) in zip(results[stream], serial[stream]):
+                assert np.array_equal(p, q) and v == w

@@ -13,10 +13,10 @@ from prgd.descent import (
     derive_params,
     prgd,
 )
-from prgd import verify
+from prgd import manifolds, verify
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Sphere
-from prgd.numerics import RngStream, min_eigpair
+from prgd.numerics import RngStream, min_eigpair, sample_unit_ball
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.verify import (
     SWEEP_CHUNK,
@@ -218,6 +218,24 @@ class TestBlockSweeps:
                 == hess_lipschitz_loop(problem, 5.0, n_samples, RngStream(41, 0)))
         # every sample is drawn: equal maxima alone could hide a dropped one
         assert len(points) == 2 * n_samples
+
+    @pytest.mark.parametrize("problem", [PcaProblem(np.diag([2.0, 1.0])), QuadraticSaddle([[-1.0]])],
+                             ids=["pca", "quadratic_saddle"])
+    def test_redrawn_samples_match_the_per_sample_loop(self, problem, monkeypatch):
+        # with k = 1 a ball draw of radius 2e-8 is shorter than MIN_SAMPLE_NORM about half the time
+        loop_draws = []
+
+        def counted(dim, rng):
+            loop_draws.append(rng)
+            return sample_unit_ball(dim, rng)
+
+        monkeypatch.setattr(manifolds, "sample_unit_ball", counted)
+        assert (empirical_grad_lipschitz(problem, 2e-8, 40, RngStream(40, 0))
+                == grad_lipschitz_loop(problem, 2e-8, 40, RngStream(40, 0)))
+        assert (empirical_hess_lipschitz(problem, 2e-8, 40, RngStream(41, 0))
+                == hess_lipschitz_loop(problem, 2e-8, 40, RngStream(41, 0)))
+        # the loops drew one ball sample per sample plus one per redraw
+        assert len(loop_draws) >= 2 * 40 + 20
 
     def test_small_ball_and_large_dimension_match_the_loop(self):
         # at n = 300 a block of Hessian rows would exceed the float cap, so each sample is its own block
