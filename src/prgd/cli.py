@@ -63,15 +63,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ell", type=float, help="override the pullback gradient Lipschitz bound")
         p.add_argument("--rho", type=float, help="override the pullback Hessian Lipschitz bound")
         p.add_argument("--ball", type=float, default=math.inf, help="tangent ball radius b (default +inf)")
-        p.add_argument("--terminate", action=argparse.BooleanOptionalAction, default=None,
+
+    def add_terminate(p, default):
+        p.add_argument("--terminate", action=argparse.BooleanOptionalAction,
                        help="halt once a perturbation phase fails to decrease (default: off for run, on for study)")
+        p.set_defaults(terminate=default)
 
     run_p = sub.add_parser("run", help="one seeded PRGD run")
     add_common(run_p)
+    add_terminate(run_p, False)
     run_p.add_argument("--out", required=True, help="output prefix for .trace.csv and .summary.json")
 
     study_p = sub.add_parser("study", help="multi-trial escape-rate study from a saddle")
     add_common(study_p)
+    add_terminate(study_p, True)
     study_p.add_argument("--out", required=True, help="output prefix for .summary.json")
     study_p.add_argument("--trials", type=int, default=1)
     study_p.add_argument("--algorithm", choices=["prgd", "rgd"], default="prgd")
@@ -206,9 +211,8 @@ def _second_order_summary(problem, trace, params):
 def run_single(args) -> int:
     setup = _setup(args)
     params = setup.params
-    terminate = bool(args.terminate) if args.terminate is not None else False
     trace = prgd(setup.problem, setup.x0, params, RngStream(args.seed, 0),
-                 terminate_on_no_decrease=terminate)
+                 terminate_on_no_decrease=args.terminate)
     _write_trace_csv(f"{args.out}.trace.csv", trace)
     summary = {
         "final_f": trace.final_f,
@@ -268,10 +272,9 @@ def run_escape_study(args) -> int:
         raise ValueError("--trials must be at least 1")
     setup = _setup(args)
     params = setup.params
-    terminate = bool(args.terminate) if args.terminate is not None else True
     results = escape_study(
         setup.problem, setup.x0, params, args.seed, args.trials,
-        algorithm=args.algorithm, terminate=terminate,
+        algorithm=args.algorithm, terminate=args.terminate,
         rgd_max_iters=args.max_iters, v_max=setup.v_max,
     )
     records = []

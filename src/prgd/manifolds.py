@@ -48,8 +48,8 @@ class Manifold:
     base point serves a block of vectors as `x[..., None, :]`. Each row gets
     the same float operations as a 1-d call, bit for bit. The retraction also
     returns the scale (for the sphere ||x + s||) that the adjoint takes, so an
-    adjoint reuses what its retraction computed. `tangent_basis` and
-    `sample_ball` are validated one-point calls of the last two.
+    adjoint reuses what its retraction computed. Each validated method is its
+    argument checks plus one call of these kernels.
     """
 
     name = "abstract"
@@ -57,7 +57,10 @@ class Manifold:
     intrinsic_dim = 0
 
     def point(self, coords) -> Point:
-        raise NotImplementedError
+        c = as_vector(coords)
+        if c.shape != (self.ambient_dim,):
+            raise ValueError(f"point has shape {c.shape}, expected ({self.ambient_dim},)")
+        return Point(self, c)
 
     def _project_array(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -92,19 +95,19 @@ class Manifold:
             raise ValueError(f"tangent has shape {s.coords.shape}, expected ({self.ambient_dim},)")
 
     def tangent(self, base: Point, coords) -> Tangent:
-        """Wrap validated coordinates as a tangent vector at `base`."""
+        """Wrap validated coordinates as a tangent vector at `base`; the normal part must be within TANGENT_TOL."""
         self._check_point(base)
-        return Tangent(base, as_vector(coords))
+        c = as_vector(coords)
+        if c.shape != (self.ambient_dim,):
+            raise ValueError(f"tangent has shape {c.shape}, expected ({self.ambient_dim},)")
+        normal = float(_norm(c - self._project_array(base.coords, c)))
+        if normal > TANGENT_TOL * (1.0 + float(_norm(c))):
+            raise ValueError(f"vector is not tangent to {self.name} at the base point (normal part {normal:.3e})")
+        return Tangent(base, c)
 
     def zero_tangent(self, x: Point) -> Tangent:
         self._check_point(x)
         return Tangent(x, np.zeros(self.ambient_dim))
-
-    def inner(self, u: Tangent, v: Tangent) -> float:
-        """Riemannian inner product (induced ambient dot product)."""
-        if not same_point(u.base, v.base):
-            raise ValueError("inner product requires tangents at the same base point")
-        return float(u.coords @ v.coords)
 
     def project(self, x: Point, v) -> Tangent:
         """Orthogonal projection of an ambient vector onto the tangent space at x."""
@@ -120,19 +123,19 @@ class Manifold:
             raise ValueError("tangent vector is not based at the retraction point")
         return Point(self, self._retract_array(x.coords, s.coords))
 
+    def retract_many(self, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
+        """Unchecked retractions of the rows of `tangents` at base coordinates x."""
+        return self._retract_array(x[..., None, :], tangents)
+
     def retraction_adjoint(self, x: Point, s: Tangent, w: Tangent) -> Tangent:
         """Adjoint of the retraction differential, pulling w at Retr_x(s) back to x."""
-        raise NotImplementedError
-
-    def _check_adjoint_args(self, x: Point, s: Tangent, w: Tangent):
-        """Validate (x, s, w) for `retraction_adjoint`; returns the scale of Retr_x(s) for its adjoint."""
         self._check_tangent(s)
         if not same_point(s.base, x):
             raise ValueError("tangent vector is not based at x")
         y, scale = self._retract_scaled_array(x.coords, s.coords)
         if not (w.base.manifold == self and np.array_equal(w.base.coords, y)):
             raise ValueError("w must be a tangent vector at Retr_x(s)")
-        return scale
+        return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
     def sample_ball(self, x: Point, radius: float, rng: RngStream) -> tuple[Tangent, RngStream]:
         """Uniform draw from the tangent ball of the given radius at x: one `sample_unit_ball` draw."""
@@ -184,27 +187,14 @@ class Euclidean(Manifold):
     def intrinsic_dim(self):
         return self.dim
 
-    def point(self, coords) -> Point:
-        c = as_vector(coords)
-        if c.shape != (self.dim,):
-            raise ValueError(f"point has shape {c.shape}, expected ({self.dim},)")
-        return Point(self, c)
-
     def _project_array(self, x, v):
         return v
 
     def _retract_scaled_array(self, x, s):
         return x + s, None
 
-    def retract_many(self, x, tangents):
-        return self._retract_array(x[..., None, :], tangents)
-
     def _scaled_adjoint_array(self, x, scale, w):
         return w
-
-    def retraction_adjoint(self, x, s, w):
-        scale = self._check_adjoint_args(x, s, w)
-        return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
     def _tangent_basis_array(self, x):
         # a read-only view: the identity is never copied per point
@@ -216,6 +206,8 @@ class Euclidean(Manifold):
     # each class holds its own name for these, so the bench tracer can wrap them per class
     sample_ball = Manifold.sample_ball
     tangent_basis = Manifold.tangent_basis
+    retract_many = Manifold.retract_many
+    retraction_adjoint = Manifold.retraction_adjoint
 
     def check_second_order(self, x, s) -> float:
         # radial curves are straight lines; the acceleration is identically zero
@@ -248,23 +240,11 @@ class Sphere(Manifold):
         return self.n - 1
 
     def point(self, coords) -> Point:
-        c = as_vector(coords)
-        if c.shape != (self.n,):
-            raise ValueError(f"point has shape {c.shape}, expected ({self.n},)")
-        nrm = float(np.linalg.norm(c))
+        x = super().point(coords)
+        nrm = float(np.linalg.norm(x.coords))
         if abs(nrm - 1.0) > POINT_NORM_TOL:
             raise ValueError(f"sphere point must have unit norm, got {nrm!r}")
-        return Point(self, c)
-
-    def tangent(self, base: Point, coords) -> Tangent:
-        self._check_point(base)
-        c = as_vector(coords)
-        if c.shape != (self.n,):
-            raise ValueError(f"tangent has shape {c.shape}, expected ({self.n},)")
-        align = abs(float(base.coords @ c))
-        if align > TANGENT_TOL * (1.0 + float(np.linalg.norm(c))):
-            raise ValueError(f"vector is not tangent to the sphere at the base point (x.s = {align:.3e})")
-        return Tangent(base, c)
+        return x
 
     def _project_array(self, x, v):
         return v - np.vecdot(x, v, keepdims=True) * x
@@ -274,15 +254,8 @@ class Sphere(Manifold):
         scale = _norm(y, keepdims=True)
         return y / scale, scale
 
-    def retract_many(self, x, tangents):
-        return self._retract_array(x[..., None, :], tangents)
-
     def _scaled_adjoint_array(self, x, scale, w):
         return self._project_array(x, w) / scale
-
-    def retraction_adjoint(self, x, s, w):
-        scale = self._check_adjoint_args(x, s, w)
-        return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
     def _tangent_basis_array(self, x):
         """Orthonormal basis of x-perp at each point: a Householder reflector with one column dropped.
@@ -315,3 +288,5 @@ class Sphere(Manifold):
     # each class holds its own name for these, so the bench tracer can wrap them per class
     sample_ball = Manifold.sample_ball
     tangent_basis = Manifold.tangent_basis
+    retract_many = Manifold.retract_many
+    retraction_adjoint = Manifold.retraction_adjoint

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
 from .numerics import EIG_DIM_LIMIT, RngStream, as_sym_matrix, as_vector, sym_eigenvalues
 
@@ -19,7 +20,8 @@ class CostFunction:
     `_value_and_gradient_array` is the unchecked oracle of the descent loops
     and the block gradients, for one point or for any stack of points (one per
     row along the last axis); a subclass may override it to share work between
-    value and gradient, or to evaluate a block at once.
+    value and gradient, or to evaluate a block at once. The validated
+    `riemannian_gradient` is a point check plus one call of that oracle.
     """
 
     manifold: Manifold
@@ -31,7 +33,11 @@ class CostFunction:
         raise NotImplementedError
 
     def riemannian_gradient(self, x: Point) -> Tangent:
-        return self.manifold.project(x, self.euclidean_gradient(x))
+        self._check_point(x)
+        grad = self._value_and_gradient_array(x.coords)[1]
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("Riemannian gradient is non-finite")
+        return Tangent(x, grad)
 
     def _value_and_gradient_array(self, y: np.ndarray):
         """Value and Riemannian-gradient coordinates at manifold coordinates y, without checks.
@@ -86,7 +92,7 @@ class PcaProblem(CostFunction):
 
     def value(self, x: Point) -> float:
         self._check_point(x)
-        return -0.5 * float(x.coords @ (self.matrix @ x.coords))
+        return float(self._value_and_gradient_array(x.coords)[0])
 
     def euclidean_gradient(self, x: Point) -> np.ndarray:
         self._check_point(x)
@@ -125,7 +131,7 @@ class QuadraticSaddle(CostFunction):
 
     def value(self, x: Point) -> float:
         self._check_point(x)
-        return 0.5 * float(x.coords @ (self.matrix @ x.coords))
+        return float(self._value_and_gradient_array(x.coords)[0])
 
     def euclidean_gradient(self, x: Point) -> np.ndarray:
         self._check_point(x)

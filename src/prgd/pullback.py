@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from .errors import NumericalError
 from .manifolds import Point, Tangent, same_point
 from .numerics import fd_hessian_from_gradients
 
@@ -19,6 +20,7 @@ class Pullback:
     retraction differential). Hessians are central differences of the exact
     pullback gradient, 2k gradient evaluations, O(k*n) memory, in an orthonormal
     tangent basis, so on the sphere they are intrinsic (n-1) x (n-1) matrices.
+    `value` and `gradient` are their checks plus one `pullback_step`.
     """
 
     problem: object
@@ -41,28 +43,28 @@ class Pullback:
 
     def value(self, s: Tangent) -> float:
         self._check_arg(s)
-        return self.problem.value(self.manifold.retract(self.base, s))
+        self.manifold._check_tangent(s)
+        return float(pullback_step(self.problem, self.base.coords, s.coords)[1])
 
     def gradient(self, s: Tangent) -> Tangent:
         """Adjoint of the retraction differential applied to the downstream gradient."""
         self._check_arg(s)
         self.manifold._check_tangent(s)
-        y, scale = self.manifold._retract_scaled_array(self.base.coords, s.coords)
-        grad_y = self.problem.riemannian_gradient(Point(self.manifold, y)).coords
-        return Tangent(self.base, self.manifold._scaled_adjoint_array(self.base.coords, scale, grad_y))
-
-    def gradient_many(self, tangents: np.ndarray) -> np.ndarray:
-        """Exact gradients at rows of `tangents` (ambient tangent coordinates at the base)."""
-        return pullback_gradient_rows(self.problem, self.base.coords, tangents)
+        grad = pullback_step(self.problem, self.base.coords, s.coords)[3]
+        if not np.all(np.isfinite(grad)):
+            raise NumericalError("pullback gradient is non-finite")
+        return Tangent(self.base, grad)
 
     def hessian_at_zero(self) -> np.ndarray:
         """Finite-difference Hessian at the tangent-space origin, in the orthonormal basis."""
-        return fd_hessian_from_gradients(self.gradient_many, 0.0, self.basis)
+        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, self.base.coords),
+                                         0.0, self.basis)
 
     def hessian_at(self, s: Tangent) -> np.ndarray:
         """Finite-difference Hessian at a tangent point, in the same orthonormal basis."""
         self._check_arg(s)
-        return fd_hessian_from_gradients(self.gradient_many, self.basis @ (self.basis.T @ s.coords), self.basis)
+        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, self.base.coords),
+                                         self.basis @ (self.basis.T @ s.coords), self.basis)
 
 
 def pullback_step(problem, x: np.ndarray, s: np.ndarray):
@@ -77,7 +79,7 @@ def pullback_step(problem, x: np.ndarray, s: np.ndarray):
 
 
 def pullback_gradient_rows(problem, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Unchecked `Pullback.gradient_many` at base coordinates x, or of (count, rows, n) tangents at (count, n) bases."""
+    """Unchecked pullback gradients of the rows of `tangents` at x, or of (count, rows, n) tangents at (count, n) x."""
     manifold = problem.manifold
     x = x[..., None, :]
     points, scale = manifold._retract_scaled_array(x, tangents)

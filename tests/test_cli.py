@@ -157,6 +157,14 @@ class TestStudy:
 
 
 class TestVerify:
+    @pytest.mark.parametrize("command", ["params", "verify"])
+    def test_terminate_is_not_an_option(self, command, capsys):
+        # only run and study stop on a failed decrease; the other subcommands reject the flag
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--problem", "pca", "--dim", "8", "--no-terminate"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --no-terminate" in capsys.readouterr().err
+
     def test_battery_passes_on_pca(self, capsys):
         code = main(["verify", "--problem", "pca", "--dim", "8", "--samples", "100", "--seed", "2"])
         out = capsys.readouterr().out

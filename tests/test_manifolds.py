@@ -51,35 +51,15 @@ class TestPointsAndTangents:
             sph.tangent(x, [0.5, 1.0, 0.0])
         sph.tangent(x, [0.0, 1.0, 0.0])
 
+    def test_tangent_must_have_ambient_shape(self):
+        eu = Euclidean(2)
+        x = eu.point([0.0, 0.0])
+        with pytest.raises(ValueError, match="shape"):
+            eu.tangent(x, [1.0, 2.0, 3.0])
+        eu.tangent(x, [1.0, 2.0])
+
     def test_euclidean_point_any_coords(self):
         Euclidean(2).point([5.0, -3.0])
-
-
-class TestInner:
-    def test_unit_self_inner(self):
-        eu = Euclidean(3)
-        x = eu.point([0.0, 0.0, 0.0])
-        u = eu.tangent(x, [1.0, 0.0, 0.0])
-        assert eu.inner(u, u) == 1.0
-
-    def test_orthogonal(self):
-        eu = Euclidean(2)
-        x = eu.point([1.0, 1.0])
-        assert eu.inner(eu.tangent(x, [1.0, 0.0]), eu.tangent(x, [0.0, 2.0])) == 0.0
-
-    def test_sphere_dot_product(self):
-        sph = Sphere(3)
-        x = sph.point([1.0, 0.0, 0.0])
-        u = sph.tangent(x, [0.0, 1.0, 2.0])
-        v = sph.tangent(x, [0.0, 3.0, -1.0])
-        assert sph.inner(u, v) == pytest.approx(1.0, abs=1e-15)
-
-    def test_mismatched_base_rejected(self):
-        sph = Sphere(3)
-        x = sph.point([1.0, 0.0, 0.0])
-        y = sph.point([0.0, 1.0, 0.0])
-        with pytest.raises(ValueError):
-            sph.inner(sph.tangent(x, [0.0, 1.0, 0.0]), sph.tangent(y, [1.0, 0.0, 0.0]))
 
 
 class TestProject:
