@@ -20,7 +20,7 @@ import numpy as np
 from .descent import PrgdParams, derive_params, prgd, prgd_lockstep, rgd
 from .errors import NumericalError
 from .manifolds import Point
-from .numerics import EIG_DIM_LIMIT, RngStream
+from .numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
 from .verify import (
     check_second_order_point,
@@ -110,8 +110,9 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             if a.shape[0] < 2:
                 raise ValueError("pca requires a matrix of dimension >= 2")
             problem = PcaProblem(a)
-            vals, vecs = np.linalg.eigh(a)
-            vecs = vecs[:, np.argsort(vals)[::-1]]
+            v_max = min_eigpair(-problem.matrix)[1]
+            # lifting the top eigenvalue by 3|A| leaves the second eigenvector at the bottom
+            second = min_eigpair(3.0 * problem.norm * np.outer(v_max, v_max) - problem.matrix)[1]
         else:
             if args.start == "file":
                 raise ValueError("matrix required when --problem pca starts from a file")
@@ -119,9 +120,8 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
                 raise ValueError("pca requires --matrix or --dim for the synthetic spectrum")
             a, _, vecs, _ = synthetic_matrix(args.dim, RngStream(args.seed, STREAM_SPECTRUM))
             problem = PcaProblem(a)
-        v_max = vecs[:, 0]
-        saddle = problem.manifold.point(vecs[:, 1])
-        return problem, v_max, saddle
+            v_max, second = vecs[:, 0], vecs[:, 1]
+        return problem, v_max, problem.manifold.point(second)
     if args.matrix:
         h = load_matrix(args.matrix)
         problem = QuadraticSaddle(h)

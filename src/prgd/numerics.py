@@ -45,27 +45,59 @@ def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
 
 
 def min_eigpair(m) -> tuple[float, np.ndarray]:
-    """Algebraically smallest eigenvalue and a unit eigenvector of a symmetric matrix.
+    """Algebraically smallest eigenvalue lam and a unit eigenvector v of a symmetric matrix.
 
-    The residual ||m v - lam v|| is checked against 1e-9 * ||m||; exceeding it
-    raises NumericalError.
+    lam is the first eigenvalue of `eigvalsh`, which skips the eigenvector
+    back-transform of a full `eigh`. v is one inverse-iteration solve
+    (m - sigma I) v = b from a fixed generic start b, with sigma a few ulps
+    below lam: lam - 8 eps max|lam_i|. The solve runs on m / max|lam_i|, so
+    its solution overflows at no scale.
+
+    Residual contract: ||m v - lam v|| <= 1e-9 * max|lam_i|. A second solve
+    from v runs only when the first misses it; a miss after that, or a NaN,
+    raises NumericalError. The zero matrix gives lam = 0 and v = e_1.
+
+    Sign rule: the largest-magnitude coordinate of v is positive, the first
+    one on a tie, so v depends on neither the start nor the LAPACK routine.
     """
     m = as_sym_matrix(m)
+    return _min_eigpair(0.5 * (m + m.T))
+
+
+def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """`min_eigpair` of an exactly symmetric matrix: only its size and finiteness are checked."""
     n = m.shape[0]
     if n > EIG_DIM_LIMIT:
         raise ValueError(f"matrix dimension {n} exceeds the supported limit {EIG_DIM_LIMIT}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must all be finite")
     try:
-        vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+        vals = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
-        raise NumericalError(f"symmetric eigendecomposition did not converge: {exc}") from exc
+        raise NumericalError(f"symmetric eigenvalue solve did not converge: {exc}") from exc
     lam = float(vals[0])
-    vec = np.ascontiguousarray(vecs[:, 0])
-    norm_m = float(np.abs(vals).max())
-    residual = float(np.linalg.norm(m @ vec - lam * vec))
-    if residual > 1e-9 * norm_m:
-        raise NumericalError(
-            f"eigenpair residual {residual:.3e} exceeds 1e-9 * |m| = {1e-9 * norm_m:.3e}"
-        )
+    norm_m = max(-lam, float(vals[-1]))
+    if norm_m == 0.0:
+        vec = np.zeros(n)
+        vec[0] = 1.0
+        return 0.0, vec
+    shifted = m / norm_m
+    shifted.flat[::n + 1] -= lam / norm_m - 8.0 * np.finfo(float).eps
+    # the first n normals of RngStream(0): fixed, and generic, so no eigenvector is orthogonal to it
+    vec = RngStream(0)._generator().standard_normal(n)
+    for _ in range(2):
+        try:
+            vec = np.linalg.solve(shifted, vec)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - needs an exact zero pivot
+            raise NumericalError(f"inverse-iteration solve failed: {exc}") from exc
+        vec /= np.linalg.norm(vec)
+        residual = float(np.linalg.norm(m @ vec - lam * vec))
+        if residual <= 1e-9 * norm_m:  # False for a NaN residual, which then raises
+            break
+    else:
+        raise NumericalError(f"eigenpair residual {residual:.3e} exceeds 1e-9 * |m| = {1e-9 * norm_m:.3e}")
+    if vec[np.argmax(np.abs(vec))] < 0:
+        vec = -vec
     return lam, vec
 
 

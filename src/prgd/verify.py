@@ -19,7 +19,7 @@ from .descent import (
 )
 from .errors import NumericalError
 from .manifolds import Point, Sphere, Tangent
-from .numerics import RngStream, _norm, fd_hessian_from_gradients, min_eigpair, operator_norm, sample_unit_ball
+from .numerics import RngStream, _min_eigpair, _norm, fd_hessian_from_gradients, operator_norm, sample_unit_ball
 from .pullback import Pullback, pullback_gradient_rows, pullback_step
 
 AUDIT_SLACK = 1e-9
@@ -38,7 +38,12 @@ class CriticalityReport:
     `min_eig_pullback` is lambda_min of the pullback Hessian at the origin, in
     one orthonormal tangent basis; `eigvec` is its eigenvector in ambient
     coordinates. Both retractions here are second order, so this is also
-    lambda_min of the Riemannian Hessian.
+    lambda_min of the Riemannian Hessian. The pair is `min_eigpair`'s: lambda
+    from an eigenvalues-only solve, the vector from one inverse-iteration
+    solve, with ||H v - lambda v|| <= 1e-9 * ||H|| in the tangent basis. Sign
+    rule: the basis coordinates of the vector have their largest-magnitude
+    entry positive (the first one on a tie), so `eigvec` does not depend on the
+    LAPACK routine.
     """
 
     grad_norm: float
@@ -79,7 +84,8 @@ def check_second_order_point(problem, x: Point, eps: float, rho: float) -> Criti
     problem._check_point(x)
     grad_norm = float(np.linalg.norm(problem.riemannian_gradient(x).coords))
     pull = Pullback(problem, x)
-    lam, vec = min_eigpair(pull.hessian_at_zero())
+    # the FD Hessian is exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
+    lam, vec = _min_eigpair(pull.hessian_at_zero())
     ambient = problem.manifold._project_array(x.coords, pull.basis @ vec)
     return CriticalityReport(
         grad_norm=grad_norm,

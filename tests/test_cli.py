@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from prgd.cli import EXIT_CONFIG, EXIT_OK, main
+from prgd.cli import EXIT_CONFIG, EXIT_OK, _build_problem, build_parser, main
 from prgd.numerics import EIG_DIM_LIMIT
 from prgd.problems import save_matrix
 
@@ -99,6 +99,26 @@ class TestParams:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lip_grad"] == pytest.approx(7.5, rel=1e-9)
         assert payload["lip_hess"] == pytest.approx(27.0, rel=1e-9)
+
+    @pytest.mark.parametrize("spectrum", [[3.0, 1.0, 0.5, -2.0, 0.1], [3.0, 3.0, 1.0, 0.5, -2.0]],
+                             ids=["distinct", "repeated top"])
+    def test_pca_eigenvectors_from_matrix_file(self, tmp_path, spectrum):
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+        a = (q * spectrum) @ q.T
+        path = tmp_path / "a.txt"
+        save_matrix(path, 0.5 * (a + a.T))
+        args = build_parser().parse_args(["params", "--problem", "pca", "--matrix", str(path)])
+        problem, v_max, saddle = _build_problem(args)
+        vals, vecs = np.linalg.eigh(problem.matrix)
+        for v, lam in ((v_max, vals[-1]), (saddle.coords, vals[-2])):
+            assert np.linalg.norm(problem.matrix @ v - lam * v) <= 1e-9 * 3.0
+            top = int(np.argmax(np.abs(v)))
+            assert v[top] > 0
+        assert abs(float(v_max @ saddle.coords)) <= 1e-9
+        if vals[-1] - vals[-2] > 1e-9:
+            assert abs(float(v_max @ vecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
+            assert abs(float(saddle.coords @ vecs[:, -2])) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):

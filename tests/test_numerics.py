@@ -25,6 +25,38 @@ def random_symmetric(n, seed):
     return 0.5 * (g + g.T)
 
 
+def with_spectrum(lams, seed):
+    """Q diag(lams) Q^T for a random orthogonal Q, made exactly symmetric."""
+    g, _ = RngStream(seed, 1).standard_normal((len(lams), len(lams)))
+    q, r = np.linalg.qr(g)
+    m = (q * np.sign(np.diag(r)) * lams) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def stress_spectra():
+    """(name, matrix) cases that are hard for one inverse-iteration step."""
+    cases = [("n=1", np.array([[-3.0]]))]
+    for n in (2, 3, 10, 50, 150, 400):
+        cases.append((f"random n={n}", random_symmetric(n, n)))
+        base = np.linspace(-1.0, 1.0, n) if n > 2 else np.array([-1.0, 0.5, 1.0])[:n]
+        repeated = base.copy()
+        repeated[1] = repeated[0]
+        cases.append((f"repeated lambda_min n={n}", with_spectrum(repeated, n)))
+        for gap in (1e-12, 1e-7):
+            gapped = base.copy()
+            gapped[1] = gapped[0] + gap
+            cases.append((f"bottom gap {gap:g} n={n}", with_spectrum(gapped, n)))
+        # a saddle's Hessian: one negative eigenvalue under a cluster, as at a top eigenvector's neighbour
+        cases.append((f"cluster n={n}", with_spectrum(np.concatenate([[-1.0], np.ones(n - 1)]), n)))
+        for scale in (1e-8, 1e8):
+            cases.append((f"scale {scale:g} n={n}", scale * with_spectrum(base, n + 1)))
+    return cases
+
+
+STRESS = stress_spectra()
+STRESS_IDS = [name for name, _ in STRESS]
+
+
 class TestNorm:
     @given(st.integers(1, 400), st.integers(0, 2**32 - 1), st.sampled_from([1e-150, 1e-8, 1.0, 1e8, 1e150]))
     def test_matches_numpy_norm_bitwise(self, n, seed, scale):
@@ -108,6 +140,64 @@ class TestMinEigpair:
             lam, vec = min_eigpair(m)
             assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 * operator_norm(m)
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name, m", STRESS, ids=STRESS_IDS)
+    def test_stress_spectra_against_full_eigh(self, name, m, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+        lam, vec = min_eigpair(m)
+        oracle_vals, oracle_vecs = np.linalg.eigh(m)
+        norm_m = float(np.abs(oracle_vals).max())
+        assert abs(lam - oracle_vals[0]) <= 1e-12 * norm_m
+        # the contract is 1e-9 * |m|; one solve meets it with a wide margin on every case
+        assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 / 30 * norm_m
+        assert len(solves) == 1
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        if len(oracle_vals) == 1 or oracle_vals[1] - oracle_vals[0] >= 1e-7 * norm_m:
+            assert abs(float(vec @ oracle_vecs[:, 0])) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("name, m", STRESS[::4], ids=STRESS_IDS[::4])
+    def test_sign_rule_fixes_the_vector(self, name, m, monkeypatch):
+        lam, vec = min_eigpair(m)
+        top = int(np.argmax(np.abs(vec)))
+        assert vec[top] > 0 and np.all(np.abs(vec[:top]) < vec[top])
+        # the solve is linear in its start, so a negated or doubled start gives the same bits
+        solve = np.linalg.solve
+        for factor in (-1.0, 2.0):
+            monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, factor * b))
+            again = min_eigpair(m)
+            monkeypatch.undo()
+            assert again[0] == lam and np.array_equal(again[1], vec)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_zero_matrix(self, n):
+        lam, vec = min_eigpair(np.zeros((n, n)))
+        assert lam == 0.0
+        assert np.array_equal(vec, np.eye(n)[0])
+
+    def test_second_solve_runs_only_after_a_miss(self, monkeypatch):
+        m = random_symmetric(12, seed=3)
+        lam, vec = min_eigpair(m)
+        solves = []
+        solve = np.linalg.solve
+
+        def first_misses(a, b):
+            solves.append(1)
+            # the unsolved start misses the residual contract, so a second solve must follow
+            return b.copy() if len(solves) == 1 else solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", first_misses)
+        again = min_eigpair(m)
+        assert len(solves) == 2
+        assert again[0] == lam
+        assert abs(float(again[1] @ vec)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_nan_solve_raises(self, monkeypatch):
+        # a NaN residual fails `residual <= tol`, so it raises instead of returning a NaN vector
+        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
+        with pytest.raises(NumericalError, match="residual nan"):
+            min_eigpair(random_symmetric(5, seed=2))
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):

@@ -192,6 +192,22 @@ class TestStackedPullbacks:
         for pull, s, got in zip(pulls, steps, hessians):
             assert np.array_equal(got, pull.hessian_at(s))
 
+    @pytest.mark.parametrize("problem_name", ["pca", "quadratic"])
+    def test_fd_hessians_are_exactly_symmetric(self, problem_name):
+        # the certificate hands this Hessian to the eigensolver without a symmetry check
+        problem, _, rng = problem_and_point(problem_name, RngStream(16, 3))
+        pulls = []
+        for _ in range(4):
+            x, rng = random_point(problem.manifold, rng)
+            pulls.append(Pullback(problem, x))
+            h = pulls[-1].hessian_at_zero()
+            assert np.array_equal(h, h.mT)
+        x = np.array([pull.base.coords for pull in pulls])
+        bases = np.array([pull.basis for pull in pulls])
+        stack = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), 0.0, bases)
+        assert stack.shape == bases.shape[:1] + 2 * bases.shape[2:]
+        assert np.array_equal(stack, stack.mT)
+
 
 class TestHessianAtZero:
     def test_euclidean_quadratic_recovers_matrix(self):

@@ -113,6 +113,18 @@ class TestCriticalityReport:
         assert len(calls) == 1
         assert report.min_eig_pullback == pytest.approx(-1.0, abs=1e-6)
 
+    def test_eigvec_sign_rule(self):
+        a, _, q, _ = synthetic_matrix(12, RngStream(31, 2))
+        p = PcaProblem(a)
+        for i in range(1, 12):
+            x = p.manifold.point(q[:, i])
+            report = check_second_order_point(p, x, eps=1e-3, rho=9.0 * p.norm)
+            # the rule holds in the tangent basis, where the eigensolver sees the Hessian
+            coords = p.manifold.tangent_basis(x).T @ report.eigvec.coords
+            top = int(np.argmax(np.abs(coords)))
+            assert coords[top] > 0
+            assert np.linalg.norm(report.eigvec.coords) == pytest.approx(1.0, abs=1e-12)
+
     def test_riemannian_hessian_matches_analytic(self, diag_pca):
         x = diag_pca.manifold.point([0.0, 1.0])
         hess = riemannian_hessian_matrix(diag_pca, x)
@@ -331,6 +343,20 @@ class TestCouplingExperiment:
         problem, x, params = self.canonical()
         d1, d2 = coupling_experiment(problem, x, params, 2.0 * params.radius)
         assert d1 == d2  # the quadratic is even, so the coupled runs mirror exactly
+
+    def test_flipped_eigenvector_swaps_the_drops(self, pca3, monkeypatch):
+        # the certificate fixes the sign of its eigenvector; the other sign only swaps the two starts
+        params = pca_params(pca3, chi=24.0)
+        x = pca3.manifold.point([0.0, 1.0, 0.0])
+        drops = coupling_experiment(pca3, x, params, 2.0 * params.radius)
+        kernel = verify._min_eigpair
+
+        def flipped(m):
+            lam, vec = kernel(m)
+            return lam, -vec
+
+        monkeypatch.setattr(verify, "_min_eigpair", flipped)
+        assert coupling_experiment(pca3, x, params, 2.0 * params.radius) == drops[::-1]
 
     def test_pca_saddle_coupling(self, pca3):
         params = pca_params(pca3, chi=24.0)
