@@ -60,7 +60,11 @@ class Manifold:
         c = as_vector(coords)
         if c.shape != (self.ambient_dim,):
             raise ValueError(f"point has shape {c.shape}, expected ({self.ambient_dim},)")
+        self._check_point_rows(c)
         return Point(self, c)
+
+    def _check_point_rows(self, x: np.ndarray):
+        """`point`'s checks beyond shape and finiteness, on a point or a block of point rows."""
 
     def _project_array(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -80,8 +84,11 @@ class Manifold:
         """Orthonormal tangent basis at each point, shape (..., ambient_dim, intrinsic_dim)."""
         raise NotImplementedError
 
-    def _ball_tangent_array(self, x: np.ndarray, basis: np.ndarray, radius, unit: np.ndarray) -> np.ndarray:
-        """Map unit-ball draws (..., intrinsic_dim) to ambient tangents of norm <= radius at x, through `basis`."""
+    def _ball_tangent_array(self, x: np.ndarray, basis, radius, unit: np.ndarray) -> np.ndarray:
+        """Map unit-ball draws (..., intrinsic_dim) to ambient tangents of norm <= radius at x, through `basis`.
+
+        `basis` is `_tangent_basis_array(x)`, or None to have the kernel build it only if it reads it.
+        """
         raise NotImplementedError
 
     def _check_point(self, x: Point):
@@ -143,7 +150,7 @@ class Manifold:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         unit, rng = sample_unit_ball(self.intrinsic_dim, rng)
-        return Tangent(x, self._ball_tangent_array(x.coords, self._tangent_basis_array(x.coords), radius, unit)), rng
+        return Tangent(x, self._ball_tangent_array(x.coords, None, radius, unit)), rng
 
     def tangent_basis(self, x: Point) -> np.ndarray:
         """Orthonormal basis of the tangent space at x, columns in ambient coordinates."""
@@ -239,12 +246,10 @@ class Sphere(Manifold):
     def intrinsic_dim(self):
         return self.n - 1
 
-    def point(self, coords) -> Point:
-        x = super().point(coords)
-        nrm = float(np.linalg.norm(x.coords))
-        if abs(nrm - 1.0) > POINT_NORM_TOL:
-            raise ValueError(f"sphere point must have unit norm, got {nrm!r}")
-        return x
+    def _check_point_rows(self, x):
+        for nrm in _norm(x, keepdims=True).ravel().tolist():
+            if abs(nrm - 1.0) > POINT_NORM_TOL:
+                raise ValueError(f"sphere point must have unit norm, got {nrm!r}")
 
     def _project_array(self, x, v):
         return v - np.vecdot(x, v, keepdims=True) * x
@@ -280,6 +285,8 @@ class Sphere(Manifold):
         return basis
 
     def _ball_tangent_array(self, x, basis, radius, unit):
+        if basis is None:
+            basis = self._tangent_basis_array(x)
         ambient = self._project_array(x, np.matvec(basis, radius * unit))
         nrm = _norm(ambient, keepdims=True)
         # round-off guard: a row longer than radius is scaled back onto the sphere of that radius

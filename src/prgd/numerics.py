@@ -24,9 +24,14 @@ def as_vector(entries) -> np.ndarray:
     v = np.asarray(entries, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"expected a 1-d vector with at least one entry, got shape {v.shape}")
+    _check_finite(v)
+    return np.ascontiguousarray(v)
+
+
+def _check_finite(v: np.ndarray):
+    """`as_vector`'s finiteness check, on a vector or a block of rows."""
     if not np.all(np.isfinite(v)):
         raise ValueError("vector entries must all be finite")
-    return np.ascontiguousarray(v)
 
 
 def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
@@ -50,8 +55,8 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
     lam is the first eigenvalue of `eigvalsh`, which skips the eigenvector
     back-transform of a full `eigh`. v is one inverse-iteration solve
     (m - sigma I) v = b from a fixed generic start b, with sigma a few ulps
-    below lam: lam - 8 eps max|lam_i|. The solve runs on m / max|lam_i|, so
-    its solution overflows at no scale.
+    below lam: lam - 8 eps max|lam_i|. The solve and the residual run on
+    m / max|lam_i|, so neither overflows at any scale.
 
     Residual contract: ||m v - lam v|| <= 1e-9 * max|lam_i|. A second solve
     from v runs only when the first misses it; a miss after that, or a NaN,
@@ -81,8 +86,9 @@ def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
         vec = np.zeros(n)
         vec[0] = 1.0
         return 0.0, vec
+    shift = 8.0 * np.finfo(float).eps
     shifted = m / norm_m
-    shifted.flat[::n + 1] -= lam / norm_m - 8.0 * np.finfo(float).eps
+    shifted.flat[::n + 1] -= lam / norm_m - shift
     # the first n normals of RngStream(0): fixed, and generic, so no eigenvector is orthogonal to it
     vec = RngStream(0)._generator().standard_normal(n)
     for _ in range(2):
@@ -91,11 +97,13 @@ def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
         except np.linalg.LinAlgError as exc:  # pragma: no cover - needs an exact zero pivot
             raise NumericalError(f"inverse-iteration solve failed: {exc}") from exc
         vec /= np.linalg.norm(vec)
-        residual = float(np.linalg.norm(m @ vec - lam * vec))
-        if residual <= 1e-9 * norm_m:  # False for a NaN residual, which then raises
+        # ||m v - lam v|| / |m| to round-off, from the scaled matrix: the norm of the unscaled
+        # residual squares it, and overflows once |m| nears 1e170
+        residual = float(np.linalg.norm(shifted @ vec - shift * vec))
+        if residual <= 1e-9:  # False for a NaN residual, which then raises
             break
     else:
-        raise NumericalError(f"eigenpair residual {residual:.3e} exceeds 1e-9 * |m| = {1e-9 * norm_m:.3e}")
+        raise NumericalError(f"eigenpair residual {residual:.3e} * |m| exceeds 1e-9 * |m|")
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
     return lam, vec
@@ -222,20 +230,30 @@ class RngStream:
 
 
 def sample_unit_ball(dim: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
-    """Uniform draw from the closed unit ball of R^dim.
+    """Uniform draw from the closed unit ball of R^dim: one row of `_unit_ball_rows`.
 
     Gaussian direction, radius U^(1/dim); one draw event on the stream.
     """
     if dim < 1:
         raise ValueError("dim must be at least 1")
     gen = rng._generator()
-    direction = gen.standard_normal(dim)
-    u = gen.random()
-    nrm = float(np.linalg.norm(direction))
-    if not (nrm > 0 and math.isfinite(nrm)):  # pragma: no cover - probability-zero draw
+    direction = gen.standard_normal((1, dim))
+    return _unit_ball_rows(direction, [gen.random()])[0], rng._next()
+
+
+def _unit_ball_rows(direction: np.ndarray, u) -> np.ndarray:
+    """Unit-ball points from Gaussian direction rows and their uniforms u: row * u^(1/dim) / ||row||.
+
+    The factor is a Python float power per row, since `np.power` may round
+    differently. A row whose norm still rounds above 1 is scaled back onto the
+    unit sphere; a zero or non-finite direction raises.
+    """
+    inv_dim = 1.0 / direction.shape[-1]
+    norms = _norm(direction).tolist()
+    if not all(0.0 < nrm < math.inf for nrm in norms):  # pragma: no cover - probability-zero draw
         raise NumericalError("degenerate Gaussian direction while sampling the unit ball")
-    point = direction * (u ** (1.0 / dim) / nrm)
-    out_norm = float(np.linalg.norm(point))
-    if out_norm > 1.0:  # pragma: no cover - round-off guard
-        point = point / out_norm
-    return point, rng._next()
+    point = direction * np.array([ui ** inv_dim / nrm for ui, nrm in zip(u, norms)])[:, None]
+    for i, out_norm in enumerate(_norm(point).tolist()):
+        if out_norm > 1.0:  # pragma: no cover - round-off guard
+            point[i] /= out_norm
+    return point

@@ -19,7 +19,16 @@ from .descent import (
 )
 from .errors import NumericalError
 from .manifolds import Point, Sphere, Tangent
-from .numerics import RngStream, _min_eigpair, _norm, fd_hessian_from_gradients, operator_norm, sample_unit_ball
+from .numerics import (
+    RngStream,
+    _check_finite,
+    _min_eigpair,
+    _norm,
+    _unit_ball_rows,
+    fd_hessian_from_gradients,
+    operator_norm,
+    sample_unit_ball,
+)
 from .pullback import Pullback, pullback_gradient_rows, pullback_step
 
 AUDIT_SLACK = 1e-9
@@ -98,39 +107,51 @@ def check_second_order_point(problem, x: Point, eps: float, rho: float) -> Criti
 
 
 def random_point(manifold, rng: RngStream) -> tuple[Point, RngStream]:
-    """Uniform point on the sphere (normalized Gaussian) or standard Gaussian in R^d."""
+    """Uniform point on the sphere (normalized Gaussian) or standard Gaussian in R^d: one row of `_random_points`."""
     gauss, rng = rng.standard_normal(manifold.ambient_dim)
-    if isinstance(manifold, Sphere):
-        return manifold.point(gauss / np.linalg.norm(gauss)), rng
-    return manifold.point(gauss), rng
+    return Point(manifold, _random_points(manifold, gauss)), rng
+
+
+def _random_points(manifold, gauss: np.ndarray) -> np.ndarray:
+    """Points from rows of standard normals, normalized on the sphere, with `manifold.point`'s checks."""
+    x = gauss / _norm(gauss, keepdims=True) if isinstance(manifold, Sphere) else gauss
+    _check_finite(x)
+    manifold._check_point_rows(x)
+    return x
 
 
 def _draw_chunk(manifold, ball, count, rng):
     """Up to `count` samples (x, tangent bases at x, s) and the advanced stream, drawn in stream order.
 
     Each sample draws a random point x, then unit-ball draws until its tangent s in
-    the ball has ||s|| >= MIN_SAMPLE_NORM. The draws are made first and the bases
-    and tangents of the whole chunk in one stacked pass. A row that needs a redraw
-    ends the chunk there, since every later row's draws move down the stream.
+    the ball has ||s|| >= MIN_SAMPLE_NORM. Per sample only the raw draws are made,
+    into preallocated rows; the points, unit-ball draws, bases and tangents of the
+    whole chunk follow in one stacked pass. A row that needs a redraw ends the
+    chunk there, since every later row's draws move down the stream.
     """
     k = manifold.intrinsic_dim
-    x, unit, after = [], [], []
-    for _ in range(count):
-        point, rng = random_point(manifold, rng)
-        u, rng = sample_unit_ball(k, rng)
-        x.append(point.coords)
-        unit.append(u)
+    gauss = np.empty((count, manifold.ambient_dim))
+    direction = np.empty((count, k))
+    u, after = [], []
+    for row, ball_row in zip(gauss, direction):
+        # the draws of `random_point` at one index, then those of `sample_unit_ball` at the next
+        rng._generator().standard_normal(out=row)
+        rng = rng._next()
+        gen = rng._generator()
+        gen.standard_normal(out=ball_row)
+        u.append(gen.random())
+        rng = rng._next()
         after.append(rng)
-    x = np.array(x)
+    x = _random_points(manifold, gauss)
     bases = manifold._tangent_basis_array(x)
-    s = manifold._ball_tangent_array(x, bases, ball, np.array(unit))
+    s = manifold._ball_tangent_array(x, bases, ball, _unit_ball_rows(direction, u))
     short = np.flatnonzero(_norm(s) < MIN_SAMPLE_NORM)
     if short.size:
         last = short[0]
         x, bases, s, rng = x[:last + 1], bases[:last + 1], s[:last + 1], after[last]
         while _norm(s[last]) < MIN_SAMPLE_NORM:
-            u, rng = sample_unit_ball(k, rng)
-            s[last] = manifold._ball_tangent_array(x[last], bases[last], ball, u)
+            unit, rng = sample_unit_ball(k, rng)
+            s[last] = manifold._ball_tangent_array(x[last], bases[last], ball, unit)
     return x, bases, s, rng
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -263,6 +264,19 @@ class TestSampleBall:
         u = np.sort(radii**intrinsic)
         ks = np.abs(u - (np.arange(1, n + 1) - 0.5) / n).max()
         assert ks <= 0.02
+
+    def test_euclidean_draw_builds_no_identity(self):
+        # the identity tangent basis at d = 2000 would take 32 MB; R^d's ball map never reads it
+        eu = Euclidean(2000)
+        x = eu.point(np.zeros(2000))
+        tracemalloc.start()
+        try:
+            s, _ = eu.sample_ball(x, 1.0, RngStream(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert same_bits(s.coords, sample_unit_ball(2000, RngStream(8))[0])
 
     def test_negative_radius_rejected(self):
         eu = Euclidean(2)

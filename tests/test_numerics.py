@@ -11,6 +11,7 @@ from prgd.errors import NumericalError
 from prgd.numerics import (
     RngStream,
     _norm,
+    _unit_ball_rows,
     as_sym_matrix,
     as_vector,
     min_eigpair,
@@ -199,6 +200,15 @@ class TestMinEigpair:
         with pytest.raises(NumericalError, match="residual nan"):
             min_eigpair(random_symmetric(5, seed=2))
 
+    @pytest.mark.parametrize("scale", [1e170, 1e200, 1e300, 1e-300])
+    def test_extreme_scales(self, scale):
+        # m v at 1e170 and above overflows a residual taken on m itself
+        m = random_symmetric(30, seed=4)
+        lam, vec = min_eigpair(m)
+        lam_scaled, vec_scaled = min_eigpair(scale * m)
+        assert lam_scaled / scale == pytest.approx(lam, rel=1e-12)
+        assert np.abs(vec_scaled - vec).max() <= 1e-9
+
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError):
             min_eigpair(np.array([[0.0, 1.0], [0.5, 0.0]]))
@@ -362,6 +372,17 @@ class TestSampleUnitBall:
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
             sample_unit_ball(0, RngStream(1))
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 19, 300])
+    def test_rows_match_the_scalar_formula(self, dim):
+        # the per-row factor is a Python float power: np.power rounds a few percent of them differently
+        direction, rng = RngStream(12, dim).standard_normal((500, dim))
+        u, _ = rng.uniform(500)
+        rows = _unit_ball_rows(direction, u.tolist())
+        for row, d, ui in zip(rows, direction, u.tolist()):
+            want = d * (ui ** (1.0 / dim) / np.linalg.norm(d))
+            out_norm = np.linalg.norm(want)
+            assert row.tobytes() == (want / out_norm if out_norm > 1.0 else want).tobytes()
 
 
 class TestRngStream:

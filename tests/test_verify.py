@@ -216,20 +216,24 @@ class TestBlockSweeps:
     @pytest.mark.parametrize("n_samples", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 200])
     def test_ratios_match_the_per_sample_loop(self, name, n_samples, monkeypatch):
         problem = sweep_problem(name)
-        points = []
+        rekeys = []
+        generator = RngStream._generator
 
-        def counted(manifold, rng):
-            points.append(rng)
-            return random_point(manifold, rng)
+        def counted(rng):
+            rekeys.append(rng.index)
+            return generator(rng)
 
-        monkeypatch.setattr(verify, "random_point", counted)
         # criterion 3's streams
-        assert (empirical_grad_lipschitz(problem, 5.0, n_samples, RngStream(40, 0))
-                == grad_lipschitz_loop(problem, 5.0, n_samples, RngStream(40, 0)))
-        assert (empirical_hess_lipschitz(problem, 5.0, n_samples, RngStream(41, 0))
-                == hess_lipschitz_loop(problem, 5.0, n_samples, RngStream(41, 0)))
-        # every sample is drawn: equal maxima alone could hide a dropped one
-        assert len(points) == 2 * n_samples
+        for sweep, loop, seed in ((empirical_grad_lipschitz, grad_lipschitz_loop, 40),
+                                  (empirical_hess_lipschitz, hess_lipschitz_loop, 41)):
+            monkeypatch.setattr(RngStream, "_generator", counted)
+            ratio = sweep(problem, 5.0, n_samples, RngStream(seed, 0))
+            monkeypatch.undo()
+            assert ratio == loop(problem, 5.0, n_samples, RngStream(seed, 0))
+            # every sample is drawn, a point and a ball draw at the next two stream indices and no
+            # redraw: equal maxima alone could hide a dropped one
+            assert rekeys == list(range(2 * n_samples))
+            rekeys.clear()
 
     @pytest.mark.parametrize("problem", [PcaProblem(np.diag([2.0, 1.0])), QuadraticSaddle([[-1.0]])],
                              ids=["pca", "quadratic_saddle"])
@@ -269,6 +273,52 @@ class TestBlockSweeps:
     def test_non_finite_gradient_raises(self, sweep):
         with pytest.raises(NumericalError):
             sweep(SqrtGradient(), 1.0, 20, RngStream(2))
+
+    @pytest.mark.parametrize("manifold", [Sphere(2), Sphere(20), Sphere(300), Euclidean(5)], ids=str)
+    def test_chunk_rows_are_the_one_row_draws(self, manifold, monkeypatch):
+        units = []
+        unit_ball_rows = verify._unit_ball_rows
+        monkeypatch.setattr(verify, "_unit_ball_rows", lambda *args: units.append(unit_ball_rows(*args)) or units[-1])
+        rng = RngStream(5, manifold.ambient_dim, 11)
+        x, bases, s, after = verify._draw_chunk(manifold, 0.7, SWEEP_CHUNK, rng)
+        assert len(x) == SWEEP_CHUNK and after == RngStream(5, manifold.ambient_dim, 11 + 2 * SWEEP_CHUNK)
+        for i in range(SWEEP_CHUNK):
+            point, at_ball = random_point(manifold, RngStream(5, manifold.ambient_dim, 11 + 2 * i))
+            unit, _ = sample_unit_ball(manifold.intrinsic_dim, at_ball)
+            tangent, _ = manifold.sample_ball(point, 0.7, at_ball)
+            assert x[i].tobytes() == point.coords.tobytes()
+            assert units[0][i].tobytes() == unit.tobytes()
+            assert s[i].tobytes() == tangent.coords.tobytes()
+
+    @pytest.mark.parametrize("manifold, normal", [(Sphere(20), math.inf), (Sphere(20), math.nan), (Sphere(20), 1e300),
+                                                  (Euclidean(5), math.inf), (Euclidean(5), math.nan)], ids=str)
+    def test_chunk_points_get_the_point_checks(self, manifold, normal, monkeypatch):
+        # the chunk raises what `random_point` (through `manifold.point`) raises on the same normals;
+        # on the sphere 1e300 normals have an infinite norm and normalize to the zero vector
+        generator = RngStream._generator
+
+        class BadNormals:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size=None, out=None):
+                out = np.empty(size) if out is None else out
+                out[...] = normal
+                return out
+
+            def random(self):
+                return self.gen.random()
+
+        monkeypatch.setattr(RngStream, "_generator", lambda rng: BadNormals(generator(rng)))
+        # numpy warns on the way to the non-finite points; the checks are under test
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(ValueError) as one_row:
+                random_point(manifold, RngStream(1))
+            with pytest.raises(ValueError) as chunk:
+                verify._draw_chunk(manifold, 0.7, 3, RngStream(1))
+        assert str(chunk.value) == str(one_row.value)
+        expected = "sphere point must have unit norm, got 0.0" if normal == 1e300 else "vector entries must all be finite"
+        assert str(chunk.value) == expected
 
     def test_hessian_sweep_memory_does_not_grow_with_samples(self):
         a, _, _, _ = synthetic_matrix(8, RngStream(11, 2**48))
