@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -44,6 +45,7 @@ DEFAULT_QUAD_GAP = 1.0
 CSV_HEADER = ["t", "kind", "f", "grad_norm", "tangent_norm"]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="prgd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

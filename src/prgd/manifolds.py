@@ -252,15 +252,17 @@ class Sphere(Manifold):
                 raise ValueError(f"sphere point must have unit norm, got {nrm!r}")
 
     def _project_array(self, x, v):
-        return v - np.vecdot(x, v, keepdims=True) * x
+        out = np.vecdot(x, v, keepdims=True) * x
+        return np.subtract(v, out, out=out)
 
     def _retract_scaled_array(self, x, s):
         y = x + s
         scale = _norm(y, keepdims=True)
-        return y / scale, scale
+        return np.divide(y, scale, out=y), scale
 
     def _scaled_adjoint_array(self, x, scale, w):
-        return self._project_array(x, w) / scale
+        out = self._project_array(x, w)
+        return np.divide(out, scale, out=out)
 
     def _tangent_basis_array(self, x):
         """Orthonormal basis of x-perp at each point: a Householder reflector with one column dropped.

@@ -64,6 +64,7 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
 
     Sign rule: the largest-magnitude coordinate of v is positive, the first
     one on a tie, so v depends on neither the start nor the LAPACK routine.
+    The steps are `_min_eigenvalue` and `_min_eigvec`; a certificate runs only the first.
     """
     m = as_sym_matrix(m)
     return _min_eigpair(0.5 * (m + m.T))
@@ -71,21 +72,24 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
 
 def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """`min_eigpair` of an exactly symmetric matrix: only its size and finiteness are checked."""
+    lam, norm_m = _min_eigenvalue(m)
+    return lam, _min_eigvec(m, lam, norm_m)
+
+
+def _min_eigenvalue(m: np.ndarray) -> tuple[float, float]:
+    """`_min_eigpair`'s lam and max|lam_i| from `_eigenvalues` alone; (0.0, 0.0) for the zero matrix."""
+    vals = _eigenvalues(m)
+    norm_m = max(-vals[0], vals[-1])
+    return (float(vals[0]), float(norm_m)) if norm_m else (0.0, 0.0)
+
+
+def _min_eigvec(m: np.ndarray, lam: float, norm_m: float) -> np.ndarray:
+    """The eigenvector step of `min_eigpair`: inverse iteration from the fixed start, residual check, sign rule."""
     n = m.shape[0]
-    if n > EIG_DIM_LIMIT:
-        raise ValueError(f"matrix dimension {n} exceeds the supported limit {EIG_DIM_LIMIT}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must all be finite")
-    try:
-        vals = np.linalg.eigvalsh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
-        raise NumericalError(f"symmetric eigenvalue solve did not converge: {exc}") from exc
-    lam = float(vals[0])
-    norm_m = max(-lam, float(vals[-1]))
     if norm_m == 0.0:
         vec = np.zeros(n)
         vec[0] = 1.0
-        return 0.0, vec
+        return vec
     shift = 8.0 * np.finfo(float).eps
     shifted = m / norm_m
     shifted.flat[::n + 1] -= lam / norm_m - shift
@@ -106,19 +110,26 @@ def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
         raise NumericalError(f"eigenpair residual {residual:.3e} * |m| exceeds 1e-9 * |m|")
     if vec[np.argmax(np.abs(vec))] < 0:
         vec = -vec
-    return lam, vec
+    return vec
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly symmetric matrix or stack: only size and finiteness are checked."""
+    if m.shape[-1] > EIG_DIM_LIMIT:
+        raise ValueError(f"matrix dimension {m.shape[-1]} exceeds the supported limit {EIG_DIM_LIMIT}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix entries must all be finite")
+    try:
+        return np.linalg.eigvalsh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
+        raise NumericalError(f"symmetric eigenvalue solve did not converge: {exc}") from exc
 
 
 def sym_eigenvalues(m) -> np.ndarray:
     """Eigenvalues, ascending, of a symmetric matrix or of each of a stack (one LAPACK call each); sizes above
     EIG_DIM_LIMIT raise before solving."""
     m = as_sym_matrix(m, stacked=np.ndim(m) == 3)
-    if m.shape[-1] > EIG_DIM_LIMIT:
-        raise ValueError(f"matrix dimension {m.shape[-1]} exceeds the supported limit {EIG_DIM_LIMIT}")
-    try:
-        return np.linalg.eigvalsh(0.5 * (m + m.mT))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"symmetric eigendecomposition did not converge: {exc}") from exc
+    return _eigenvalues(0.5 * (m + m.mT))
 
 
 def operator_norm(m):
@@ -140,17 +151,21 @@ def _norm(v: np.ndarray, keepdims: bool = False):
 def fd_hessian_from_gradients(gradient_many, center, basis) -> np.ndarray:
     """Central-difference Hessian in the orthonormal columns of `basis`, symmetrized.
 
-    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j],
-    with h = DEFAULT_HESS_H.
+    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j]
+    (h = DEFAULT_HESS_H), written C-contiguous into one (..., 2k, n) buffer. The pullback gradient
+    kernels update the arrays they own in place, so a Hessian peaks at about three such buffers.
     A (count, n, k) stack of bases with (count, 1, n) centers gives a stack of Hessians, each
     with the bits of a 2-d call: `np.matmul` makes one gemm per matrix.
     """
     h = DEFAULT_HESS_H
-    steps = h * basis.mT
-    grads = gradient_many(np.concatenate([center + steps, center - steps], axis=-2))
+    k = basis.shape[-1]
+    rows = np.empty(basis.shape[:-2] + (2 * k, basis.shape[-2]))
+    steps = np.multiply(basis.mT, h, out=rows[..., :k, :])
+    np.subtract(center, steps, out=rows[..., k:, :])
+    np.add(center, steps, out=steps)
+    grads = gradient_many(rows)
     if not np.all(np.isfinite(grads)):
         raise NumericalError("gradient oracle returned non-finite values during Hessian estimation")
-    k = basis.shape[-1]
     hess = (grads[..., :k, :] - grads[..., k:, :]) @ basis / (2.0 * h)
     return 0.5 * (hess + hess.mT)
 

@@ -11,6 +11,8 @@ from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
 from .numerics import EIG_DIM_LIMIT, RngStream, as_sym_matrix, as_vector, sym_eigenvalues
 
+PROJECT_FLOATS = 2**14
+
 
 class CostFunction:
     """Interface: value and ambient gradient of a cost on a manifold.
@@ -109,8 +111,16 @@ class PcaProblem(CostFunction):
         return -0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)
 
     def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
-        grads = -(coords @ self.matrix.T)
-        return grads - np.einsum("...j,...j->...", grads, coords)[..., None] * coords
+        grads = coords @ self.matrix.T
+        np.negative(grads, out=grads)
+        dots = np.einsum("...j,...j->...", grads, coords)
+        # g - (y.g) y in place, about PROJECT_FLOATS floats a pass, so no temporary as large as the block is made
+        n = grads.shape[-1]
+        g, y, d = grads.reshape(-1, n), coords.reshape(-1, n), dots.reshape(-1, 1)
+        step = max(1, PROJECT_FLOATS // n)
+        for rows in range(0, len(g), step):
+            g[rows:rows + step] -= d[rows:rows + step] * y[rows:rows + step]
+        return grads
 
     def constants(self) -> ProblemConstants:
         """Lipschitz constants valid on every tangent space (no ball restriction)."""

@@ -83,4 +83,6 @@ def pullback_gradient_rows(problem, x: np.ndarray, tangents: np.ndarray) -> np.n
     manifold = problem.manifold
     x = x[..., None, :]
     points, scale = manifold._retract_scaled_array(x, tangents)
-    return manifold._scaled_adjoint_array(x, scale, problem.riemannian_gradient_many(points))
+    grads = problem.riemannian_gradient_many(points)
+    del points  # freed, the points' memory serves the adjoint
+    return manifold._scaled_adjoint_array(x, scale, grads)

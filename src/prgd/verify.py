@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .manifolds import Point, Sphere, Tangent
 from .numerics import (
     RngStream,
     _check_finite,
+    _min_eigenvalue,
     _min_eigpair,
     _norm,
     _unit_ball_rows,
@@ -45,14 +46,14 @@ class CriticalityReport:
     """Second-order criticality check at one point.
 
     `min_eig_pullback` is lambda_min of the pullback Hessian at the origin, in
-    one orthonormal tangent basis; `eigvec` is its eigenvector in ambient
-    coordinates. Both retractions here are second order, so this is also
-    lambda_min of the Riemannian Hessian. The pair is `min_eigpair`'s: lambda
-    from an eigenvalues-only solve, the vector from one inverse-iteration
-    solve, with ||H v - lambda v|| <= 1e-9 * ||H|| in the tangent basis. Sign
-    rule: the basis coordinates of the vector have their largest-magnitude
-    entry positive (the first one on a tie), so `eigvec` does not depend on the
-    LAPACK routine.
+    one orthonormal tangent basis, from an eigenvalues-only solve; both
+    retractions here are second order, so it is also lambda_min of the
+    Riemannian Hessian. The report keeps `problem` and `x`, never a matrix:
+    `eigvec`, the eigenvector in ambient coordinates, is computed on its first
+    read by rerunning the same deterministic Hessian and `min_eigpair`
+    (||H v - lambda v|| <= 1e-9 * ||H|| in the tangent basis). Sign rule: the
+    vector's basis coordinates have their largest-magnitude entry positive (the
+    first one on a tie), so `eigvec` does not depend on the LAPACK routine.
     """
 
     grad_norm: float
@@ -60,16 +61,17 @@ class CriticalityReport:
     eps: float
     rho: float
     verdict: bool
-    eigvec: Tangent
+    problem: object
+    x: Point
+
+    @cached_property
+    def eigvec(self) -> Tangent:
+        pull = Pullback(self.problem, self.x)
+        vec = _min_eigpair(pull.hessian_at_zero())[1]
+        return Tangent(self.x, self.problem.manifold._project_array(self.x.coords, pull.basis @ vec))
 
     def as_dict(self) -> dict:
-        return {
-            "grad_norm": self.grad_norm,
-            "min_eig_pullback": self.min_eig_pullback,
-            "eps": self.eps,
-            "rho": self.rho,
-            "verdict": self.verdict,
-        }
+        return {name: getattr(self, name) for name in ("grad_norm", "min_eig_pullback", "eps", "rho", "verdict")}
 
 
 def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
@@ -87,23 +89,15 @@ def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
 
 
 def check_second_order_point(problem, x: Point, eps: float, rho: float) -> CriticalityReport:
-    """Evaluate the eps-second-order conditions at x: small gradient, bounded negative curvature."""
+    """Evaluate the eps-second-order conditions at x: small gradient, bounded negative curvature (lambda_min only)."""
     if not (eps > 0 and rho > 0):
         raise ValueError("eps and rho must be positive")
     problem._check_point(x)
     grad_norm = float(np.linalg.norm(problem.riemannian_gradient(x).coords))
-    pull = Pullback(problem, x)
     # the FD Hessian is exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
-    lam, vec = _min_eigpair(pull.hessian_at_zero())
-    ambient = problem.manifold._project_array(x.coords, pull.basis @ vec)
-    return CriticalityReport(
-        grad_norm=grad_norm,
-        min_eig_pullback=lam,
-        eps=eps,
-        rho=rho,
-        verdict=bool(grad_norm <= eps and lam >= -math.sqrt(rho * eps)),
-        eigvec=Tangent(x, ambient),
-    )
+    lam = _min_eigenvalue(Pullback(problem, x).hessian_at_zero())[0]
+    verdict = bool(grad_norm <= eps and lam >= -math.sqrt(rho * eps))
+    return CriticalityReport(grad_norm, lam, eps, rho, verdict, problem, x)
 
 
 def random_point(manifold, rng: RngStream) -> tuple[Point, RngStream]:

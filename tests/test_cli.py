@@ -1,8 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+from prgd import cli
 from prgd.cli import EXIT_CONFIG, EXIT_OK, _build_problem, build_parser, main
 from prgd.numerics import EIG_DIM_LIMIT
 from prgd.problems import save_matrix
@@ -197,3 +199,41 @@ class TestVerify:
                      "--samples", "100", "--seed", "2"])
         assert code == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
+
+
+class TestParser:
+    CALLS = [
+        ["study", "--problem", "pca", "--dim", "8", "--seed", "5", "--eps", "0.01", "--no-terminate",
+         "--trials", "3", "--algorithm", "rgd", "--ball", "2", "--out", "a"],
+        ["run", "--problem", "quadratic_saddle", "--dim", "3", "--chi", "6", "--out", "b"],
+        ["verify", "--problem", "pca", "--dim", "8", "--samples", "10"],
+        ["params", "--problem", "pca", "--dim", "8"],
+        ["study", "--problem", "pca", "--dim", "8", "--out", "c"],
+    ]
+
+    def test_consecutive_calls_see_no_value_from_the_call_before(self, monkeypatch, capsys):
+        # the parser is built once per process; each call's namespace is what a new parser gives
+        seen = []
+        for handler in ("run_single", "run_escape_study", "derive_params_cmd", "verify_cmd"):
+            monkeypatch.setattr(cli, handler, lambda args: seen.append(vars(args)) or EXIT_OK)
+        assert build_parser() is build_parser()
+        for argv in self.CALLS:
+            assert main(argv) == EXIT_OK
+        for argv, got in zip(self.CALLS, seen):
+            assert got == vars(build_parser.__wrapped__().parse_args(argv))
+        study, run, verify, params, study_again = seen
+        assert run["terminate"] is False and run["seed"] == 0 and "trials" not in run
+        assert verify["chi"] == 4.0 and params["chi"] is None and "samples" not in params
+        assert study_again["terminate"] is True and study_again["algorithm"] == "prgd"
+        assert (study_again["trials"], study_again["eps"], study_again["ball"]) == (1, 1e-3, math.inf)
+
+    def test_bad_input_still_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "derive_params_cmd", lambda args: EXIT_OK)
+        for argv in (["study", "--problem", "pca", "--dim", "8"], ["params", "--problem", "nope"],
+                     ["verify", "--problem", "pca", "--no-terminate"], ["params", "--problem", "pca", "--dim", "x"]):
+            assert main(self.CALLS[3]) == EXIT_OK
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_CONFIG
+            assert "error:" in capsys.readouterr().err
+        assert main(self.CALLS[3]) == EXIT_OK

@@ -230,6 +230,24 @@ class TestRetractionAdjoint:
             assert np.array_equal(got.reshape(-1, 6), np.array(want))
 
 
+    def test_sphere_kernels_leave_their_inputs_and_keep_the_out_of_place_bits(self):
+        # the kernels divide and subtract into the arrays they allocate, never into their arguments
+        sph = Sphere(7)
+        rng = RngStream(37)
+        x, rng = sphere_point(sph, rng)
+        raw, rng = rng.standard_normal((2, 40, 7))
+        x = x.coords[None, :]
+        s = sph._project_array(x, raw[0])
+        w = raw[1]
+        inputs = [x.copy(), s.copy(), w.copy()]
+        y, scale = sph._retract_scaled_array(x, s)
+        adjoint = sph._scaled_adjoint_array(x, scale, w)
+        assert all(same_bits(a, b) for a, b in zip((x, s, w), inputs))
+        assert same_bits(scale, np.sqrt(np.vecdot(x + s, x + s, keepdims=True)))
+        assert same_bits(y, (x + s) / scale)
+        assert same_bits(adjoint, (w - np.vecdot(x, w, keepdims=True) * x) / scale)
+
+
 class TestSampleBall:
     def test_zero_radius(self):
         sph = Sphere(4)

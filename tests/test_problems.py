@@ -6,6 +6,7 @@ import pytest
 from prgd.manifolds import Euclidean
 from prgd.numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
 from prgd.problems import (
+    PROJECT_FLOATS,
     PcaProblem,
     QuadraticSaddle,
     load_matrix,
@@ -157,6 +158,21 @@ class TestRiemannianGradientMany:
         for row, point in zip(got, coords):
             ref = problem.riemannian_gradient(problem.manifold.point(point)).coords
             assert np.linalg.norm(row - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+    def test_blocks_longer_than_a_projection_pass(self):
+        # the projection runs in place, PROJECT_FLOATS floats at a time, with the bits of one pass
+        a, _, _, rng = synthetic_matrix(6, RngStream(41, 2))
+        problem = PcaProblem(a)
+        coords, _ = rng.standard_normal((3, PROJECT_FLOATS // 6 + 5, 6))
+        coords /= np.linalg.norm(coords, axis=-1, keepdims=True)
+        before = coords.copy()
+        got = problem.riemannian_gradient_many(coords)
+        assert np.array_equal(coords, before)
+        grads = -(coords @ a.T)
+        assert np.array_equal(got, grads - np.einsum("...j,...j->...", grads, coords)[..., None] * coords)
+        for block, rows in zip(got, coords):
+            assert np.array_equal(block, problem.riemannian_gradient_many(rows))
 
 
 class TestFusedValueAndGradient:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -207,6 +208,44 @@ class TestStackedPullbacks:
         stack = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), 0.0, bases)
         assert stack.shape == bases.shape[:1] + 2 * bases.shape[2:]
         assert np.array_equal(stack, stack.mT)
+
+
+class TestFdHessianBuffers:
+    def test_peak_memory_is_about_three_row_blocks(self):
+        # at its peak a Hessian holds about three (2k, n) blocks: the rows, the retracted points, their gradients
+        n = 300
+        a, _, q, _ = synthetic_matrix(n, RngStream(5, n))
+        p = PcaProblem(a)
+        pull = Pullback(p, p.manifold.point(q[:, 1]))
+        pull.basis  # built before tracing starts
+        tracemalloc.start()
+        try:
+            pull.hessian_at_zero()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * 2 * (n - 1) * n * 8
+
+    @pytest.mark.parametrize("n", [20, 150])
+    def test_stacks_keep_the_bits_of_2d_calls(self, n):
+        # k = n - 1: 19 as in the Lipschitz sweep, and 149 as in a certify-pca-n150 certificate
+        a, _, _, rng = synthetic_matrix(n, RngStream(7, n))
+        problem = PcaProblem(a)
+        pulls, steps = [], []
+        for _ in range(3):
+            x, rng = random_point(problem.manifold, rng)
+            s, rng = problem.manifold.sample_ball(x, 2.0, rng)
+            pulls.append(Pullback(problem, x))
+            steps.append(s)
+        x = np.array([pull.base.coords for pull in pulls])
+        bases = np.array([pull.basis for pull in pulls])
+        centers = np.array([pull.basis @ (pull.basis.T @ s.coords) for pull, s in zip(pulls, steps)])
+        gradients = partial(pullback_gradient_rows, problem, x)
+        at_zero = fd_hessian_from_gradients(gradients, 0.0, bases)
+        at_s = fd_hessian_from_gradients(gradients, centers[:, None, :], bases)
+        for pull, s, got_zero, got_s in zip(pulls, steps, at_zero, at_s):
+            assert np.array_equal(got_zero, pull.hessian_at_zero())
+            assert np.array_equal(got_s, pull.hessian_at(s))
 
 
 class TestHessianAtZero:

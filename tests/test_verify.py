@@ -13,11 +13,12 @@ from prgd.descent import (
     derive_params,
     prgd,
 )
-from prgd import manifolds, verify
+from prgd import manifolds, numerics, verify
 from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Sphere
-from prgd.numerics import RngStream, min_eigpair, sample_unit_ball
+from prgd.numerics import RngStream, _min_eigenvalue, _min_eigpair, min_eigpair, sample_unit_ball
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
+from prgd.pullback import Pullback
 from prgd.verify import (
     SWEEP_CHUNK,
     check_second_order_point,
@@ -124,6 +125,41 @@ class TestCriticalityReport:
             top = int(np.argmax(np.abs(coords)))
             assert coords[top] > 0
             assert np.linalg.norm(report.eigvec.coords) == pytest.approx(1.0, abs=1e-12)
+
+    def test_eigvec_is_computed_on_first_read(self, monkeypatch):
+        steps = []
+        eigvec_step = numerics._min_eigvec
+
+        def counted(*args):
+            steps.append(1)
+            return eigvec_step(*args)
+
+        monkeypatch.setattr(numerics, "_min_eigvec", counted)
+        a, _, q, _ = synthetic_matrix(12, RngStream(31, 2))
+        p = PcaProblem(a)
+        x = p.manifold.point(q[:, 1])
+        report = check_second_order_point(p, x, eps=1e-3, rho=9.0 * p.norm)
+        assert steps == []
+        # the report keeps the problem and the point, and no matrix
+        assert not any(isinstance(value, np.ndarray) for value in vars(report).values())
+        vec = report.eigvec.coords
+        assert len(steps) == 1
+        assert report.eigvec.coords is vec
+        assert len(steps) == 1
+        pull = Pullback(p, x)
+        hess = pull.hessian_at_zero()
+        lam, inner = _min_eigpair(hess)
+        assert report.min_eig_pullback == lam
+        expected = p.manifold._project_array(x.coords, pull.basis @ inner)
+        assert vec.tobytes() == expected.tobytes()
+        # the residual contract, in the tangent basis where the eigensolver sees the Hessian
+        assert np.linalg.norm(hess @ inner - lam * inner) <= 1e-9 * np.abs(np.linalg.eigvalsh(hess)).max()
+
+    def test_certificate_eigenvalue_is_the_eigenpair_eigenvalue(self):
+        # eigvalsh gives -0.0 for a negated zero matrix; both routes report 0.0, as the eigenpair always did
+        for m in (-np.zeros((2, 2)), np.zeros((3, 3)), np.diag([-2.0, 1.0, 3.0])):
+            assert repr(_min_eigenvalue(m)[0]) == repr(_min_eigpair(m)[0])
+        assert repr(_min_eigenvalue(-np.zeros((2, 2)))[0]) == "0.0"
 
     def test_riemannian_hessian_matches_analytic(self, diag_pca):
         x = diag_pca.manifold.point([0.0, 1.0])
