@@ -36,8 +36,15 @@ AUDIT_SLACK = 1e-9
 DECREASE_SLACK = 1e-12
 # a Lipschitz sample needs ||s|| >= MIN_SAMPLE_NORM, so the ball must be wider
 MIN_SAMPLE_NORM = 1e-8
-# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats (rows and tangent bases)
-SWEEP_CHUNK = 8
+# a draw with ball * u^(1/k) below this may round to a tangent shorter than MIN_SAMPLE_NORM; the
+# tangent's norm is ball * u^(1/k) to a relative round-off far below this margin
+MAYBE_SHORT = MIN_SAMPLE_NORM * (1.0 + 1e-6)
+# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats (rows and tangent
+# bases). At d=20 the sample cap binds for both sweeps (the float cap allows 115 Hessian and 327
+# gradient samples). On lipschitz-pca-d20 (one BLAS thread, 2 vCPUs, median of 3 10-s runs) a cap
+# of 8, 16, 32 and 64 gave 8,434, 10,053, 11,693 and 12,456 samples/s at 38.9, 39.0, 39.6 and
+# 40.4 MiB peak RSS.
+SWEEP_CHUNK = 64
 SWEEP_BLOCK_FLOATS = 2**17
 
 
@@ -66,12 +73,16 @@ class CriticalityReport:
 
     @cached_property
     def eigvec(self) -> Tangent:
-        pull = Pullback(self.problem, self.x)
-        vec = _min_eigpair(pull.hessian_at_zero())[1]
-        return Tangent(self.x, self.problem.manifold._project_array(self.x.coords, pull.basis @ vec))
+        return _bottom_eigpair(Pullback(self.problem, self.x))[1]
 
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in ("grad_norm", "min_eig_pullback", "eps", "rho", "verdict")}
+
+
+def _bottom_eigpair(pull: Pullback) -> tuple[float, Tangent]:
+    """`_min_eigpair` of the pullback Hessian at the origin, the vector mapped to an ambient tangent."""
+    lam, vec = _min_eigpair(pull.hessian_at_zero())
+    return lam, Tangent(pull.base, pull.manifold._project_array(pull.base.coords, pull.basis @ vec))
 
 
 def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
@@ -120,13 +131,16 @@ def _draw_chunk(manifold, ball, count, rng):
     Each sample draws a random point x, then unit-ball draws until its tangent s in
     the ball has ||s|| >= MIN_SAMPLE_NORM. Per sample only the raw draws are made,
     into preallocated rows; the points, unit-ball draws, bases and tangents of the
-    whole chunk follow in one stacked pass. A row that needs a redraw ends the
-    chunk there, since every later row's draws move down the stream.
+    whole chunk follow in one stacked pass. A row whose tangent might be short
+    (ball * u^(1/k) < MAYBE_SHORT) ends the chunk, since its redraws move every
+    later row's draws down the stream; so no draw is made and then thrown away, and
+    only that last row can need redraws, which follow one at a time.
     """
     k = manifold.intrinsic_dim
+    inv_k = 1.0 / k
     gauss = np.empty((count, manifold.ambient_dim))
     direction = np.empty((count, k))
-    u, after = [], []
+    u = []
     for row, ball_row in zip(gauss, direction):
         # the draws of `random_point` at one index, then those of `sample_unit_ball` at the next
         rng._generator().standard_normal(out=row)
@@ -135,26 +149,26 @@ def _draw_chunk(manifold, ball, count, rng):
         gen.standard_normal(out=ball_row)
         u.append(gen.random())
         rng = rng._next()
-        after.append(rng)
-    x = _random_points(manifold, gauss)
+        # the radius `_unit_ball_rows` gives this row, by the same Python float power
+        if ball * u[-1] ** inv_k < MAYBE_SHORT:
+            break
+    count = len(u)
+    x = _random_points(manifold, gauss[:count])
     bases = manifold._tangent_basis_array(x)
-    s = manifold._ball_tangent_array(x, bases, ball, _unit_ball_rows(direction, u))
-    short = np.flatnonzero(_norm(s) < MIN_SAMPLE_NORM)
-    if short.size:
-        last = short[0]
-        x, bases, s, rng = x[:last + 1], bases[:last + 1], s[:last + 1], after[last]
-        while _norm(s[last]) < MIN_SAMPLE_NORM:
-            unit, rng = sample_unit_ball(k, rng)
-            s[last] = manifold._ball_tangent_array(x[last], bases[last], ball, unit)
+    s = manifold._ball_tangent_array(x, bases, ball, _unit_ball_rows(direction[:count], u))
+    # a row flagged as maybe short can still turn out long, and keep its first draw
+    while _norm(s[-1]) < MIN_SAMPLE_NORM:
+        unit, rng = sample_unit_ball(k, rng)
+        s[-1] = manifold._ball_tangent_array(x[-1], bases[-1], ball, unit)
     return x, bases, s, rng
 
 
 def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
     """Max of `block_ratios(x, s, bases)` over n_samples samples, drawn in stream order.
 
-    Each chunk of samples is evaluated as one stacked block: at most SWEEP_CHUNK samples and
-    about SWEEP_BLOCK_FLOATS floats of their tangent bases and rows_per_sample rows. A
-    non-finite ratio raises.
+    Each chunk of samples is evaluated as one stacked block: at most SWEEP_CHUNK = 64 samples
+    and about SWEEP_BLOCK_FLOATS floats of their tangent bases and rows_per_sample rows, ended
+    early at a sample whose tangent might be short (see `_draw_chunk`). A non-finite ratio raises.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -279,14 +293,14 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tup
     """Deterministic two-start escape test along the most negative curvature direction.
 
     Starts the tangent loop at +/-(eta*r0/2) times the bottom eigenvector of
-    the pullback Hessian, as `check_second_order_point` finds it, and returns
-    both value decreases after the full horizon; when the hypotheses hold, the
-    smaller decrease is at most -score_drop.
+    the pullback Hessian, `CriticalityReport.eigvec`, and returns both value
+    decreases after the full horizon; when the hypotheses hold, the smaller
+    decrease is at most -score_drop. One FD Hessian gives lambda_min and the vector.
     """
     if not (r0 > 0):
         raise ValueError("r0 must be positive")
-    report = check_second_order_point(problem, x, params.epsilon, params.lip_hess)
-    lam = report.min_eig_pullback
+    pull = Pullback(problem, x)
+    lam, eigvec = _bottom_eigpair(pull)
     bar = -math.sqrt(params.lip_hess * params.epsilon)
     if lam > bar:
         raise ValueError(
@@ -303,10 +317,9 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tup
         raise ValueError(
             f"hypothesis failed: localization budget {reach:.6e} exceeds the locality radius {params.locality:.6e}"
         )
-    pull = Pullback(problem, x)
     drops = []
     for step in (half, -half):
-        s0 = Tangent(x, step * report.eigvec.coords)
+        s0 = Tangent(x, step * eigvec.coords)
         f_start = pull.value(s0)
         s_end, _ = tangent_space_steps(pull, s0, params.eta, params.ball, params.horizon)
         drops.append(pull.value(s_end) - f_start)

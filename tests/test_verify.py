@@ -20,6 +20,7 @@ from prgd.numerics import RngStream, _min_eigenvalue, _min_eigpair, min_eigpair,
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
 from prgd.verify import (
+    MIN_SAMPLE_NORM,
     SWEEP_CHUNK,
     check_second_order_point,
     audit_trace,
@@ -245,31 +246,102 @@ class SqrtGradient(CostFunction):
             return 1.5 * np.sqrt(coords)
 
 
+REDRAW_SAMPLES = 3 * SWEEP_CHUNK + 10
+
+
 class TestBlockSweeps:
     """The stacked sweeps return the per-sample loops' ratios bit for bit, in bounded memory."""
 
     @pytest.mark.parametrize("name", ["pca", "quadratic_saddle", "generic"])
-    @pytest.mark.parametrize("n_samples", [1, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 200])
+    # counts inside one block, around the cap, over several blocks, and over several blocks with redraws
+    @pytest.mark.parametrize("n_samples", [1, 7, 8, 9, SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1, 200,
+                                           REDRAW_SAMPLES])
     def test_ratios_match_the_per_sample_loop(self, name, n_samples, monkeypatch):
         problem = sweep_problem(name)
-        rekeys = []
+        redraw = n_samples == REDRAW_SAMPLES
+        # ball 5 never needs a redraw; the small ball redraws about 3 samples in 200
+        ball = MIN_SAMPLE_NORM / 0.015 ** (1 / problem.manifold.intrinsic_dim) if redraw else 5.0
         generator = RngStream._generator
 
-        def counted(rng):
-            rekeys.append(rng.index)
-            return generator(rng)
+        def rekeys_of(run, seed):
+            rekeys = []
+
+            def counted(rng):
+                rekeys.append(rng.index)
+                return generator(rng)
+
+            monkeypatch.setattr(RngStream, "_generator", counted)
+            ratio = run(problem, ball, n_samples, RngStream(seed, 0))
+            monkeypatch.undo()
+            return ratio, rekeys
 
         # criterion 3's streams
         for sweep, loop, seed in ((empirical_grad_lipschitz, grad_lipschitz_loop, 40),
                                   (empirical_hess_lipschitz, hess_lipschitz_loop, 41)):
-            monkeypatch.setattr(RngStream, "_generator", counted)
-            ratio = sweep(problem, 5.0, n_samples, RngStream(seed, 0))
+            ratio, rekeys = rekeys_of(sweep, seed)
+            loop_ratio, loop_rekeys = rekeys_of(loop, seed)
+            assert ratio == loop_ratio
+            # every sample is drawn, a point and a ball draw at the next two stream indices, then
+            # its redraws: the loop's draws exactly, so equal maxima cannot hide a dropped draw
+            assert rekeys == loop_rekeys == list(range(len(rekeys)))
+            assert (len(rekeys) > 2 * n_samples) == redraw
+        if redraw:
+            # several blocks, one ended by the cap and one ended early by a maybe-short row before the last
+            blocks = []
+            draw_chunk = verify._draw_chunk
+            monkeypatch.setattr(verify, "_draw_chunk", lambda *args: blocks.append(draw_chunk(*args)) or blocks[-1])
+            empirical_hess_lipschitz(problem, ball, n_samples, RngStream(41, 0))
+            sizes = [len(block[0]) for block in blocks]
+            assert len(sizes) >= 3 and max(sizes) == SWEEP_CHUNK and min(sizes[:-1]) < SWEEP_CHUNK
+
+    def test_block_sweeps_make_the_loops_draws(self, monkeypatch):
+        # at d = 2 (k = 1) a ball of 2e-8 makes about half the draws short, so redraws are frequent
+        a, _, _, _ = synthetic_matrix(2, RngStream(11, 2**48))
+        problem = PcaProblem(a)
+        draws = []
+        unit_ball_rows = verify._unit_ball_rows
+
+        def one_row(dim, rng):
+            draws.append(1)
+            return sample_unit_ball(dim, rng)
+
+        def rows(direction, u):
+            draws.append(len(direction))
+            return unit_ball_rows(direction, u)
+
+        for sweep, loop, seed, loop_draws in ((empirical_grad_lipschitz, grad_lipschitz_loop, 40, 117),
+                                              (empirical_hess_lipschitz, hess_lipschitz_loop, 41, 102)):
+            monkeypatch.setattr(verify, "sample_unit_ball", one_row)
+            monkeypatch.setattr(verify, "_unit_ball_rows", rows)
+            ratio = sweep(problem, 2e-8, 50, RngStream(seed, 0))
             monkeypatch.undo()
-            assert ratio == loop(problem, 5.0, n_samples, RngStream(seed, 0))
-            # every sample is drawn, a point and a ball draw at the next two stream indices and no
-            # redraw: equal maxima alone could hide a dropped one
-            assert rekeys == list(range(2 * n_samples))
-            rekeys.clear()
+            assert sum(draws) == loop_draws
+            draws.clear()
+            monkeypatch.setattr(manifolds, "sample_unit_ball", one_row)
+            assert ratio == loop(problem, 2e-8, 50, RngStream(seed, 0))
+            monkeypatch.undo()
+            assert sum(draws) == loop_draws
+            draws.clear()
+
+    def test_row_flagged_as_maybe_short_can_turn_out_long(self):
+        # a ball that puts the first sample's tangent norm 1e-7 above MIN_SAMPLE_NORM, inside the margin
+        manifold = Sphere(2)
+        rng = RngStream(40, 0)
+        gen = rng._next()._generator()
+        gen.standard_normal(1)
+        u = gen.random()
+        ball = MIN_SAMPLE_NORM * (1.0 + 1e-7) / u
+        assert MIN_SAMPLE_NORM < ball * u < verify.MAYBE_SHORT
+        x, _, s, after = verify._draw_chunk(manifold, ball, SWEEP_CHUNK, rng)
+        # the flagged row ends the chunk and keeps its first draw
+        assert len(x) == 1 and after == RngStream(40, 0, 2)
+        point, at_ball = random_point(manifold, rng)
+        tangent, _ = manifold.sample_ball(point, ball, at_ball)
+        assert tangent.norm >= MIN_SAMPLE_NORM
+        assert s[0].tobytes() == tangent.coords.tobytes()
+        a, _, _, _ = synthetic_matrix(2, RngStream(11, 2**48))
+        problem = PcaProblem(a)
+        assert empirical_grad_lipschitz(problem, ball, 20, rng) == grad_lipschitz_loop(problem, ball, 20, rng)
 
     @pytest.mark.parametrize("problem", [PcaProblem(np.diag([2.0, 1.0])), QuadraticSaddle([[-1.0]])],
                              ids=["pca", "quadratic_saddle"])
@@ -312,13 +384,15 @@ class TestBlockSweeps:
 
     @pytest.mark.parametrize("manifold", [Sphere(2), Sphere(20), Sphere(300), Euclidean(5)], ids=str)
     def test_chunk_rows_are_the_one_row_draws(self, manifold, monkeypatch):
+        # a full chunk at n = 300 would build a 64 x 300 x 299 basis stack (46 MB); a few rows do
+        count = 3 if manifold.ambient_dim > 100 else SWEEP_CHUNK
         units = []
         unit_ball_rows = verify._unit_ball_rows
         monkeypatch.setattr(verify, "_unit_ball_rows", lambda *args: units.append(unit_ball_rows(*args)) or units[-1])
         rng = RngStream(5, manifold.ambient_dim, 11)
-        x, bases, s, after = verify._draw_chunk(manifold, 0.7, SWEEP_CHUNK, rng)
-        assert len(x) == SWEEP_CHUNK and after == RngStream(5, manifold.ambient_dim, 11 + 2 * SWEEP_CHUNK)
-        for i in range(SWEEP_CHUNK):
+        x, bases, s, after = verify._draw_chunk(manifold, 0.7, count, rng)
+        assert len(x) == count and after == RngStream(5, manifold.ambient_dim, 11 + 2 * count)
+        for i in range(count):
             point, at_ball = random_point(manifold, RngStream(5, manifold.ambient_dim, 11 + 2 * i))
             unit, _ = sample_unit_ball(manifold.intrinsic_dim, at_ball)
             tangent, _ = manifold.sample_ball(point, 0.7, at_ball)
@@ -356,9 +430,16 @@ class TestBlockSweeps:
         expected = "sphere point must have unit norm, got 0.0" if normal == 1e300 else "vector entries must all be finite"
         assert str(chunk.value) == expected
 
-    def test_hessian_sweep_memory_does_not_grow_with_samples(self):
+    def test_hessian_sweep_memory_does_not_grow_with_samples(self, monkeypatch):
         a, _, _, _ = synthetic_matrix(8, RngStream(11, 2**48))
         problem = PcaProblem(a)
+        blocks = []
+        draw_chunk = verify._draw_chunk
+        monkeypatch.setattr(verify, "_draw_chunk", lambda *args: blocks.append(args) or draw_chunk(*args))
+        empirical_hess_lipschitz(problem, 5.0, 200, RngStream(41, 0))
+        monkeypatch.undo()
+        # the smaller sweep already spans several blocks, so a per-block buffer would show in both peaks
+        assert len(blocks) >= 2
         peaks = []
         for n_samples in (200, 2000):
             tracemalloc.start()
@@ -443,6 +524,16 @@ class TestCouplingExperiment:
 
         monkeypatch.setattr(verify, "_min_eigpair", flipped)
         assert coupling_experiment(pca3, x, params, 2.0 * params.radius) == drops[::-1]
+
+    def test_one_hessian_gives_the_eigenvalue_and_the_vector(self, pca3, monkeypatch):
+        params = pca_params(pca3, chi=24.0)
+        x = pca3.manifold.point([0.0, 1.0, 0.0])
+        drops = coupling_experiment(pca3, x, params, 2.0 * params.radius)
+        calls = []
+        hessian = Pullback.hessian_at_zero
+        monkeypatch.setattr(Pullback, "hessian_at_zero", lambda pull: calls.append(pull) or hessian(pull))
+        assert coupling_experiment(pca3, x, params, 2.0 * params.radius) == drops
+        assert len(calls) == 1
 
     def test_pca_saddle_coupling(self, pca3):
         params = pca_params(pca3, chi=24.0)
