@@ -198,14 +198,18 @@ def _write_trace_csv(path, trace):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in trace.csv_rows():
-            writer.writerow(row)
+        for ev in trace.events:
+            writer.writerow([ev.t, ev.kind] + [_csv_float(v) for v in (ev.f, ev.grad_norm, ev.tangent_norm)])
+
+
+def _csv_float(value) -> str:
+    return "" if value is None else repr(float(value))
 
 
 def _second_order_summary(problem, trace, params):
-    if not trace.small_grad_points:
+    point = trace.last_small_grad_point
+    if point is None:
         return None
-    _, point = trace.small_grad_points[-1]
     report = check_second_order_point(problem, point, params.epsilon, params.lip_hess)
     return report.as_dict()
 

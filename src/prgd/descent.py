@@ -183,7 +183,7 @@ class RunTrace:
     grad_norm0: float = math.nan
     events: list[TraceEvent] = field(default_factory=list)
     iterates: list[np.ndarray] = field(default_factory=list)
-    small_grad_points: list[tuple[int, Point]] = field(default_factory=list)
+    last_small_grad_point: Point | None = None
     final_point: Point | None = None
     final_f: float = math.nan
     final_grad_norm: float = math.nan
@@ -200,16 +200,9 @@ class RunTrace:
     def n_perturbations(self) -> int:
         return sum(1 for ev in self.events if ev.kind == PERTURBATION)
 
-    def csv_rows(self):
-        """Rows matching the CSV schema t,kind,f,grad_norm,tangent_norm."""
-        for ev in self.events:
-            yield [
-                str(ev.t),
-                ev.kind,
-                repr(float(ev.f)),
-                "" if ev.grad_norm is None else repr(float(ev.grad_norm)),
-                "" if ev.tangent_norm is None else repr(float(ev.tangent_norm)),
-            ]
+    def finish(self, point: Point, f: float, t: int, grad_norm: float, queries: int, terminated: str):
+        self.final_point, self.final_f, self.final_t = point, f, t
+        self.final_grad_norm, self.gradient_queries, self.terminated = grad_norm, queries, terminated
 
 
 def boundary_alpha(s: np.ndarray, g: np.ndarray, eta: float, ball: float) -> float:
@@ -353,13 +346,7 @@ class _Trial:
         self.t = self.queries = self.step = 0
 
     def finish(self, manifold, terminated: str, grad_norm: float):
-        trace = self.trace
-        trace.final_point = Point(manifold, self.x)
-        trace.final_f = self.f_x
-        trace.final_t = self.t
-        trace.final_grad_norm = grad_norm
-        trace.gradient_queries = self.queries + 1
-        trace.terminated = terminated
+        self.trace.finish(Point(manifold, self.x), self.f_x, self.t, grad_norm, self.queries + 1, terminated)
 
 
 def prgd_lockstep(
@@ -422,8 +409,7 @@ def prgd_lockstep(
                 continue
             events = trial.trace.events
             events.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
-            point = Point(manifold, trial.x)
-            trial.trace.small_grad_points.append((trial.t, point))
+            trial.trace.last_small_grad_point = point = Point(manifold, trial.x)
             xi, trial.rng = manifold.sample_ball(point, params.radius, trial.rng)
             start_s = eta * xi.coords
             start_norm = float(_norm(start_s))
@@ -541,10 +527,5 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
         t += 1
         trace.iterates.append(x)
 
-    trace.final_point = Point(manifold, x)
-    trace.final_f = f_x
-    trace.final_grad_norm = grad_norm
-    trace.final_t = t
-    trace.gradient_queries = queries
-    trace.terminated = terminated
+    trace.finish(Point(manifold, x), f_x, t, grad_norm, queries, terminated)
     return trace

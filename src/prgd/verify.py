@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, partial
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -55,12 +55,7 @@ class CriticalityReport:
     `min_eig_pullback` is lambda_min of the pullback Hessian at the origin, in
     one orthonormal tangent basis, from an eigenvalues-only solve; both
     retractions here are second order, so it is also lambda_min of the
-    Riemannian Hessian. The report keeps `problem` and `x`, never a matrix:
-    `eigvec`, the eigenvector in ambient coordinates, is computed on its first
-    read by rerunning the same deterministic Hessian and `min_eigpair`
-    (||H v - lambda v|| <= 1e-9 * ||H|| in the tangent basis). Sign rule: the
-    vector's basis coordinates have their largest-magnitude entry positive (the
-    first one on a tie), so `eigvec` does not depend on the LAPACK routine.
+    Riemannian Hessian. The report holds only the numbers it reports.
     """
 
     grad_norm: float
@@ -68,19 +63,16 @@ class CriticalityReport:
     eps: float
     rho: float
     verdict: bool
-    problem: object
-    x: Point
-
-    @cached_property
-    def eigvec(self) -> Tangent:
-        return _bottom_eigpair(Pullback(self.problem, self.x))[1]
 
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in ("grad_norm", "min_eig_pullback", "eps", "rho", "verdict")}
+        return asdict(self)
 
 
 def _bottom_eigpair(pull: Pullback) -> tuple[float, Tangent]:
-    """`_min_eigpair` of the pullback Hessian at the origin, the vector mapped to an ambient tangent."""
+    """`_min_eigpair` of the pullback Hessian at the origin, the vector mapped to an ambient tangent.
+
+    The sign rule holds in the tangent basis: the vector's largest-magnitude basis coordinate is positive.
+    """
     lam, vec = _min_eigpair(pull.hessian_at_zero())
     return lam, Tangent(pull.base, pull.manifold._project_array(pull.base.coords, pull.basis @ vec))
 
@@ -108,7 +100,7 @@ def check_second_order_point(problem, x: Point, eps: float, rho: float) -> Criti
     # the FD Hessian is exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
     lam = _min_eigenvalue(Pullback(problem, x).hessian_at_zero())[0]
     verdict = bool(grad_norm <= eps and lam >= -math.sqrt(rho * eps))
-    return CriticalityReport(grad_norm, lam, eps, rho, verdict, problem, x)
+    return CriticalityReport(grad_norm, lam, eps, rho, verdict)
 
 
 def random_point(manifold, rng: RngStream) -> tuple[Point, RngStream]:
@@ -293,7 +285,7 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tup
     """Deterministic two-start escape test along the most negative curvature direction.
 
     Starts the tangent loop at +/-(eta*r0/2) times the bottom eigenvector of
-    the pullback Hessian, `CriticalityReport.eigvec`, and returns both value
+    the pullback Hessian (`_bottom_eigpair`), and returns both value
     decreases after the full horizon; when the hypotheses hold, the smaller
     decrease is at most -score_drop. One FD Hessian gives lambda_min and the vector.
     """

@@ -18,16 +18,19 @@ class EuclideanQuadratic(CostFunction):
         self.norm = float(np.abs(np.linalg.eigvalsh(self.matrix)).max())
         self.manifold = Euclidean(self.matrix.shape[0])
 
-    def value(self, x):
-        self._check_point(x)
-        return 0.5 * float(x.coords @ (self.matrix @ x.coords))
+    def _value_and_gradient_array(self, y):
+        hy = np.matvec(self.matrix, y)
+        return 0.5 * np.vecdot(y, hy), hy
 
-    def euclidean_gradient(self, x):
-        self._check_point(x)
-        return self.matrix @ x.coords
 
-    def value_many(self, coords):
-        return 0.5 * np.einsum("ij,ij->i", coords @ self.matrix, coords)
+class SqrtGradient(CostFunction):
+    """sum_i x_i^(3/2) on R^2: zero gradient at the origin, NaN value and gradient wherever a coordinate is negative."""
+
+    manifold = Euclidean(2)
+
+    def _value_and_gradient_array(self, y):
+        with np.errstate(invalid="ignore"):
+            return np.sum(y**1.5, axis=-1), 1.5 * np.sqrt(y)
 
 
 @pytest.fixture

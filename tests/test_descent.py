@@ -599,10 +599,14 @@ class TestPrgd:
                                ball=math.inf, gap=1.0, mode="practical", chi=4.0)
         x0 = pca3.manifold.point([0.0, 1.0, 0.0])
         trace = prgd(pca3, x0, params, RngStream(2, 0), terminate_on_no_decrease=True)
-        assert trace.small_grad_points
-        t, point = trace.small_grad_points[0]
-        assert t == 0
-        assert np.array_equal(point.coords, x0.coords)
+        visits = [ev for ev in trace.events if ev.kind == SMALL_GRAD_VISIT]
+        assert len(visits) >= 2
+        assert visits[0].t == 0 and visits[0].f == pca3.value(x0)
+        # the trace keeps the anchor of the last visit only, the point the CLI certifies
+        point = trace.last_small_grad_point
+        assert pca3.value(point) == visits[-1].f
+        assert float(np.linalg.norm(pca3.riemannian_gradient(point).coords)) == visits[-1].grad_norm
+        assert not np.array_equal(point.coords, x0.coords)
 
 
 class TestRgd:

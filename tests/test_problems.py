@@ -5,8 +5,10 @@ import pytest
 
 from prgd.manifolds import Euclidean
 from prgd.numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
+from prgd.pullback import Pullback
 from prgd.problems import (
     PROJECT_FLOATS,
+    CostFunction,
     PcaProblem,
     QuadraticSaddle,
     load_matrix,
@@ -119,12 +121,12 @@ class TestQuadraticSaddle:
     def test_value_and_gradient_at_origin(self, simple_saddle):
         x = simple_saddle.manifold.point([0.0, 0.0])
         assert simple_saddle.value(x) == 0.0
-        assert np.array_equal(simple_saddle.euclidean_gradient(x), [0.0, 0.0])
+        assert np.array_equal(simple_saddle.riemannian_gradient(x).coords, [0.0, 0.0])
 
     def test_value_and_gradient_off_origin(self, simple_saddle):
         x = simple_saddle.manifold.point([1.0, 1.0])
         assert simple_saddle.value(x) == 0.0
-        assert np.array_equal(simple_saddle.euclidean_gradient(x), [-1.0, 1.0])
+        assert np.array_equal(simple_saddle.riemannian_gradient(x).coords, [-1.0, 1.0])
 
     def test_escape_direction_is_bottom_eigenvector(self, simple_saddle):
         lam, vec = min_eigpair(simple_saddle.matrix)
@@ -176,7 +178,7 @@ class TestRiemannianGradientMany:
 
 
 class TestFusedValueAndGradient:
-    # PcaProblem and QuadraticSaddle override the oracle; EuclideanQuadratic uses the generic default
+    # every cost implements the oracle; the validated value and gradient are one call of it
     @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle, EuclideanQuadratic])
     def test_matches_value_and_riemannian_gradient_bitwise(self, cls):
         a, _, _, rng = synthetic_matrix(6, RngStream(43, 1))
@@ -191,6 +193,7 @@ class TestFusedValueAndGradient:
             assert np.array_equal(grad, problem.riemannian_gradient(point).coords)
 
     def test_generic_oracle_keeps_leading_stack_axes(self):
+        # the test cost's oracle honours the stack contract that the block sweeps rely on
         a, _, _, rng = synthetic_matrix(4, RngStream(47, 1))
         problem = EuclideanQuadratic(a - 1.5 * np.eye(4))
         stack, _ = rng.standard_normal((3, 5, 4))
@@ -201,6 +204,50 @@ class TestFusedValueAndGradient:
                 f_row, grad_row = problem._value_and_gradient_array(stack[i, j])
                 assert f[i, j] == f_row
                 assert np.array_equal(grad[i, j], grad_row)
+
+
+class CountedSquaredNorm(CostFunction):
+    """1/2 ||x||^2 on R^3 through the fused oracle alone, counting the oracle's calls."""
+
+    manifold = Euclidean(3)
+
+    def __init__(self):
+        self.calls = 0
+
+    def _value_and_gradient_array(self, y):
+        self.calls += 1
+        return 0.5 * np.vecdot(y, y), y.copy()
+
+
+class TestOneOracle:
+    def test_each_query_is_one_oracle_call(self):
+        problem = CountedSquaredNorm()
+        x = problem.manifold.point([1.0, -2.0, 0.5])
+        s = problem.manifold.tangent(x, [0.5, 0.0, 1.0])
+        pull = Pullback(problem, x)
+        block = np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        queries = [
+            (lambda: problem.value(x), 2.625),
+            (lambda: problem.riemannian_gradient(x).coords, [1.0, -2.0, 0.5]),
+            (lambda: pull.value(s), 4.25),
+            (lambda: pull.gradient(s).coords, [1.5, -2.0, 1.5]),
+            (lambda: problem.value_many(block), [0.5, 2.0]),
+            (lambda: problem.riemannian_gradient_many(block), block),
+        ]
+        for calls, (query, expected) in enumerate(queries, start=1):
+            assert np.array_equal(query(), expected)
+            assert problem.calls == calls
+
+    def test_a_cost_without_the_oracle_raises(self):
+        class NoOracle(CostFunction):
+            manifold = Euclidean(2)
+
+        problem, x = NoOracle(), NoOracle.manifold.point([1.0, 0.0])
+        for query in (problem.value, problem.riemannian_gradient):
+            with pytest.raises(NotImplementedError):
+                query(x)
+        with pytest.raises(NotImplementedError):
+            problem.value_many(x.coords[None])
 
 
 class TestMatrixIo:

@@ -7,12 +7,12 @@ import pytest
 
 from prgd.descent import derive_params, prgd, tangent_space_steps
 from prgd.errors import NumericalError
-from prgd.manifolds import Euclidean, Tangent
+from prgd.manifolds import Tangent
 from prgd.numerics import RngStream, fd_hessian_from_gradients, min_eigpair
-from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
+from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback, pullback_gradient_rows, pullback_step
 from prgd.verify import random_point, riemannian_hessian_matrix
-from conftest import EuclideanQuadratic
+from conftest import EuclideanQuadratic, SqrtGradient
 from fd_oracles import fd_gradient, fd_hessian
 
 
@@ -32,22 +32,6 @@ def problem_and_point(name, rng):
 def value_route_hessian(pull, u):
     """The independent scalar oracle: fd_hessian of u -> pull.value(B u), B the tangent basis."""
     return fd_hessian(lambda uu: pull.value(Tangent(pull.base, pull.basis @ uu)), u)
-
-
-class SqrtGradient(CostFunction):
-    """sum_i x_i^(3/2) on R^2: zero gradient at the origin, NaN wherever a coordinate is negative."""
-
-    manifold = Euclidean(2)
-
-    def value(self, x):
-        return float(np.sum(x.coords**1.5))
-
-    def euclidean_gradient(self, x):
-        return 1.5 * np.sqrt(x.coords)
-
-    def riemannian_gradient_many(self, coords):
-        with np.errstate(invalid="ignore"):
-            return 1.5 * np.sqrt(coords)
 
 
 class TestValue:

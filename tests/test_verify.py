@@ -22,6 +22,7 @@ from prgd.pullback import Pullback
 from prgd.verify import (
     MIN_SAMPLE_NORM,
     SWEEP_CHUNK,
+    _bottom_eigpair,
     check_second_order_point,
     audit_trace,
     coupling_experiment,
@@ -30,7 +31,7 @@ from prgd.verify import (
     random_point,
     riemannian_hessian_matrix,
 )
-from conftest import EuclideanQuadratic
+from conftest import EuclideanQuadratic, SqrtGradient
 from sweep_oracles import grad_lipschitz_loop, hess_lipschitz_loop
 
 
@@ -55,8 +56,8 @@ class TestCriticalityReport:
         report = check_second_order_point(diag_pca, x, eps=0.01, rho=27.0)
         assert report.min_eig_pullback == pytest.approx(-2.0, abs=1e-5)
         assert not report.verdict
-        # the escape direction accompanies the report
-        assert abs(report.eigvec.coords[0]) == pytest.approx(1.0, abs=1e-6)
+        # the escape direction is the pullback Hessian's bottom eigenvector
+        assert abs(_bottom_eigpair(Pullback(diag_pca, x))[1].coords[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_euclidean_convex_quadratic_passes(self, convex2):
         x = convex2.manifold.point([0.0, 0.0])
@@ -120,14 +121,14 @@ class TestCriticalityReport:
         p = PcaProblem(a)
         for i in range(1, 12):
             x = p.manifold.point(q[:, i])
-            report = check_second_order_point(p, x, eps=1e-3, rho=9.0 * p.norm)
+            vec = _bottom_eigpair(Pullback(p, x))[1].coords
             # the rule holds in the tangent basis, where the eigensolver sees the Hessian
-            coords = p.manifold.tangent_basis(x).T @ report.eigvec.coords
+            coords = p.manifold.tangent_basis(x).T @ vec
             top = int(np.argmax(np.abs(coords)))
             assert coords[top] > 0
-            assert np.linalg.norm(report.eigvec.coords) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
-    def test_eigvec_is_computed_on_first_read(self, monkeypatch):
+    def test_certificate_computes_no_eigenvector(self, monkeypatch):
         steps = []
         eigvec_step = numerics._min_eigvec
 
@@ -141,18 +142,19 @@ class TestCriticalityReport:
         x = p.manifold.point(q[:, 1])
         report = check_second_order_point(p, x, eps=1e-3, rho=9.0 * p.norm)
         assert steps == []
-        # the report keeps the problem and the point, and no matrix
+        # the report holds the numbers it reports, and no matrix
         assert not any(isinstance(value, np.ndarray) for value in vars(report).values())
-        vec = report.eigvec.coords
-        assert len(steps) == 1
-        assert report.eigvec.coords is vec
-        assert len(steps) == 1
+        assert list(report.as_dict()) == ["grad_norm", "min_eig_pullback", "eps", "rho", "verdict"]
         pull = Pullback(p, x)
         hess = pull.hessian_at_zero()
         lam, inner = _min_eigpair(hess)
+        # the counter sees the eigenvector step once it runs
+        assert len(steps) == 1
         assert report.min_eig_pullback == lam
+        bottom_lam, vec = _bottom_eigpair(Pullback(p, x))
+        assert bottom_lam == lam
         expected = p.manifold._project_array(x.coords, pull.basis @ inner)
-        assert vec.tobytes() == expected.tobytes()
+        assert vec.coords.tobytes() == expected.tobytes()
         # the residual contract, in the tangent basis where the eigensolver sees the Hessian
         assert np.linalg.norm(hess @ inner - lam * inner) <= 1e-9 * np.abs(np.linalg.eigvalsh(hess)).max()
 
@@ -226,24 +228,6 @@ def sweep_problem(name):
     if name == "quadratic_saddle":
         return QuadraticSaddle(a - 1.5 * np.eye(20))
     return EuclideanQuadratic(a[:6, :6] - 1.5 * np.eye(6))
-
-
-class SqrtGradient(CostFunction):
-    """sum_i x_i^(3/2) on R^2: NaN value and gradient wherever a coordinate is negative."""
-
-    manifold = Euclidean(2)
-
-    def value(self, x):
-        with np.errstate(invalid="ignore"):
-            return float(np.sum(x.coords**1.5))
-
-    def euclidean_gradient(self, x):
-        with np.errstate(invalid="ignore"):
-            return 1.5 * np.sqrt(x.coords)
-
-    def riemannian_gradient_many(self, coords):
-        with np.errstate(invalid="ignore"):
-            return 1.5 * np.sqrt(coords)
 
 
 REDRAW_SAMPLES = 3 * SWEEP_CHUNK + 10
