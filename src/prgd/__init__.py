@@ -19,6 +19,7 @@ from .pullback import Pullback
 from .verify import (
     CriticalityReport,
     check_second_order_point,
+    check_second_order_points,
     audit_trace,
     coupling_experiment,
     empirical_grad_lipschitz,
@@ -43,6 +44,7 @@ __all__ = [
     "TraceEvent",
     "boundary_alpha",
     "check_second_order_point",
+    "check_second_order_points",
     "audit_trace",
     "coupling_experiment",
     "derive_params",

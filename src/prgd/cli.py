@@ -25,6 +25,7 @@ from .numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
 from .verify import (
     check_second_order_point,
+    check_second_order_points,
     audit_trace,
     coupling_experiment,
     empirical_grad_lipschitz,
@@ -250,9 +251,12 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
                  rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
     """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
 
-    PRGD trials run in lockstep, as one `prgd_lockstep` block. `rgd` draws
-    nothing, so its trials are one run: it runs and is certified once, and
-    every trial record repeats it.
+    PRGD trials run in lockstep, as one `prgd_lockstep` block, whose in-phase
+    steps live in per-tick trace columns until a trace's events are read.
+    `rgd` draws nothing, so its trials are one run: it runs and is certified
+    once, and every trial record repeats it. The final points are certified
+    by one `check_second_order_points` call, in stacked blocks of about
+    `verify.SWEEP_BLOCK_FLOATS` floats (at d=50, all of a 10-trial study).
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -261,9 +265,10 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
     else:
         traces = prgd_lockstep(problem, x0, params, [RngStream(base_seed + i, i) for i in range(trials)],
                                terminate_on_no_decrease=terminate)
+    reports = check_second_order_points(problem, [trace.final_point for trace in traces], params.epsilon,
+                                        params.lip_hess)
     outcomes = []
-    for trace in traces:
-        report = check_second_order_point(problem, trace.final_point, params.epsilon, params.lip_hess)
+    for trace, report in zip(traces, reports):
         alignment = None
         if v_max is not None:
             alignment = abs(float(trace.final_point.coords @ v_max))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -159,10 +160,7 @@ def derive_params(
 
 
 class TraceEvent(NamedTuple):
-    """One algorithm event; `f` is the value after the event's step where applicable.
-
-    An immutable named tuple, cheap to build once per row per tick.
-    """
+    """One algorithm event, an immutable named tuple; `f` is the value after the event's step where applicable."""
 
     t: int
     kind: str
@@ -175,13 +173,63 @@ class TraceEvent(NamedTuple):
     f_before: float | None = None
 
 
+# ticks per chunk of a lockstep block's trace columns
+TRACE_CHUNK = 256
+
+
+class _TickColumns:
+    """Per-tick trace columns of one lockstep block, in (TRACE_CHUNK, 4, rows) chunks made as the ticks reach them.
+
+    The entry of tick k holds, for every row, f after the tick's step, ||s|| and ||s - s0|| after it, and the
+    gradient norm before the step of tick k + 1. Entry `first` holds only that last column: the pre-step
+    norms of the block's first tick.
+    """
+
+    __slots__ = ("first", "rows", "chunks")
+
+    def __init__(self, first: int, rows: int):
+        self.first, self.rows, self.chunks = first, rows, []
+
+    def entries(self):
+        """The entries of ticks `first`, `first` + 1, ... in turn, (4, rows) views made a chunk at a time."""
+        while True:
+            chunk = np.empty((TRACE_CHUNK, 4, self.rows))
+            self.chunks.append(chunk)
+            yield from chunk
+
+
+class _PhaseSpan(NamedTuple):
+    """In-phase tangent steps `step`, `step` + 1, ... of one row, taken at ticks [start, stop) at counter t."""
+
+    columns: _TickColumns
+    row: int
+    start: int
+    stop: int
+    t: int
+    step: int
+
+    def events(self) -> list[TraceEvent]:
+        # the entries of ticks start - 1 to stop - 1: the first holds only the first step's pre-step norm
+        first, i = divmod(self.start - 1 - self.columns.first, TRACE_CHUNK)
+        last = (self.stop - 1 - self.columns.first) // TRACE_CHUNK
+        rows = np.concatenate([chunk[:, :, self.row] for chunk in self.columns.chunks[first:last + 1]])
+        rows = rows[i:i + self.stop - self.start + 1]
+        after, before = rows[1:].T.tolist(), rows[:-1, 3].tolist()
+        return [TraceEvent(self.t, TANGENT_STEP, f, grad_norm, tangent_norm, 1.0, dist, step)
+                for step, f, grad_norm, tangent_norm, dist in zip(count(self.step), after[0], before, after[1],
+                                                                  after[2])]
+
+
 @dataclass
 class RunTrace:
-    """Ordered record of everything a run did, plus the points needed to audit it."""
+    """Ordered record of everything a run did, plus the points needed to audit it.
 
-    f0: float
-    grad_norm0: float = math.nan
-    events: list[TraceEvent] = field(default_factory=list)
+    `events` is the run's list of `TraceEvent`s. `prgd_lockstep` records a row's visits, perturbations,
+    manifold steps, phase ends and truncations as events when they happen, but keeps its other in-phase
+    tangent steps in its block's per-tick columns, one span per phase, so that such a step makes no Python
+    object; `events` builds their events from the columns on its first read, field for field the same.
+    """
+
     iterates: list[np.ndarray] = field(default_factory=list)
     last_small_grad_point: Point | None = None
     final_point: Point | None = None
@@ -191,6 +239,17 @@ class RunTrace:
     gradient_queries: int = 0
     terminated: str = ""
     suspected_second_order: bool = False
+    # TraceEvents and _PhaseSpans in run order; _spans says whether a span is still unbuilt
+    _log: list = field(default_factory=list, init=False, repr=False)
+    _spans: bool = field(default=False, init=False, repr=False)
+
+    @property
+    def events(self) -> list[TraceEvent]:
+        if self._spans:
+            self._log = [ev for item in self._log
+                         for ev in (item.events() if type(item) is _PhaseSpan else (item,))]
+            self._spans = False
+        return self._log
 
     @property
     def n_manifold_steps(self) -> int:
@@ -334,19 +393,29 @@ class _Trial:
     """The scalars of one lockstep run; its arrays are one row of each block.
 
     `x` is the anchor point (a copy of its block row), `grad_norm` the
-    gradient norm there, and `step` is 0 for a manifold step or j >= 1 for
-    step j of a perturbation phase.
+    gradient norm there, and `row` the run's row of the block. During a
+    perturbation phase `phase` is the tick of its first step and `span` the
+    first tick whose step is not yet in a recorded span; `phase` is None
+    during a manifold step.
     """
 
-    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "step")
+    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "row", "phase", "span")
 
-    def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float):
-        self.trace, self.rng, self.x, self.f_x = trace, rng, x, f_x
+    def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float, row: int):
+        self.trace, self.rng, self.x, self.f_x, self.row = trace, rng, x, f_x, row
         self.grad_norm = math.nan
-        self.t = self.queries = self.step = 0
+        self.t = self.queries = 0
+        self.phase = self.span = None
 
     def finish(self, manifold, terminated: str, grad_norm: float):
         self.trace.finish(Point(manifold, self.x), self.f_x, self.t, grad_norm, self.queries + 1, terminated)
+
+    def record_span(self, columns: _TickColumns, stop: int):
+        """Record this phase's steps from `span` up to tick `stop`, at the run's current row."""
+        if self.span < stop:
+            self.trace._log.append(_PhaseSpan(columns, self.row, self.span, stop, self.t, self.span - self.phase + 1))
+            self.trace._spans = True
+            self.span = stop
 
 
 def prgd_lockstep(
@@ -362,12 +431,16 @@ def prgd_lockstep(
     s, the phase start s0 and the pullback gradient at s. Every tick takes one
     gradient step on every row, a manifold step or step j of a perturbation
     phase, through one projection, retraction, fused cost call and adjoint for
-    the whole block, and one norm pass over the new gradients. A row's
-    loop-top gradient is the Riemannian gradient that its last fused call
-    computed at its new anchor. Python runs per row only to record events, to
-    start a phase (the ball draw is on the row's own stream), to truncate a
-    step at the ball and to stop a run; a stopped run leaves the block. Rows
-    share no arithmetic, so trace i is bit-identical to
+    the whole block. A row's loop-top gradient is the Riemannian gradient that
+    its last fused call computed at its new anchor. One `np.vecdot` over the
+    stacked (3, rows, n) buffer of the new s, s - s0 and the next tick's
+    gradients then gives every norm of the tick, written with the values into
+    the block's per-tick trace columns (`_TickColumns`). Python runs per row
+    only where a row's state changes: to start a phase (the ball draw is on the
+    row's own stream), to end one, to take a manifold step, to truncate a step
+    at the ball and to stop a run; each records its events there, and a phase's
+    other steps become one span of the columns. A stopped run leaves the block.
+    Rows share no arithmetic, so trace i is bit-identical to
     `prgd(problem, x0, params, rngs[i], ...)`.
     """
     problem._check_point(x0)
@@ -376,20 +449,29 @@ def prgd_lockstep(
     start = np.ascontiguousarray(x0.coords)
     f0, grad0 = problem._value_and_gradient_array(start)
     f0 = float(f0)
-    trials = [_Trial(RunTrace(f0=f0, iterates=[start]), rng, start, f0) for rng in rngs]
+    trials = [_Trial(RunTrace(iterates=[start]), rng, start, f0, row) for row, rng in enumerate(rngs)]
     traces = [trial.trace for trial in trials]
     x = np.tile(start, (len(trials), 1))
-    grad = np.tile(grad0, (len(trials), 1))
-    # row norms of grad, taken once per tick after the step and patched where a phase starts
-    grad_norms = _norm(grad).tolist()
-    s = np.zeros_like(x)
+    # the norm buffer: s, s - s0 and the loop-top gradient; rows 0 and 2 are the block's s and gradient
+    stack = np.zeros((3,) + x.shape)
+    stack[2] = grad0
     s0 = np.zeros_like(x)
+    tick = 0
+    columns = _TickColumns(tick - 1, len(trials))
+    entries = columns.entries()
+    # the pre-step gradient norms of this tick: the last entry's column, patched where a phase starts
+    grad_norms = next(entries)[3]
+    grad_norms[:] = _norm(stack[2])
+    ends: dict[int, list[_Trial]] = {}  # the runs whose phase takes its last step at each tick
     top = list(range(len(trials)))  # rows at a new anchor, whose loop top runs before the next tick
     stopped: list[int] = []
     while True:
+        stepping = []  # runs taking a manifold step this tick
+        top_norms = grad_norms.tolist() if top else ()
+        s, grad = stack[0], stack[2]  # the block's s and loop-top gradient
         for i in top:
             trial = trials[i]
-            grad_norm = grad_norms[i]
+            grad_norm = top_norms[i]
             if not math.isfinite(grad_norm):
                 raise NumericalError("Riemannian gradient is non-finite")
             if trial.t > params.budget:
@@ -401,14 +483,13 @@ def prgd_lockstep(
                 stopped.append(i)
                 continue
             trial.queries += 1
-            if trial.queries == 1:
-                trial.trace.grad_norm0 = grad_norm
             trial.grad_norm = grad_norm
-            trial.step = 0
+            trial.phase = None
             if grad_norm > params.epsilon:
+                stepping.append(trial)
                 continue
-            events = trial.trace.events
-            events.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
+            log = trial.trace._log
+            log.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
             trial.trace.last_small_grad_point = point = Point(manifold, trial.x)
             xi, trial.rng = manifold.sample_ball(point, params.radius, trial.rng)
             start_s = eta * xi.coords
@@ -417,47 +498,76 @@ def prgd_lockstep(
                 raise ValueError(f"requires ||s0|| <= ball, got {start_norm!r} > {ball!r}")
             # one retraction of s0 gives the event value and the phase's first gradient
             _, f_s0, _, grad[i] = pullback_step(problem, trial.x, start_s)
-            events.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
-                                     tangent_norm=start_norm))
-            grad_norms[i] = float(_norm(grad[i]))
+            log.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
+                                  tangent_norm=start_norm))
+            grad_norms[i] = _norm(grad[i])
             s[i] = start_s
             s0[i] = start_s
-            trial.step = 1
+            trial.phase = trial.span = tick
+            ends.setdefault(tick + horizon - 1, []).append(trial)
         if stopped:
             keep = np.ones(len(trials), dtype=bool)
             keep[stopped] = False
             trials = [trial for trial, kept in zip(trials, keep) if kept]
-            grad_norms = [norm for norm, kept in zip(grad_norms, keep) if kept]
-            x, s, s0, grad = x[keep], s[keep], s0[keep], grad[keep]
+            # the smaller block writes new columns; a phase that runs on records its steps so far first
+            old, columns = columns, _TickColumns(tick - 1, len(trials))
+            entries = columns.entries()
+            kept_norms = next(entries)[3]
+            kept_norms[:] = grad_norms[keep]
+            grad_norms = kept_norms
+            for row, trial in enumerate(trials):
+                if trial.phase is not None:
+                    trial.record_span(old, tick)
+                trial.row = row
+            x, s0, stack = x[keep], s0[keep], stack[:, keep]
+            s, grad = stack[0], stack[2]
             stopped = []
         if not trials:
             return traces
 
-        if not all(map(math.isfinite, grad_norms)):
+        if not all(map(math.isfinite, grad_norms.tolist())):
             raise NumericalError("pullback gradient is non-finite")
-        s, alphas, y, f, grad_y, grad = _gradient_step(problem, x, s, grad, eta, ball)
-        values = f.tolist()
-        tangent_norms = _norm(s).tolist()
-        dists = _norm(s - s0).tolist()
+        s_new, alphas, y, f, grad_y, grad_new = _gradient_step(problem, x, s, grad, eta, ball)
+        entry = next(entries)
+        entry[0] = f
+        s[...] = s_new
+        np.subtract(s, s0, out=stack[1])
+        grad[...] = grad_new
+        ending = ends.pop(tick, [])
+        for i in alphas:
+            trial = trials[i]
+            if trial.phase is not None and trial.phase + horizon - 1 != tick:
+                # a truncated step ends its phase early
+                ends[trial.phase + horizon - 1].remove(trial)
+                ending.append(trial)
+        changed = stepping + ending
+        for trial in changed:
+            # a new anchor is the retracted point, and its loop-top gradient the fused one there
+            i = trial.row
+            x[i] = y[i]
+            grad[i] = grad_y[i]
+        norms = entry[1:]
+        np.vecdot(stack, stack, out=norms)
+        np.sqrt(norms, out=norms)
         top = []
-        for i, trial in enumerate(trials):
-            trace, step = trial.trace, trial.step
-            if 0 < step < horizon and i not in alphas:
-                # inside a phase and not truncated: only the event and the step count change
-                trace.events.append(TraceEvent(trial.t, TANGENT_STEP, values[i], grad_norms[i], tangent_norms[i],
-                                               1.0, dists[i], step))
-                trial.step = step + 1
-                continue
-            if step == 0:
-                trace.events.append(TraceEvent(t=trial.t, kind=MANIFOLD_STEP, f=values[i], grad_norm=grad_norms[i],
-                                               tangent_norm=tangent_norms[i], alpha=alphas.get(i, 1.0),
-                                               f_before=trial.f_x))
+        if changed:
+            values = f.tolist()
+            grad_before = grad_norms.tolist()
+            tangent_norms, dists, _ = norms.tolist()
+        for trial in changed:
+            i, trace = trial.row, trial.trace
+            s[i] = 0.0
+            if trial.phase is None:
+                trace._log.append(TraceEvent(t=trial.t, kind=MANIFOLD_STEP, f=values[i], grad_norm=grad_before[i],
+                                             tangent_norm=tangent_norms[i], alpha=alphas.get(i, 1.0),
+                                             f_before=trial.f_x))
                 trial.t += 1
             else:
-                truncated = i in alphas
-                trace.events.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if truncated else TANGENT_STEP,
-                                               f=values[i], grad_norm=grad_norms[i], tangent_norm=tangent_norms[i],
-                                               alpha=alphas.get(i, 1.0), dist_start=dists[i], step=step))
+                step = tick - trial.phase + 1
+                trial.record_span(columns, tick)
+                trace._log.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if i in alphas else TANGENT_STEP,
+                                             f=values[i], grad_norm=grad_before[i], tangent_norm=tangent_norms[i],
+                                             alpha=alphas.get(i, 1.0), dist_start=dists[i], step=step))
                 # the phase ran (and spent its queries), so the counter advances even if the run stops here
                 trial.queries += step
                 trial.t += horizon
@@ -470,12 +580,8 @@ def prgd_lockstep(
             trial.f_x = values[i]
             trace.iterates.append(trial.x)
             top.append(i)
-        if top:
-            # a new anchor is the retracted point, and its loop-top gradient the fused one there
-            x[top] = y[top]
-            grad[top] = grad_y[top]
-            s[top] = 0.0
-        grad_norms = _norm(grad).tolist()
+        grad_norms = entry[3]
+        tick += 1
 
 
 def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTrace:
@@ -491,8 +597,8 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
     x = x0.coords
     # one fused call per iterate gives its value and the next loop-top gradient
     f_x, grad = problem._value_and_gradient_array(x)
-    trace = RunTrace(f0=f_x)
-    trace.iterates.append(x)
+    trace = RunTrace(iterates=[x])
+    events = trace.events
     queries = 0
     t = 0
     terminated = "budget"
@@ -502,8 +608,6 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
         grad_norm = _norm(grad)
         if not math.isfinite(grad_norm):
             raise NumericalError("Riemannian gradient is non-finite")
-        if queries == 1:
-            trace.grad_norm0 = grad_norm
         if grad_norm <= epsilon:
             terminated = "gradient_converged"
             break
@@ -512,7 +616,7 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
         step = -eta * grad
         x = manifold._retract_array(x, step)
         f_new, grad = problem._value_and_gradient_array(x)
-        trace.events.append(
+        events.append(
             TraceEvent(
                 t=t,
                 kind=MANIFOLD_STEP,

@@ -76,11 +76,16 @@ def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     return lam, _min_eigvec(m, lam, norm_m)
 
 
-def _min_eigenvalue(m: np.ndarray) -> tuple[float, float]:
-    """`_min_eigpair`'s lam and max|lam_i| from `_eigenvalues` alone; (0.0, 0.0) for the zero matrix."""
+def _min_eigenvalue(m: np.ndarray):
+    """`_min_eigpair`'s lam and max|lam_i| from `_eigenvalues` alone; (0.0, 0.0) for the zero matrix.
+
+    For a stack of matrices, a list of these pairs, one per matrix, from one `eigvalsh` call.
+    """
     vals = _eigenvalues(m)
-    norm_m = max(-vals[0], vals[-1])
-    return (float(vals[0]), float(norm_m)) if norm_m else (0.0, 0.0)
+    lams = vals[..., 0]
+    pairs = [(lam, norm_m) if norm_m else (0.0, 0.0)
+             for lam, norm_m in zip(lams.ravel().tolist(), np.maximum(-lams, vals[..., -1]).ravel().tolist())]
+    return pairs if m.ndim > 2 else pairs[0]
 
 
 def _min_eigvec(m: np.ndarray, lam: float, norm_m: float) -> np.ndarray:

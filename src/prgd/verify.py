@@ -92,15 +92,35 @@ def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
 
 
 def check_second_order_point(problem, x: Point, eps: float, rho: float) -> CriticalityReport:
-    """Evaluate the eps-second-order conditions at x: small gradient, bounded negative curvature (lambda_min only)."""
+    """Evaluate the eps-second-order conditions at x: the one-point call of `check_second_order_points`."""
+    return check_second_order_points(problem, [x], eps, rho)[0]
+
+
+def check_second_order_points(problem, points, eps: float, rho: float) -> list[CriticalityReport]:
+    """Evaluate the eps-second-order conditions at each point: small gradient, bounded negative curvature.
+
+    lambda_min comes from an eigenvalues-only solve. The FD Hessians are built in stacked blocks of about
+    SWEEP_BLOCK_FLOATS floats of gradient rows and tangent bases (at least one point a block): one stack of
+    bases, one FD Hessian stack and one `eigvalsh` stack per block. Each matrix of a stack gets its own
+    gemm and LAPACK call, so every report has the bits of a one-point call.
+    """
     if not (eps > 0 and rho > 0):
         raise ValueError("eps and rho must be positive")
-    problem._check_point(x)
-    grad_norm = float(np.linalg.norm(problem.riemannian_gradient(x).coords))
-    # the FD Hessian is exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
-    lam = _min_eigenvalue(Pullback(problem, x).hessian_at_zero())[0]
-    verdict = bool(grad_norm <= eps and lam >= -math.sqrt(rho * eps))
-    return CriticalityReport(grad_norm, lam, eps, rho, verdict)
+    # the validated gradient checks each point too
+    grad_norms = [float(np.linalg.norm(problem.riemannian_gradient(x).coords)) for x in points]
+    manifold = problem.manifold
+    k = manifold.intrinsic_dim
+    block = max(1, SWEEP_BLOCK_FLOATS // (3 * k * manifold.ambient_dim))
+    lams = []
+    for first in range(0, len(points), block):
+        x = np.stack([point.coords for point in points[first:first + block]])
+        # the FD Hessians are exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
+        hess = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), 0.0,
+                                         manifold._tangent_basis_array(x))
+        lams += [lam for lam, _ in _min_eigenvalue(hess)]
+    bar = -math.sqrt(rho * eps)
+    return [CriticalityReport(grad_norm, lam, eps, rho, bool(grad_norm <= eps and lam >= bar))
+            for grad_norm, lam in zip(grad_norms, lams)]
 
 
 def random_point(manifold, rng: RngStream) -> tuple[Point, RngStream]:

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from prgd import cli, descent
+from prgd import cli, descent, verify
 from prgd.cli import escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
@@ -23,7 +24,7 @@ from prgd.descent import (
 )
 from prgd.errors import NumericalError
 from prgd.manifolds import Sphere, Tangent, same_point
-from prgd.numerics import RngStream
+from prgd.numerics import RngStream, fd_hessian_from_gradients
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
 from prgd.verify import check_second_order_point, random_point
@@ -383,8 +384,8 @@ def assert_same_run(trace, other):
     assert len(trace.iterates) == len(other.iterates)
     assert all(np.array_equal(p, q) for p, q in zip(trace.iterates, other.iterates))
     assert np.array_equal(trace.final_point.coords, other.final_point.coords)
-    for name in ("f0", "grad_norm0", "final_f", "final_grad_norm", "final_t", "gradient_queries",
-                 "terminated", "suspected_second_order"):
+    for name in ("final_f", "final_grad_norm", "final_t", "gradient_queries", "terminated",
+                 "suspected_second_order"):
         assert getattr(trace, name) == getattr(other, name), name
 
 
@@ -480,6 +481,46 @@ class TestBallTest:
         for i, trace in enumerate(traces):
             events, _, _, _, _ = public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)
             assert trace.events == events
+
+
+# Bytes one in-phase step cost in a trace before its steps became trace columns: a 9-field TraceEvent
+# (112 B) with four fresh floats (4 x 24 B) in one list slot (8 B). The whole one-row run below then
+# had a tracemalloc peak of 225-228 B per step (numpy 2.4, Python 3.11).
+TRACE_EVENT_BYTES = 112 + 4 * 24 + 8
+
+
+class TestTraceColumns:
+    def test_one_row_run_holds_less_per_step_than_a_trace_event(self, pca3):
+        # without --terminate the run ends only by budget: a gap no run can exhaust keeps it going
+        consts = pca3.constants()
+        params = derive_params(epsilon=1e-3, delta=0.1, dim=2, ell=consts.lip_grad, lip_grad=consts.lip_grad,
+                               lip_hess=consts.lip_hess, ball=math.inf, gap=1.0, mode="practical", chi=4.0)
+        params = dataclasses.replace(params, gap=10.0, budget=10_200)
+        x0 = pca3.manifold.point([0.0, 1.0, 0.0])
+        tracemalloc.start()
+        try:
+            trace = prgd(pca3, x0, params, RngStream(2, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.terminated == "budget"
+        steps = sum(ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION) for ev in trace.events)
+        assert steps >= 10_000
+        assert peak / steps <= TRACE_EVENT_BYTES
+
+    def test_spans_across_chunks_and_a_shrinking_block_repeat_the_single_runs(self, monkeypatch):
+        # chunks of 7 ticks, so every phase spans many chunks
+        monkeypatch.setattr(descent, "TRACE_CHUNK", 7)
+        problem, x0, params = pca_saddle(50)
+        traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)], True)
+        spans = [sum(type(item) is descent._PhaseSpan for item in trace._log) for trace in traces]
+        # a run that stops mid-phase of another re-forms the block, which splits that phase's span
+        assert any(count > trace.n_perturbations for count, trace in zip(spans, traces))
+        for i, trace in enumerate(traces):
+            events = trace.events
+            assert trace.events is events
+            assert_same_run(trace, prgd(problem, x0, params, RngStream(1 + i, i), True))
+            assert events == public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)[0]
 
 
 class TestPrgd:
@@ -650,16 +691,22 @@ class TestRgd:
         x0, _ = random_point(problem.manifold, RngStream(6, 1))
         single = rgd(problem, x0, params.eta, params.epsilon, 500)
         report = check_second_order_point(problem, single.final_point, params.epsilon, params.lip_hess)
-        calls = {"rgd": 0, "check_second_order_point": 0}
+        calls = {"rgd": 0, "check_second_order_points": 0}
+        certified = []
         for name in calls:
             def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(cli, name, counted)
+        monkeypatch.setattr(verify, "fd_hessian_from_gradients",
+                            lambda gradients, center, bases: certified.append(len(bases))
+                            or fd_hessian_from_gradients(gradients, center, bases))
         study = escape_study(problem, x0, params, base_seed=7, trials=5, algorithm="rgd",
                              rgd_max_iters=500, v_max=vecs[:, 0])
-        assert calls == {"rgd": 1, "check_second_order_point": 1}
+        # one certificate call, whose one block holds one point
+        assert calls == {"rgd": 1, "check_second_order_points": 1}
+        assert certified == [1]
         assert [(res.seed, res.stream) for res in study] == [(7 + i, i) for i in range(5)]
         assert single.final_t >= 1
         for res in study:

@@ -192,18 +192,23 @@ class TestFusedValueAndGradient:
             assert f == problem.value(point)
             assert np.array_equal(grad, problem.riemannian_gradient(point).coords)
 
-    def test_generic_oracle_keeps_leading_stack_axes(self):
-        # the test cost's oracle honours the stack contract that the block sweeps rely on
-        a, _, _, rng = synthetic_matrix(4, RngStream(47, 1))
-        problem = EuclideanQuadratic(a - 1.5 * np.eye(4))
-        stack, _ = rng.standard_normal((3, 5, 4))
+    @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle])
+    def test_generic_oracle_keeps_leading_stack_axes(self, cls):
+        # a shipped oracle on a stack gives every row the bits of a one-row call: the lockstep loop, the
+        # sweeps and the stacked certificate rely on it; d=50 as in the escape study
+        a, _, _, rng = synthetic_matrix(50, RngStream(47, 1))
+        problem = cls(a - 1.5 * np.eye(50))
+        stack, _ = rng.standard_normal((3, 5, 50))
+        if cls is PcaProblem:
+            stack /= np.linalg.norm(stack, axis=-1, keepdims=True)
         f, grad = problem._value_and_gradient_array(stack)
-        assert f.shape == (3, 5) and grad.shape == (3, 5, 4)
+        assert f.shape == (3, 5) and grad.shape == (3, 5, 50)
         for i in range(3):
+            block_f, block_grad = problem._value_and_gradient_array(stack[i])
             for j in range(5):
                 f_row, grad_row = problem._value_and_gradient_array(stack[i, j])
-                assert f[i, j] == f_row
-                assert np.array_equal(grad[i, j], grad_row)
+                assert f[i, j] == block_f[j] == f_row
+                assert np.array_equal(grad[i, j], grad_row) and np.array_equal(block_grad[j], grad_row)
 
 
 class CountedSquaredNorm(CostFunction):

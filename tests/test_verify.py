@@ -24,6 +24,7 @@ from prgd.verify import (
     SWEEP_CHUNK,
     _bottom_eigpair,
     check_second_order_point,
+    check_second_order_points,
     audit_trace,
     coupling_experiment,
     empirical_grad_lipschitz,
@@ -85,7 +86,7 @@ class TestCriticalityReport:
 
     def test_certificate_builds_one_basis_and_one_gradient_batch(self, monkeypatch):
         calls = {"basis": 0, "batch": 0}
-        basis, batch = Sphere.tangent_basis, PcaProblem.riemannian_gradient_many
+        basis, batch = Sphere._tangent_basis_array, PcaProblem.riemannian_gradient_many
 
         def counted(name, method):
             def wrapper(*args):
@@ -93,13 +94,16 @@ class TestCriticalityReport:
                 return method(*args)
             return wrapper
 
-        monkeypatch.setattr(Sphere, "tangent_basis", counted("basis", basis))
+        monkeypatch.setattr(Sphere, "_tangent_basis_array", counted("basis", basis))
         monkeypatch.setattr(PcaProblem, "riemannian_gradient_many", counted("batch", batch))
         a, _, q, _ = synthetic_matrix(6, RngStream(31, 1))
         p = PcaProblem(a)
         check_second_order_point(p, p.manifold.point(q[:, 1]), eps=1e-3, rho=18.0)
         # each finite-difference Hessian is one batch of exact gradients
         assert calls == {"basis": 1, "batch": 1}
+        # a block of points is one stack of bases and one batch
+        check_second_order_points(p, [p.manifold.point(q[:, i]) for i in range(6)], eps=1e-3, rho=18.0)
+        assert calls == {"basis": 2, "batch": 2}
 
     def test_generic_certificate_queries_the_validated_gradient_once(self, monkeypatch):
         # the FD Hessian's 2k gradients come from the block oracle; only the gradient norm is validated
@@ -168,6 +172,103 @@ class TestCriticalityReport:
         x = diag_pca.manifold.point([0.0, 1.0])
         hess = riemannian_hessian_matrix(diag_pca, x)
         assert hess[0, 0] == pytest.approx(-2.0, abs=1e-6)
+
+
+def report_bits(report):
+    """The report's fields as reprs, which tell every float bit (and -0.0 from 0.0) apart."""
+    return [repr(value) for value in report.as_dict().values()]
+
+
+def one_point_route(problem, x, eps, rho):
+    """A certificate taken one point at a time through the validated gradient and `Pullback`."""
+    grad_norm = float(np.linalg.norm(problem.riemannian_gradient(x).coords))
+    lam = _min_eigenvalue(Pullback(problem, x).hessian_at_zero())[0]
+    return [repr(grad_norm), repr(lam), repr(eps), repr(rho), repr(grad_norm <= eps and lam >= -math.sqrt(rho * eps))]
+
+
+def pca50_points():
+    """The top eigenvector, four saddles and five random points of a d=50 PCA problem, and its rho."""
+    a, _, q, _ = synthetic_matrix(50, RngStream(1, 2**48))
+    p = PcaProblem(a)
+    points = [p.manifold.point(q[:, i]) for i in (0, 1, 2, 7, 49)]
+    rng = RngStream(33, 5)
+    for _ in range(5):
+        x, rng = random_point(p.manifold, rng)
+        points.append(x)
+    return p, points, 9.0 * p.norm
+
+
+class TestStackedCertificate:
+    """`check_second_order_points` certifies a block of points with the bits of one-point calls."""
+
+    def check(self, problem, points, eps, rho):
+        reports = check_second_order_points(problem, points, eps, rho)
+        assert len(reports) == len(points)
+        for x, report in zip(points, reports):
+            assert report_bits(report) == report_bits(check_second_order_point(problem, x, eps, rho))
+            assert report_bits(report) == one_point_route(problem, x, eps, rho)
+        return reports
+
+    def test_pca_d50_points_match_one_point_calls(self):
+        p, points, rho = pca50_points()
+        reports = self.check(p, points, 1e-3, rho)
+        # only the top eigenvector passes
+        assert [r.verdict for r in reports] == [True] + [False] * 9
+
+    def test_quadratic_saddle_points_match_one_point_calls(self):
+        problem = QuadraticSaddle(np.diag([-1.0, 0.5, 2.0, 3.0, 0.25, 1.5]))
+        points = [problem.manifold.point(np.zeros(6))]
+        rng = RngStream(34, 1)
+        for _ in range(4):
+            x, rng = random_point(problem.manifold, rng)
+            points.append(x)
+        self.check(problem, points, 1e-3, 1.0)
+
+    def count_blocks(self, monkeypatch):
+        """The number of points of each stack of tangent bases a certificate builds, one stack a block."""
+        blocks = []
+        basis = Sphere._tangent_basis_array
+
+        def counted(self, x):
+            blocks.append(len(x))
+            return basis(self, x)
+
+        monkeypatch.setattr(Sphere, "_tangent_basis_array", counted)
+        return blocks
+
+    def test_small_float_cap_splits_the_points_into_blocks(self, monkeypatch):
+        p, points, rho = pca50_points()
+        whole = check_second_order_points(p, points, 1e-3, rho)
+        blocks = self.count_blocks(monkeypatch)
+        # room for three points' gradient rows and bases a block
+        monkeypatch.setattr(verify, "SWEEP_BLOCK_FLOATS", 3 * (3 * 49 * 50))
+        reports = check_second_order_points(p, points, 1e-3, rho)
+        assert blocks == [3, 3, 3, 1]
+        assert [report_bits(r) for r in reports] == [report_bits(r) for r in whole]
+
+    def test_default_cap_keeps_d50_points_in_one_block(self, monkeypatch):
+        blocks = self.count_blocks(monkeypatch)
+        p, points, rho = pca50_points()
+        check_second_order_points(p, points, 1e-3, rho)
+        assert blocks == [10]
+        # one n=2000 point's 3k*n floats exceed the cap, so it is a block of its own
+        assert 3 * 1999 * 2000 > verify.SWEEP_BLOCK_FLOATS
+
+    def test_invalid_point_raises_the_one_point_error(self):
+        p, points, rho = pca50_points()
+        stranger = Sphere(3).point([1.0, 0.0, 0.0])
+        with pytest.raises(ValueError) as one:
+            check_second_order_point(p, stranger, 1e-3, rho)
+        with pytest.raises(ValueError) as block:
+            check_second_order_points(p, points[:4] + [stranger] + points[4:], 1e-3, rho)
+        assert str(block.value) == str(one.value) and "sphere(3)" in str(one.value)
+        for eps, rho_bad in ((0.0, rho), (1e-3, -1.0)):
+            with pytest.raises(ValueError, match="eps and rho must be positive"):
+                check_second_order_points(p, points, eps, rho_bad)
+
+    def test_no_points_give_no_reports(self):
+        p, _, rho = pca50_points()
+        assert check_second_order_points(p, [], 1e-3, rho) == []
 
 
 class TestCertificateScaling:
@@ -456,7 +557,7 @@ class TestTraceAudit:
     def test_fake_increasing_manifold_step_is_flagged(self, simple_saddle):
         params = derive_params(epsilon=0.3, delta=0.1, dim=2, ell=1.0, lip_grad=1.0,
                                lip_hess=1.0, ball=math.inf, gap=2.0, mode="practical", chi=4.0)
-        trace = RunTrace(f0=0.5)
+        trace = RunTrace()
         trace.events.append(TraceEvent(t=0, kind=MANIFOLD_STEP, f=1.0, grad_norm=0.5,
                                        tangent_norm=0.5, alpha=1.0, f_before=0.5))
         report = audit_trace(trace, params)
@@ -466,7 +567,7 @@ class TestTraceAudit:
     def test_fake_localization_breach_is_flagged(self, simple_saddle):
         params = derive_params(epsilon=0.3, delta=0.1, dim=2, ell=1.0, lip_grad=1.0,
                                lip_hess=1.0, ball=math.inf, gap=2.0, mode="practical", chi=4.0)
-        trace = RunTrace(f0=1.0)
+        trace = RunTrace()
         trace.events.append(TraceEvent(t=0, kind=PERTURBATION, f=1.0, grad_norm=0.0, tangent_norm=0.0))
         trace.events.append(TraceEvent(t=0, kind=TANGENT_STEP, f=1.0, grad_norm=0.0,
                                        tangent_norm=1.0, alpha=1.0, dist_start=1.0, step=1))
