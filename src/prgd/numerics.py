@@ -118,10 +118,15 @@ def _min_eigvec(m: np.ndarray, lam: float, norm_m: float) -> np.ndarray:
     return vec
 
 
-def _eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of an exactly symmetric matrix or stack: only size and finiteness are checked."""
+def _check_eig_dim(m: np.ndarray):
+    """Raise for a matrix (or stack) above EIG_DIM_LIMIT, the largest size the eigensolvers take."""
     if m.shape[-1] > EIG_DIM_LIMIT:
         raise ValueError(f"matrix dimension {m.shape[-1]} exceeds the supported limit {EIG_DIM_LIMIT}")
+
+
+def _eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of an exactly symmetric matrix or stack: only size and finiteness are checked."""
+    _check_eig_dim(m)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must all be finite")
     try:
@@ -141,6 +146,31 @@ def operator_norm(m):
     """Spectral norm max|eigenvalue| of a symmetric matrix, or an array of them for a stack."""
     norms = np.abs(sym_eigenvalues(m)).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
+
+
+def _operator_norm_bounds(m: np.ndarray):
+    """Upper bounds on `operator_norm` of an exactly symmetric matrix or of each of a stack, with no eigensolve.
+
+    For symmetric M, max|lam_i| = ||M^2||_2^(1/2) <= ||M^2||_F^(1/2) = (sum lam_i^4)^(1/4): at most k^(1/4)
+    times the norm, and equal to it at rank one. The bound is c * (||(M/c)^2||_F^(1/2) * (1 + 1e-9)) with
+    c = max|M_ij| (at least the smallest normal float): M/c has entries of at most 1, so nothing overflows
+    or underflows at any finite scale, and the bound is finite while c * k is. The factor covers the
+    round-off of the scaling, the product, the sums and the eigensolver up to EIG_DIM_LIMIT. It comes
+    before the one multiplication by c, so a subnormal bound is rounded once, as the eigensolver rounds
+    its scaled-back eigenvalues, and the zero matrix gets 0. Raises what `operator_norm` raises on the
+    same input, in its order: non-finite entries, the size limit, then entries of 2^1023 or more, whose
+    symmetrizing sum m + m.mT overflows.
+    """
+    peak = np.abs(m).max(axis=(-2, -1))
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("matrix entries must all be finite")
+    _check_eig_dim(m)
+    if not np.all(peak < 2.0**1023):
+        raise ValueError("matrix entries must all be finite")
+    scale = np.maximum(peak, np.finfo(float).smallest_normal)
+    unit = m / scale[..., None, None]
+    square = (unit @ unit).reshape(m.shape[:-2] + (-1,))
+    return scale * (np.sqrt(np.sqrt(np.vecdot(square, square))) * (1.0 + 1e-9))
 
 
 def _norm(v: np.ndarray, keepdims: bool = False):
@@ -264,16 +294,21 @@ def sample_unit_ball(dim: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
 def _unit_ball_rows(direction: np.ndarray, u) -> np.ndarray:
     """Unit-ball points from Gaussian direction rows and their uniforms u: row * u^(1/dim) / ||row||.
 
-    The factor is a Python float power per row, since `np.power` may round
-    differently. A row whose norm still rounds above 1 is scaled back onto the
-    unit sphere; a zero or non-finite direction raises.
+    The radius u^(1/dim) is a Python float power per row, since `np.power` may round
+    differently; the norms and factors are one stacked pass. A row whose norm still
+    rounds above 1 is scaled back onto the unit sphere; a zero or non-finite direction
+    raises. A row's computed norm is its radius to within (dim + 4) ulps, so only a
+    radius above 1 - 1e-6 (dim below 10^9) can round above 1, and only then are the
+    norms taken again.
     """
     inv_dim = 1.0 / direction.shape[-1]
-    norms = _norm(direction).tolist()
-    if not all(0.0 < nrm < math.inf for nrm in norms):  # pragma: no cover - probability-zero draw
+    squares = np.vecdot(direction, direction)
+    if not all(0.0 < sq < math.inf for sq in squares.tolist()):  # pragma: no cover - probability-zero draw
         raise NumericalError("degenerate Gaussian direction while sampling the unit ball")
-    point = direction * np.array([ui ** inv_dim / nrm for ui, nrm in zip(u, norms)])[:, None]
-    for i, out_norm in enumerate(_norm(point).tolist()):
-        if out_norm > 1.0:  # pragma: no cover - round-off guard
-            point[i] /= out_norm
+    radii = [ui ** inv_dim for ui in u]
+    point = direction * (np.array(radii) / np.sqrt(squares))[:, None]
+    if max(radii, default=0.0) > 1.0 - 1e-6:
+        for i, out_norm in enumerate(_norm(point).tolist()):
+            if out_norm > 1.0:
+                point[i] /= out_norm
     return point

@@ -22,12 +22,13 @@ from .manifolds import Point, Sphere, Tangent
 from .numerics import (
     RngStream,
     _check_finite,
+    _eigenvalues,
     _min_eigenvalue,
     _min_eigpair,
     _norm,
+    _operator_norm_bounds,
     _unit_ball_rows,
     fd_hessian_from_gradients,
-    operator_norm,
     sample_unit_ball,
 )
 from .pullback import Pullback, pullback_gradient_rows, pullback_step
@@ -42,8 +43,8 @@ MAYBE_SHORT = MIN_SAMPLE_NORM * (1.0 + 1e-6)
 # samples per stacked block of a Lipschitz sweep, and a cap on one block's floats (rows and tangent
 # bases). At d=20 the sample cap binds for both sweeps (the float cap allows 115 Hessian and 327
 # gradient samples). On lipschitz-pca-d20 (one BLAS thread, 2 vCPUs, median of 3 10-s runs) a cap
-# of 8, 16, 32 and 64 gave 8,434, 10,053, 11,693 and 12,456 samples/s at 38.9, 39.0, 39.6 and
-# 40.4 MiB peak RSS.
+# of 8, 16, 32 and 64 gave 11,014, 13,754, 15,607 and 16,618 samples/s at 39.1, 39.6, 39.8 and
+# 40.8 MiB peak RSS.
 SWEEP_CHUNK = 64
 SWEEP_BLOCK_FLOATS = 2**17
 
@@ -176,11 +177,13 @@ def _draw_chunk(manifold, ball, count, rng):
 
 
 def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
-    """Max of `block_ratios(x, s, bases)` over n_samples samples, drawn in stream order.
+    """Max of the ratios over n_samples samples, drawn in stream order.
 
     Each chunk of samples is evaluated as one stacked block: at most SWEEP_CHUNK = 64 samples
     and about SWEEP_BLOCK_FLOATS floats of their tangent bases and rows_per_sample rows, ended
-    early at a sample whose tangent might be short (see `_draw_chunk`). A non-finite ratio raises.
+    early at a sample whose tangent might be short (see `_draw_chunk`). `block_ratios(x, s, bases,
+    worst)` returns the ratios of the block's samples that may exceed the running max `worst`;
+    a non-finite one raises.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -193,10 +196,10 @@ def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
     done = 0
     while done < n_samples:
         x, bases, s, rng = _draw_chunk(manifold, ball, min(chunk, n_samples - done), rng)
-        ratios = block_ratios(x, s, bases)
+        ratios = block_ratios(x, s, bases, worst)
         if not np.all(np.isfinite(ratios)):
             raise NumericalError("non-finite pullback gradient or Lipschitz ratio")
-        worst = max(worst, float(ratios.max()))
+        worst = max(worst, float(ratios.max(initial=0.0)))
         done += len(x)
     return worst
 
@@ -204,7 +207,7 @@ def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
 def empirical_grad_lipschitz(problem, ball: float, n_samples: int, rng: RngStream) -> float:
     """Max of ||grad-pullback(s) - grad-pullback(0)|| / ||s|| over random base points and s."""
 
-    def block_ratios(x, s, _):
+    def block_ratios(x, s, _, __):
         g_s = pullback_step(problem, x, s)[3]
         g_0 = problem._value_and_gradient_array(x)[1]
         return _norm(g_s - g_0) / _norm(s)
@@ -213,15 +216,34 @@ def empirical_grad_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
 
 
 def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStream) -> float:
-    """Max operator-norm ratio ||hess-pullback(s) - hess-pullback(0)|| / ||s||, intrinsic basis."""
+    """Max operator-norm ratio ||hess-pullback(s) - hess-pullback(0)|| / ||s||, intrinsic basis.
+
+    Each block bounds before it solves: `_operator_norm_bounds` gives every difference an upper bound
+    on its operator norm from one stacked matmul and one `vecdot`, and only the samples whose bound
+    over ||s|| exceeds the running max are solved, largest bound first, each raising the max. A skipped
+    sample's ratio is at most its bound over ||s|| (correctly rounded division keeps the order), which
+    is at most the max, so the max has the bits of solving every sample. On criterion 3's d=20 PCA
+    problem (stream 41) the 200-sample sweep solves 3 samples and the 10^4-sample sweep 9. A non-finite
+    difference, and a size above EIG_DIM_LIMIT, raise what `operator_norm` raises, solved or not.
+    """
     k = problem.manifold.intrinsic_dim
 
-    def block_ratios(x, s, bases):
+    def block_ratios(x, s, bases, worst):
         gradients = partial(pullback_gradient_rows, problem, x)
         # s projected onto the basis span, as `Pullback.hessian_at` centres it
         center = (bases @ (bases.mT @ s[..., None])).mT
         diff = fd_hessian_from_gradients(gradients, center, bases) - fd_hessian_from_gradients(gradients, 0.0, bases)
-        return operator_norm(diff) / _norm(s)
+        norms = _norm(s)
+        bounds = _operator_norm_bounds(diff) / norms
+        ratios = []
+        for i in np.argsort(bounds)[::-1]:
+            if bounds[i] <= worst:
+                break
+            # a difference of two exactly symmetric FD Hessians is exactly symmetric, and
+            # `operator_norm`'s symmetrizing pass 0.5 * (m + m.mT) would give it back bit for bit
+            ratios.append(np.abs(_eigenvalues(diff[i])).max() / norms[i])
+            worst = max(worst, ratios[-1])
+        return np.array(ratios)
 
     return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * k)
 

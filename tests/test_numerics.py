@@ -7,10 +7,12 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from prgd import numerics
 from prgd.errors import NumericalError
 from prgd.numerics import (
     RngStream,
     _norm,
+    _operator_norm_bounds,
     _unit_ball_rows,
     as_sym_matrix,
     as_vector,
@@ -250,6 +252,51 @@ class TestStackedSymmetricMatrices:
             as_sym_matrix(np.array([random_symmetric(4, 0)] * 2))
 
 
+class TestOperatorNormBounds:
+    """`_operator_norm_bounds`, the sweep's test of which samples to solve, never falls below `operator_norm`."""
+
+    @given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.sampled_from([1e-320, 1e-300, 1.0, 1e300]))
+    def test_bound_covers_the_operator_norm(self, k, seed, scale):
+        # rank one, where the bound is tight; +-equal extreme eigenvalues; a generic matrix; the zero matrix
+        v, _ = RngStream(seed, k).standard_normal(k)
+        lams = np.linspace(-0.5, 0.5, k)
+        lams[[0, -1]] = [-1.0, 1.0]
+        stack = np.stack([np.outer(v, v), with_spectrum(lams, seed), random_symmetric(k, seed), np.zeros((k, k))])
+        stack *= scale
+        bounds = _operator_norm_bounds(stack)
+        assert np.all(np.isfinite(bounds))
+        assert np.all(bounds >= operator_norm(stack))
+        assert bounds[-1] == 0.0
+        # one matrix gives its row of the stack
+        assert _operator_norm_bounds(stack[0]) == bounds[0]
+
+    def test_bound_is_within_the_fourth_root_of_k(self):
+        stack = np.stack([with_spectrum(np.ones(16), 3), random_symmetric(16, 4)])
+        assert np.all(_operator_norm_bounds(stack) <= 16**0.25 * (1 + 1e-8) * operator_norm(stack))
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, 2.0**1023, -1.7e308])
+    def test_raises_what_operator_norm_raises(self, entry):
+        # entries of 2^1023 or more are finite, but operator_norm's symmetrizing sum overflows them
+        stack = np.stack([random_symmetric(3, 1), random_symmetric(3, 2)])
+        stack[1, 0, 2] = stack[1, 2, 0] = entry
+        # numpy warns as operator_norm's sum overflows; the error is under test
+        with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+            operator_norm(stack)
+        with pytest.raises(ValueError) as got:
+            _operator_norm_bounds(stack)
+        assert str(got.value) == str(want.value) == "matrix entries must all be finite"
+
+    def test_size_limit_comes_after_finiteness(self, monkeypatch):
+        monkeypatch.setattr(numerics, "EIG_DIM_LIMIT", 2)
+        for entry, message in ((math.nan, "matrix entries must all be finite"), (2.0**1023, "exceeds the supported limit 2"),
+                               (1.0, "exceeds the supported limit 2")):
+            stack = np.zeros((2, 3, 3))
+            stack[1, 1, 1] = entry
+            for run in (operator_norm, _operator_norm_bounds):
+                with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+                    run(stack)
+
+
 class TestFdGradient:
     def test_quadratic_is_exact_to_roundoff(self):
         grad = fd_gradient(lambda s: 0.5 * float(s @ s), np.array([1.0, 2.0]), h=1e-5)
@@ -378,11 +425,28 @@ class TestSampleUnitBall:
         # the per-row factor is a Python float power: np.power rounds a few percent of them differently
         direction, rng = RngStream(12, dim).standard_normal((500, dim))
         u, _ = rng.uniform(500)
-        rows = _unit_ball_rows(direction, u.tolist())
-        for row, d, ui in zip(rows, direction, u.tolist()):
-            want = d * (ui ** (1.0 / dim) / np.linalg.norm(d))
-            out_norm = np.linalg.norm(want)
-            assert row.tobytes() == (want / out_norm if out_norm > 1.0 else want).tobytes()
+        assert_rows_match_the_scalar_formula(direction, u.tolist())
+
+    @pytest.mark.parametrize("dim", [1, 2, 19, 300])
+    def test_rows_near_the_unit_sphere_match_the_scalar_formula(self, dim):
+        # radii within 1e-6 of 1 take the second norm pass, the others skip it; radius 1 - 2^-53 / dim
+        # rounds to 1, and a row whose norm then rounds above 1 is scaled back
+        direction, _ = RngStream(13, dim).standard_normal((400, dim))
+        u = [1.0 - 2.0**-53, 1.0 - 1e-7, 0.999, 0.25] * 100
+        scaled_back = assert_rows_match_the_scalar_formula(direction, u)
+        assert scaled_back > 0 or dim == 1
+
+
+def assert_rows_match_the_scalar_formula(direction, u):
+    """`_unit_ball_rows` against the per-row formula and norm guard; returns how many rows were scaled back."""
+    rows = _unit_ball_rows(direction, u)
+    scaled_back = 0
+    for row, d, ui in zip(rows, direction, u):
+        want = d * (ui ** (1.0 / d.size) / np.linalg.norm(d))
+        out_norm = np.linalg.norm(want)
+        scaled_back += out_norm > 1.0
+        assert row.tobytes() == (want / out_norm if out_norm > 1.0 else want).tobytes()
+    return scaled_back
 
 
 class TestRngStream:

@@ -467,6 +467,60 @@ class TestBlockSweeps:
         with pytest.raises(NumericalError):
             sweep(SqrtGradient(), 1.0, 20, RngStream(2))
 
+    @staticmethod
+    def counted_solves(monkeypatch):
+        """The number of matrices the Hessian sweep hands to the eigensolver, counted as they go."""
+        solved = []
+        eigenvalues = verify._eigenvalues
+        monkeypatch.setattr(verify, "_eigenvalues", lambda m: solved.append(m.size // m.shape[-1] ** 2) or eigenvalues(m))
+        return solved
+
+    def test_hessian_sweep_solves_only_samples_that_can_raise_the_max(self, monkeypatch):
+        # the lipschitz-pca-d20 benchmark's sweep at seed 1: 200 samples, four blocks
+        problem = sweep_problem("pca")
+        solved = self.counted_solves(monkeypatch)
+        ratio = empirical_hess_lipschitz(problem, 5.0, 200, RngStream(41, 0))
+        assert 1 <= sum(solved) <= 16
+        assert ratio == hess_lipschitz_loop(problem, 5.0, 200, RngStream(41, 0))
+
+    def test_solving_every_sample_gives_the_same_bits(self, monkeypatch):
+        # criterion 3's 10^4-sample sweep, pruned and with an infinite bound that solves every sample
+        problem = sweep_problem("pca")
+        pruned = empirical_hess_lipschitz(problem, 5.0, 10_000, RngStream(41, 0))
+        solved = self.counted_solves(monkeypatch)
+        monkeypatch.setattr(verify, "_operator_norm_bounds", lambda m: np.full(len(m), math.inf))
+        assert empirical_hess_lipschitz(problem, 5.0, 10_000, RngStream(41, 0)) == pruned
+        assert sum(solved) == 10_000
+
+    @pytest.mark.parametrize("entry", [math.inf, math.nan, 2.0**1023])
+    def test_bad_hessian_difference_raises_what_operator_norm_raises(self, entry, monkeypatch):
+        # one sample's difference gets a non-finite entry, or one that operator_norm's symmetrizing sum
+        # overflows; operator_norm raised on both, and a solve without the check would not
+        fd_hessian = verify.fd_hessian_from_gradients
+
+        def bad_at_s(gradients, center, bases):
+            hess = fd_hessian(gradients, center, bases)
+            if not isinstance(center, float):  # the Hessians at s; the one at the origin is centred at 0.0
+                hess[-1, 0, 0] = entry
+            return hess
+
+        monkeypatch.setattr(verify, "fd_hessian_from_gradients", bad_at_s)
+        with pytest.raises(ValueError) as err:
+            empirical_hess_lipschitz(sweep_problem("pca"), 5.0, 200, RngStream(41, 0))
+        assert str(err.value) == "matrix entries must all be finite"
+
+    def test_size_limit_raises_when_every_sample_is_pruned(self, monkeypatch):
+        # zero differences have zero bounds, so no sample can raise the max and none is solved
+        problem = sweep_problem("pca")
+        monkeypatch.setattr(verify, "fd_hessian_from_gradients", lambda gradients, center, bases:
+                            np.zeros(bases.shape[:-2] + (bases.shape[-1],) * 2))
+        solved = self.counted_solves(monkeypatch)
+        assert empirical_hess_lipschitz(problem, 5.0, 100, RngStream(41, 0)) == 0.0
+        assert solved == []
+        monkeypatch.setattr(numerics, "EIG_DIM_LIMIT", 18)
+        with pytest.raises(ValueError, match="^matrix dimension 19 exceeds the supported limit 18$"):
+            empirical_hess_lipschitz(problem, 5.0, 100, RngStream(41, 0))
+
     @pytest.mark.parametrize("manifold", [Sphere(2), Sphere(20), Sphere(300), Euclidean(5)], ids=str)
     def test_chunk_rows_are_the_one_row_draws(self, manifold, monkeypatch):
         # a full chunk at n = 300 would build a 64 x 300 x 299 basis stack (46 MB); a few rows do
