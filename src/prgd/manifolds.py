@@ -41,15 +41,18 @@ def same_point(a: Point, b: Point) -> bool:
 class Manifold:
     """Common interface: metric, projection, retraction, adjoint, ball sampling.
 
-    A manifold implements five unchecked kernels on coordinate arrays:
+    A manifold implements unchecked kernels on coordinate arrays:
     `_project_array`, `_retract_scaled_array`, `_scaled_adjoint_array`,
-    `_tangent_basis_array` and `_ball_tangent_array`. They take 1-d vectors,
-    or blocks and stacks whose rows are independent (point, vector) pairs; one
-    base point serves a block of vectors as `x[..., None, :]`. Each row gets
-    the same float operations as a 1-d call, bit for bit. The retraction also
-    returns the scale (for the sphere ||x + s||) that the adjoint takes, so an
-    adjoint reuses what its retraction computed. Each validated method is its
-    argument checks plus one call of these kernels.
+    `_tangent_basis_array`, `_ball_tangent_array`, and `_tangent_frame_array`
+    with `_basis_rows_array` and `_tangent_coords_array`, which apply the
+    tangent basis without building it. They take 1-d vectors, or blocks and
+    stacks whose rows are independent (point, vector) pairs; one base point
+    serves a block of vectors as `x[..., None, :]`. Each row gets the same
+    float operations as a 1-d call, bit for bit. The retraction also returns
+    the scale (for the sphere ||x + s||, None on R^d) that the adjoint takes,
+    so an adjoint reuses what its retraction computed; the adjoint is the
+    projection onto the tangent space at x followed by division by the scale.
+    Each validated method is its argument checks plus one call of these kernels.
     """
 
     name = "abstract"
@@ -72,8 +75,8 @@ class Manifold:
     def _retract_array(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         return self._retract_scaled_array(x, s)[0]
 
-    def _retract_scaled_array(self, x: np.ndarray, s: np.ndarray):
-        """Retr_x(s) and the scale that `_scaled_adjoint_array` takes for the same (x, s)."""
+    def _retract_scaled_array(self, x: np.ndarray, s: np.ndarray, out=None):
+        """Retr_x(s), written into `out` if given (it may be s), and the scale `_scaled_adjoint_array` takes."""
         raise NotImplementedError
 
     def _scaled_adjoint_array(self, x: np.ndarray, scale, w: np.ndarray) -> np.ndarray:
@@ -81,7 +84,19 @@ class Manifold:
         raise NotImplementedError
 
     def _tangent_basis_array(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent basis at each point, shape (..., ambient_dim, intrinsic_dim)."""
+        """Orthonormal tangent basis B at each point, shape (..., ambient_dim, intrinsic_dim)."""
+        raise NotImplementedError
+
+    def _tangent_frame_array(self, x: np.ndarray):
+        """The basis B at each point in the implicit form that `_basis_rows_array` and `_tangent_coords_array` take."""
+        raise NotImplementedError
+
+    def _basis_rows_array(self, frame, scale: float, out: np.ndarray) -> np.ndarray:
+        """scale * B^T at each point of `frame`, written into and returned as `out`, (..., intrinsic_dim, ambient_dim)."""
+        raise NotImplementedError
+
+    def _tangent_coords_array(self, frame, rows: np.ndarray) -> np.ndarray:
+        """rows @ B at each point of `frame`: (..., m, ambient_dim) rows to (..., m, intrinsic_dim) coordinates."""
         raise NotImplementedError
 
     def _ball_tangent_array(self, x: np.ndarray, basis, radius, unit: np.ndarray) -> np.ndarray:
@@ -197,8 +212,8 @@ class Euclidean(Manifold):
     def _project_array(self, x, v):
         return v
 
-    def _retract_scaled_array(self, x, s):
-        return x + s, None
+    def _retract_scaled_array(self, x, s, out=None):
+        return np.add(x, s, out=out), None
 
     def _scaled_adjoint_array(self, x, scale, w):
         return w
@@ -206,6 +221,15 @@ class Euclidean(Manifold):
     def _tangent_basis_array(self, x):
         # a read-only view: the identity is never copied per point
         return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim))
+
+    def _tangent_frame_array(self, x):
+        return None
+
+    def _basis_rows_array(self, frame, scale, out):
+        return np.multiply(np.eye(self.dim), scale, out=out)
+
+    def _tangent_coords_array(self, frame, rows):
+        return rows
 
     def _ball_tangent_array(self, x, basis, radius, unit):
         return radius * unit
@@ -222,6 +246,22 @@ class Euclidean(Manifold):
         if abs(s.norm - 1.0) > 1e-9:
             raise ValueError("check_second_order requires a unit tangent vector")
         return 0.0
+
+
+def _drop_p(rows, before):
+    """rows[..., others]: entry p of each row dropped, from two shifted copies of the rows."""
+    out = rows[..., :-1].copy()
+    np.copyto(out, rows[..., 1:], where=~before)
+    return out
+
+
+def _add_kept_identity(rows, before, scale):
+    """Add scale to each entry (j, others[j]) of the (..., n - 1, n) rows, in place: the rows of scale * I[others]."""
+    # einsum's diagonals are writeable views of the entries (j, j) and (j, j + 1)
+    at_j = np.einsum("...jj->...j", rows[..., :-1])
+    after_j = np.einsum("...jj->...j", rows[..., 1:])
+    np.add(at_j, scale, out=at_j, where=before)
+    np.add(after_j, scale, out=after_j, where=~before)
 
 
 @dataclass(frozen=True)
@@ -255,8 +295,8 @@ class Sphere(Manifold):
         out = np.vecdot(x, v, keepdims=True) * x
         return np.subtract(v, out, out=out)
 
-    def _retract_scaled_array(self, x, s):
-        y = x + s
+    def _retract_scaled_array(self, x, s, out=None):
+        y = np.add(x, s, out=out)
         scale = _norm(y, keepdims=True)
         return np.divide(y, scale, out=y), scale
 
@@ -264,13 +304,15 @@ class Sphere(Manifold):
         out = self._project_array(x, w)
         return np.divide(out, scale, out=out)
 
-    def _tangent_basis_array(self, x):
-        """Orthonormal basis of x-perp at each point: a Householder reflector with one column dropped.
+    def _tangent_frame_array(self, x):
+        """The Householder reflector at each point as (before, v, w), with B = I[:, others] + v w^T.
 
         With p the index of the largest |x_i| (the first on a tie) and
         v = x + sign(x_p) e_p, the reflector I - v v^T / (1 + |x_p|) maps e_p to
-        -sign(x_p) x, so its other columns span x-perp. The sign choice keeps the
-        denominator >= 1. Deterministic given coordinates; O(n^2) per point.
+        -sign(x_p) x, so its other columns, others = (0, ..., p - 1, p + 1, ..., n - 1),
+        span x-perp, and w = v[others] / -(1 + |x_p|). `before` (..., n - 1) marks
+        the j < p, where others[j] = j. The sign choice keeps the denominator >= 1.
+        Deterministic given coordinates; O(n) per point.
         """
         n = self.n
         p = np.argmax(np.abs(x), axis=-1, keepdims=True)
@@ -278,13 +320,29 @@ class Sphere(Manifold):
         x_p = x[at_p]
         v = x.copy()
         v[at_p] = x_p + np.copysign(1.0, x_p)
-        w = v[~at_p].reshape(x.shape[:-1] + (n - 1,)) / -(1.0 + np.abs(x_p.reshape(p.shape)))
+        before = np.arange(n - 1) < p
+        return before, v, _drop_p(v, before) / -(1.0 + np.abs(x_p.reshape(p.shape)))
+
+    def _tangent_basis_array(self, x):
+        """Orthonormal basis of x-perp at each point: the reflector of `_tangent_frame_array` without column p; O(n^2)."""
+        before, v, w = self._tangent_frame_array(x)
         basis = v[..., :, None] * w[..., None, :]
-        # kept column j is column others[j] of the reflector: add the identity's entry (others[j], j)
-        others = np.arange(n - 1) + (np.arange(n - 1) >= p)
-        stack = basis.reshape(-1, n, n - 1)
-        stack[np.arange(len(stack))[:, None], others.reshape(-1, n - 1), np.arange(n - 1)] += 1.0
+        _add_kept_identity(basis.mT, before, 1.0)
         return basis
+
+    def _basis_rows_array(self, frame, scale, out):
+        # the outer product (scale w) v^T plus the kept identity rows: O(k*n), and no basis is built
+        before, v, w = frame
+        np.einsum("...i,...j->...ij", scale * w, v, out=out)
+        _add_kept_identity(out, before, scale)
+        return out
+
+    def _tangent_coords_array(self, frame, rows):
+        # rows[..., others] + (rows v) w^T: O(m*n) a point, where rows @ B is O(m*n*k)
+        before, v, w = frame
+        coords = _drop_p(rows, before[..., None, :])
+        coords += np.einsum("...i,...j->...ij", np.matvec(rows, v), w)
+        return coords
 
     def _ball_tangent_array(self, x, basis, radius, unit):
         if basis is None:

@@ -183,26 +183,35 @@ def _norm(v: np.ndarray, keepdims: bool = False):
     return np.sqrt(np.vecdot(v, v, keepdims=keepdims))
 
 
-def fd_hessian_from_gradients(gradient_many, center, basis) -> np.ndarray:
-    """Central-difference Hessian in the orthonormal columns of `basis`, symmetrized.
+def fd_hessian_from_gradients(gradient_many, manifold, x, center) -> np.ndarray:
+    """Central-difference Hessian at x in the tangent basis B = `manifold._tangent_basis_array(x)`, symmetrized.
 
-    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * basis[:, j]
-    (h = DEFAULT_HESS_H), written C-contiguous into one (..., 2k, n) buffer. The pullback gradient
-    kernels update the arrays they own in place, so a Hessian peaks at about three such buffers.
-    A (count, n, k) stack of bases with (count, 1, n) centers gives a stack of Hessians, each
-    with the bits of a 2-d call: `np.matmul` makes one gemm per matrix.
+    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * B^T (h =
+    DEFAULT_HESS_H), which `manifold._basis_rows_array` writes C-contiguous into one (..., 2k, n)
+    buffer, and takes the gradient differences to basis coordinates with `_tangent_coords_array`, both
+    from one `_tangent_frame_array`. On the sphere they apply the Householder reflector in O(k*n), and
+    no basis is built. The coordinates drop any gradient component along x, so `gradient_many` may
+    leave it in; it may also overwrite the rows. `pullback_gradient_rows` retracts them in place, so a
+    pullback Hessian peaks at about two such buffers. A (count, n) stack of points with (count, 1, n)
+    centers gives a stack of Hessians, each with the bits of a one-point call.
     """
     h = DEFAULT_HESS_H
-    k = basis.shape[-1]
-    rows = np.empty(basis.shape[:-2] + (2 * k, basis.shape[-2]))
-    steps = np.multiply(basis.mT, h, out=rows[..., :k, :])
+    k = manifold.intrinsic_dim
+    frame = manifold._tangent_frame_array(x)
+    rows = np.empty(x.shape[:-1] + (2 * k, manifold.ambient_dim))
+    steps = manifold._basis_rows_array(frame, h, rows[..., :k, :])
     np.subtract(center, steps, out=rows[..., k:, :])
     np.add(center, steps, out=steps)
     grads = gradient_many(rows)
     if not np.all(np.isfinite(grads)):
         raise NumericalError("gradient oracle returned non-finite values during Hessian estimation")
-    hess = (grads[..., :k, :] - grads[..., k:, :]) @ basis / (2.0 * h)
-    return 0.5 * (hess + hess.mT)
+    diff = np.subtract(grads[..., :k, :], grads[..., k:, :], out=steps)
+    del grads  # freed before the coordinates are made, so the peak stays at two row blocks
+    hess = manifold._tangent_coords_array(frame, diff)
+    # the mean of the matrix and its transpose, each over the 2h of the central differences
+    hess = np.add(hess, hess.mT)
+    hess *= 0.25 / h
+    return hess
 
 
 # one re-keyed Philox bit generator and Generator per thread, made at a thread's first draw; every draw

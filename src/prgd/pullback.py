@@ -57,14 +57,15 @@ class Pullback:
 
     def hessian_at_zero(self) -> np.ndarray:
         """Finite-difference Hessian at the tangent-space origin, in the orthonormal basis."""
-        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, self.base.coords),
-                                         0.0, self.basis)
+        x = self.base.coords
+        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, x), self.manifold, x, 0.0)
 
     def hessian_at(self, s: Tangent) -> np.ndarray:
         """Finite-difference Hessian at a tangent point, in the same orthonormal basis."""
         self._check_arg(s)
-        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, self.base.coords),
-                                         self.basis @ (self.basis.T @ s.coords), self.basis)
+        x = self.base.coords
+        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, x), self.manifold, x,
+                                         self.basis @ (self.basis.T @ s.coords))
 
 
 def pullback_step(problem, x: np.ndarray, s: np.ndarray):
@@ -79,10 +80,14 @@ def pullback_step(problem, x: np.ndarray, s: np.ndarray):
 
 
 def pullback_gradient_rows(problem, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    """Unchecked pullback gradients of the rows of `tangents` at x, or of (count, rows, n) tangents at (count, n) x."""
-    manifold = problem.manifold
-    x = x[..., None, :]
-    points, scale = manifold._retract_scaled_array(x, tangents)
+    """Unchecked pullback gradients of the rows of `tangents` at x, or of (count, rows, n) tangents at (count, n) x,
+    up to a multiple of x; the tangents are overwritten by their retracted points.
+
+    The adjoint's projection onto the tangent space at x is left out: the FD Hessian takes these rows to
+    basis coordinates, and B^T x = 0 drops the multiple of x that the projection would remove. On R^d
+    the rows are the pullback gradients exactly. Retracting in place and dividing the gradient block
+    the cost made by the scale in place, a call holds two blocks of rows at its peak.
+    """
+    points, scale = problem.manifold._retract_scaled_array(x[..., None, :], tangents, out=tangents)
     grads = problem.riemannian_gradient_many(points)
-    del points  # freed, the points' memory serves the adjoint
-    return manifold._scaled_adjoint_array(x, scale, grads)
+    return grads if scale is None else np.divide(grads, scale, out=grads)

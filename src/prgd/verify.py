@@ -40,11 +40,11 @@ MIN_SAMPLE_NORM = 1e-8
 # a draw with ball * u^(1/k) below this may round to a tangent shorter than MIN_SAMPLE_NORM; the
 # tangent's norm is ball * u^(1/k) to a relative round-off far below this margin
 MAYBE_SHORT = MIN_SAMPLE_NORM * (1.0 + 1e-6)
-# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats (rows and tangent
-# bases). At d=20 the sample cap binds for both sweeps (the float cap allows 115 Hessian and 327
-# gradient samples). On lipschitz-pca-d20 (one BLAS thread, 2 vCPUs, median of 3 10-s runs) a cap
-# of 8, 16, 32 and 64 gave 11,014, 13,754, 15,607 and 16,618 samples/s at 39.1, 39.6, 39.8 and
-# 40.8 MiB peak RSS.
+# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats: a sweep sample's
+# rows and tangent basis, or a certificate point's 2k*n gradient rows. At d=20 the sample cap binds
+# for both sweeps (the float cap allows 115 Hessian and 327 gradient samples). On lipschitz-pca-d20
+# (one BLAS thread, 2 vCPUs, median of 3 10-s runs) a cap of 8, 16, 32 and 64 gave 11,014, 13,754,
+# 15,607 and 16,618 samples/s at 39.1, 39.6, 39.8 and 40.8 MiB peak RSS.
 SWEEP_CHUNK = 64
 SWEEP_BLOCK_FLOATS = 2**17
 
@@ -86,10 +86,11 @@ def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
     gradient, 2k gradient evaluations, O(k*n) memory, give it to O(h^2); taking
     them in the tangent basis applies the projection.
     """
+    problem._check_point(x)
     manifold = problem.manifold
     return fd_hessian_from_gradients(
         lambda tangents: problem.riemannian_gradient_many(manifold.retract_many(x.coords, tangents)),
-        0.0, manifold.tangent_basis(x))
+        manifold, x.coords, 0.0)
 
 
 def check_second_order_point(problem, x: Point, eps: float, rho: float) -> CriticalityReport:
@@ -101,9 +102,9 @@ def check_second_order_points(problem, points, eps: float, rho: float) -> list[C
     """Evaluate the eps-second-order conditions at each point: small gradient, bounded negative curvature.
 
     lambda_min comes from an eigenvalues-only solve. The FD Hessians are built in stacked blocks of about
-    SWEEP_BLOCK_FLOATS floats of gradient rows and tangent bases (at least one point a block): one stack of
-    bases, one FD Hessian stack and one `eigvalsh` stack per block. Each matrix of a stack gets its own
-    gemm and LAPACK call, so every report has the bits of a one-point call.
+    SWEEP_BLOCK_FLOATS floats of gradient rows, 2k*n a point (at least one point a block): one FD Hessian
+    stack and one `eigvalsh` stack per block, and no tangent basis. Each matrix of a stack gets its own
+    gemv and LAPACK call, so every report has the bits of a one-point call.
     """
     if not (eps > 0 and rho > 0):
         raise ValueError("eps and rho must be positive")
@@ -111,13 +112,12 @@ def check_second_order_points(problem, points, eps: float, rho: float) -> list[C
     grad_norms = [float(np.linalg.norm(problem.riemannian_gradient(x).coords)) for x in points]
     manifold = problem.manifold
     k = manifold.intrinsic_dim
-    block = max(1, SWEEP_BLOCK_FLOATS // (3 * k * manifold.ambient_dim))
+    block = max(1, SWEEP_BLOCK_FLOATS // (2 * k * manifold.ambient_dim))
     lams = []
     for first in range(0, len(points), block):
         x = np.stack([point.coords for point in points[first:first + block]])
         # the FD Hessians are exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
-        hess = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), 0.0,
-                                         manifold._tangent_basis_array(x))
+        hess = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), manifold, x, 0.0)
         lams += [lam for lam, _ in _min_eigenvalue(hess)]
     bar = -math.sqrt(rho * eps)
     return [CriticalityReport(grad_norm, lam, eps, rho, bool(grad_norm <= eps and lam >= bar))
@@ -226,13 +226,14 @@ def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
     problem (stream 41) the 200-sample sweep solves 3 samples and the 10^4-sample sweep 9. A non-finite
     difference, and a size above EIG_DIM_LIMIT, raise what `operator_norm` raises, solved or not.
     """
-    k = problem.manifold.intrinsic_dim
+    manifold = problem.manifold
 
     def block_ratios(x, s, bases, worst):
         gradients = partial(pullback_gradient_rows, problem, x)
         # s projected onto the basis span, as `Pullback.hessian_at` centres it
         center = (bases @ (bases.mT @ s[..., None])).mT
-        diff = fd_hessian_from_gradients(gradients, center, bases) - fd_hessian_from_gradients(gradients, 0.0, bases)
+        diff = (fd_hessian_from_gradients(gradients, manifold, x, center)
+                - fd_hessian_from_gradients(gradients, manifold, x, 0.0))
         norms = _norm(s)
         bounds = _operator_norm_bounds(diff) / norms
         ratios = []
@@ -245,7 +246,7 @@ def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
             worst = max(worst, ratios[-1])
         return np.array(ratios)
 
-    return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * k)
+    return _sweep(problem, ball, n_samples, rng, block_ratios, 2 * manifold.intrinsic_dim)
 
 
 @dataclass

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from prgd.manifolds import Euclidean, Sphere
 from prgd.numerics import RngStream, sample_unit_ball
@@ -384,6 +385,73 @@ class TestTangentBasis:
         eu = Euclidean(3)
         x, _ = RngStream(2).standard_normal((4, 3))
         assert np.array_equal(eu._tangent_basis_array(x), np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+
+def frame_test_point(n, kind, index, sign, seed):
+    """A unit x of R^n: random, random with a negative largest entry, all |x_i| tied, or sign * e_index."""
+    if kind == "axis":
+        return sign * np.eye(n)[index % n]
+    if kind == "tie":
+        x = sign * np.ones(n)
+        x[index % n :: 2] *= -1.0
+    else:
+        x, _ = RngStream(seed, n).standard_normal(n)
+        if kind == "negative":
+            top = np.argmax(np.abs(x))
+            x[top] = -abs(x[top])
+    return x / np.linalg.norm(x)
+
+
+class TestTangentFrame:
+    """The implicit basis products of the FD Hessian against the dense Householder basis."""
+
+    @given(st.integers(2, 40), st.lists(st.tuples(st.sampled_from(["random", "negative", "tie", "axis"]),
+                                                  st.integers(0, 39), st.sampled_from([1.0, -1.0]),
+                                                  st.integers(0, 2**32 - 1)), min_size=1, max_size=4),
+           st.sampled_from([1e-300, 1e-8, 1.0, 1e8, 1e300]), st.integers(0, 2**32 - 1))
+    # n = 2, with a tie, an axis and a negative largest entry in one stack
+    @example(2, [("random", 0, 1.0, 1), ("tie", 0, 1.0, 0), ("axis", 1, -1.0, 0), ("negative", 0, 1.0, 5)], 1.0, 3)
+    def test_products_match_the_dense_basis(self, n, kinds, size, seed):
+        sph = Sphere(n)
+        x = np.array([frame_test_point(n, *kind) for kind in kinds])
+        unit_rows, _ = RngStream(seed, n).standard_normal((len(x), 3, n))
+        rows = size * unit_rows
+        eps = np.finfo(float).eps
+        frames = sph._tangent_frame_array(x)
+        coords = sph._tangent_coords_array(frames, rows)
+        steps = sph._basis_rows_array(frames, 1e-4, np.empty((len(x), n - 1, n)))
+        for i, xi in enumerate(x):
+            basis = householder_basis(xi)
+            # x = e_p or -e_p: the reflector's w is zero and B is the identity without column p
+            if abs(xi).max() == 1.0:
+                assert not frames[2][i].any()
+            # a few ulps of each row's norm, and of h for the rows h * B^T
+            err = np.abs(coords[i] - rows[i] @ basis).max(axis=-1)
+            assert np.all(err <= 8 * eps * size * np.linalg.norm(unit_rows[i], axis=-1))
+            assert np.abs(steps[i] - 1e-4 * basis.T).max() <= 2 * eps * 1e-4
+            # B^T x = 0 to round-off: the coordinates drop a multiple of x
+            assert np.abs(sph._tangent_coords_array(sph._tangent_frame_array(xi), xi[None, :])).max() <= 8 * eps
+            # each point of the stack has the bits of its one-point call
+            frame = sph._tangent_frame_array(xi)
+            assert same_bits(coords[i], sph._tangent_coords_array(frame, rows[i]))
+            assert same_bits(steps[i], sph._basis_rows_array(frame, 1e-4, np.empty((n - 1, n))))
+
+    def test_ties_pick_the_first_largest_entry(self):
+        # all |x_i| tied: column 0 is dropped, as `_tangent_basis_array` drops it
+        sph = Sphere(4)
+        x = np.array([-0.5, 0.5, -0.5, 0.5])
+        frame = sph._tangent_frame_array(x)
+        assert not frame[0].any()
+        assert same_bits(sph._tangent_coords_array(frame, np.eye(4)), householder_basis(x))
+
+    def test_euclidean_returns_its_input(self):
+        eu = Euclidean(3)
+        x, _ = RngStream(2).standard_normal((4, 3))
+        rows, _ = RngStream(3).standard_normal((4, 5, 3))
+        frame = eu._tangent_frame_array(x)
+        assert eu._tangent_coords_array(frame, rows) is rows
+        assert np.array_equal(eu._basis_rows_array(frame, 1e-4, np.empty((4, 3, 3))),
+                              np.broadcast_to(1e-4 * np.eye(3), (4, 3, 3)))
 
 
 class TestSecondOrderCheck:

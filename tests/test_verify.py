@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from prgd.verify import (
     riemannian_hessian_matrix,
 )
 from conftest import EuclideanQuadratic, SqrtGradient
+from fd_oracles import dense_basis_hessian
 from sweep_oracles import grad_lipschitz_loop, hess_lipschitz_loop
 
 
@@ -84,9 +86,10 @@ class TestCriticalityReport:
             lam_hess, _ = min_eigpair(riemannian_hessian_matrix(p, x))
             assert lam_hess == pytest.approx(report.min_eig_pullback, abs=1e-5)
 
-    def test_certificate_builds_one_basis_and_one_gradient_batch(self, monkeypatch):
-        calls = {"basis": 0, "batch": 0}
-        basis, batch = Sphere._tangent_basis_array, PcaProblem.riemannian_gradient_many
+    def test_certificate_builds_no_basis_and_one_gradient_batch(self, monkeypatch):
+        calls = {"basis": 0, "frame": 0, "batch": 0}
+        basis, frame = Sphere._tangent_basis_array, Sphere._tangent_frame_array
+        batch = PcaProblem.riemannian_gradient_many
 
         def counted(name, method):
             def wrapper(*args):
@@ -95,15 +98,17 @@ class TestCriticalityReport:
             return wrapper
 
         monkeypatch.setattr(Sphere, "_tangent_basis_array", counted("basis", basis))
+        monkeypatch.setattr(Sphere, "_tangent_frame_array", counted("frame", frame))
         monkeypatch.setattr(PcaProblem, "riemannian_gradient_many", counted("batch", batch))
         a, _, q, _ = synthetic_matrix(6, RngStream(31, 1))
         p = PcaProblem(a)
         check_second_order_point(p, p.manifold.point(q[:, 1]), eps=1e-3, rho=18.0)
-        # each finite-difference Hessian is one batch of exact gradients
-        assert calls == {"basis": 1, "batch": 1}
-        # a block of points is one stack of bases and one batch
+        # each finite-difference Hessian is one batch of exact gradients and one Householder frame, which
+        # builds the rows and takes the differences to tangent coordinates; no basis is built
+        assert calls == {"basis": 0, "frame": 1, "batch": 1}
+        # a block of points is one batch and one stack of frames
         check_second_order_points(p, [p.manifold.point(q[:, i]) for i in range(6)], eps=1e-3, rho=18.0)
-        assert calls == {"basis": 2, "batch": 2}
+        assert calls == {"basis": 0, "frame": 2, "batch": 2}
 
     def test_generic_certificate_queries_the_validated_gradient_once(self, monkeypatch):
         # the FD Hessian's 2k gradients come from the block oracle; only the gradient norm is validated
@@ -225,23 +230,23 @@ class TestStackedCertificate:
         self.check(problem, points, 1e-3, 1.0)
 
     def count_blocks(self, monkeypatch):
-        """The number of points of each stack of tangent bases a certificate builds, one stack a block."""
+        """The number of points of each stack of Householder frames a certificate makes, one stack a block."""
         blocks = []
-        basis = Sphere._tangent_basis_array
+        frame = Sphere._tangent_frame_array
 
         def counted(self, x):
             blocks.append(len(x))
-            return basis(self, x)
+            return frame(self, x)
 
-        monkeypatch.setattr(Sphere, "_tangent_basis_array", counted)
+        monkeypatch.setattr(Sphere, "_tangent_frame_array", counted)
         return blocks
 
     def test_small_float_cap_splits_the_points_into_blocks(self, monkeypatch):
         p, points, rho = pca50_points()
         whole = check_second_order_points(p, points, 1e-3, rho)
         blocks = self.count_blocks(monkeypatch)
-        # room for three points' gradient rows and bases a block
-        monkeypatch.setattr(verify, "SWEEP_BLOCK_FLOATS", 3 * (3 * 49 * 50))
+        # room for three points' gradient rows a block
+        monkeypatch.setattr(verify, "SWEEP_BLOCK_FLOATS", 3 * (2 * 49 * 50))
         reports = check_second_order_points(p, points, 1e-3, rho)
         assert blocks == [3, 3, 3, 1]
         assert [report_bits(r) for r in reports] == [report_bits(r) for r in whole]
@@ -251,8 +256,8 @@ class TestStackedCertificate:
         p, points, rho = pca50_points()
         check_second_order_points(p, points, 1e-3, rho)
         assert blocks == [10]
-        # one n=2000 point's 3k*n floats exceed the cap, so it is a block of its own
-        assert 3 * 1999 * 2000 > verify.SWEEP_BLOCK_FLOATS
+        # one n=2000 point's 2k*n floats exceed the cap, so it is a block of its own
+        assert 2 * 1999 * 2000 > verify.SWEEP_BLOCK_FLOATS
 
     def test_invalid_point_raises_the_one_point_error(self):
         p, points, rho = pca50_points()
@@ -269,6 +274,38 @@ class TestStackedCertificate:
     def test_no_points_give_no_reports(self):
         p, _, rho = pca50_points()
         assert check_second_order_points(p, [], 1e-3, rho) == []
+
+
+def certify_n150_points():
+    """The certify-pca-n150 benchmark's points at seed 1: the top eigenvector and two saddles, and its rho."""
+    a, lams, q, _ = synthetic_matrix(150, RngStream(1, 2**48))
+    p = PcaProblem(a)
+    return p, [p.manifold.point(q[:, i]) for i in (0, 1, random.Random(1).randrange(2, 150))], 9.0 * float(lams[0])
+
+
+def quadratic_saddle_points():
+    """The origin and four random points of a 6-dim quadratic saddle, and its rho."""
+    problem = QuadraticSaddle(np.diag([-1.0, 0.5, 2.0, 3.0, 0.25, 1.5]))
+    points = [problem.manifold.point(np.zeros(6))]
+    rng = RngStream(34, 1)
+    for _ in range(4):
+        x, rng = random_point(problem.manifold, rng)
+        points.append(x)
+    return problem, points, 1.0
+
+
+class TestDenseBasisOracle:
+    """Certificates through the implicit basis products agree with the dense-basis FD Hessian."""
+
+    @pytest.mark.parametrize("case", [pca50_points, certify_n150_points, quadratic_saddle_points],
+                             ids=["pca50", "certify_n150", "quadratic_saddle"])
+    def test_eigenvalues_and_verdicts_match(self, case):
+        problem, points, rho = case()
+        eps = 1e-3
+        for x, report in zip(points, check_second_order_points(problem, points, eps, rho)):
+            lam = float(np.linalg.eigvalsh(dense_basis_hessian(problem, x.coords))[0])
+            assert abs(report.min_eig_pullback - lam) <= 1e-12 * max(1.0, abs(lam))
+            assert report.verdict == (report.grad_norm <= eps and lam >= -math.sqrt(rho * eps))
 
 
 class TestCertificateScaling:
@@ -498,8 +535,8 @@ class TestBlockSweeps:
         # overflows; operator_norm raised on both, and a solve without the check would not
         fd_hessian = verify.fd_hessian_from_gradients
 
-        def bad_at_s(gradients, center, bases):
-            hess = fd_hessian(gradients, center, bases)
+        def bad_at_s(gradients, manifold, x, center):
+            hess = fd_hessian(gradients, manifold, x, center)
             if not isinstance(center, float):  # the Hessians at s; the one at the origin is centred at 0.0
                 hess[-1, 0, 0] = entry
             return hess
@@ -512,8 +549,8 @@ class TestBlockSweeps:
     def test_size_limit_raises_when_every_sample_is_pruned(self, monkeypatch):
         # zero differences have zero bounds, so no sample can raise the max and none is solved
         problem = sweep_problem("pca")
-        monkeypatch.setattr(verify, "fd_hessian_from_gradients", lambda gradients, center, bases:
-                            np.zeros(bases.shape[:-2] + (bases.shape[-1],) * 2))
+        monkeypatch.setattr(verify, "fd_hessian_from_gradients", lambda gradients, manifold, x, center:
+                            np.zeros(x.shape[:-1] + (manifold.intrinsic_dim,) * 2))
         solved = self.counted_solves(monkeypatch)
         assert empirical_hess_lipschitz(problem, 5.0, 100, RngStream(41, 0)) == 0.0
         assert solved == []
