@@ -214,10 +214,29 @@ def fd_hessian_from_gradients(gradient_many, manifold, x, center) -> np.ndarray:
     return hess
 
 
-# one re-keyed Philox bit generator and Generator per thread, made at a thread's first draw; every draw
-# writes the whole state first, so no draw depends on the one before it
+# one Philox bit generator, Generator and state record per thread, made at the thread's first draw; each
+# draw writes the record's counter and key and sets the whole state, so no draw depends on the one before
 _PHILOX = threading.local()
-_EMPTY_BUFFER = (0, 0, 0, 0)
+
+
+def _rekey(seed: int, stream: int, index: int) -> np.random.Generator:
+    """This thread's generator, set to the state of a fresh `Philox(counter=(0, 0, 0, index), key=(seed, stream))`.
+
+    Only the record's counter and key change; its buffer (empty) and cached uint32 never do, and
+    the state setter only reads the record. The arguments are integers in [0, 2^64).
+    """
+    try:
+        bits, gen, counter, key, record = _PHILOX.record
+    except AttributeError:
+        counter, key = [0, 0, 0, 0], [0, 0]
+        record = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                  "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        bits = np.random.Philox(key=0)
+        gen = np.random.Generator(bits)
+        _PHILOX.record = bits, gen, counter, key, record
+    counter[3], key[0], key[1] = index, seed, stream
+    bits.state = record
+    return gen
 
 
 @dataclass(frozen=True)
@@ -244,27 +263,11 @@ class RngStream:
             object.__setattr__(self, name, val)
 
     def _generator(self) -> np.random.Generator:
-        """This thread's generator, set to the state of a fresh `Philox(counter, key)`.
+        """This thread's generator at this stream's key (seed, stream) and counter (0, 0, 0, index): `_rekey`.
 
-        The key is (seed, stream) and the counter (0, 0, 0, index), so each draw
-        owns a disjoint 2^192-block of the counter space; the buffer is empty.
-        Writing the state costs far less than building a new bit generator.
+        Each draw owns a disjoint 2^192-block of the counter space, and starts from an empty buffer.
         """
-        try:
-            bits, gen = _PHILOX.pair
-        except AttributeError:
-            bits = np.random.Philox(key=0)
-            gen = np.random.Generator(bits)
-            _PHILOX.pair = bits, gen
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, self.index), "key": (self.seed, self.stream)},
-            "buffer": _EMPTY_BUFFER,
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+        return _rekey(self.seed, self.stream, self.index)
 
     def _next(self) -> "RngStream":
         """The stream one draw on; its fields are already valid, so only the new index is checked."""

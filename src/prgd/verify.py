@@ -27,6 +27,7 @@ from .numerics import (
     _min_eigpair,
     _norm,
     _operator_norm_bounds,
+    _rekey,
     _unit_ball_rows,
     fd_hessian_from_gradients,
     sample_unit_ball,
@@ -154,17 +155,21 @@ def _draw_chunk(manifold, ball, count, rng):
     gauss = np.empty((count, manifold.ambient_dim))
     direction = np.empty((count, k))
     u = []
+    seed, stream, index = rng.seed, rng.stream, rng.index
     for row, ball_row in zip(gauss, direction):
+        if index >= 2**64 - 2:
+            # the sample's second advance would step past the last index: `_next`'s error
+            RngStream(seed, stream, 2**64 - 1)._next()
         # the draws of `random_point` at one index, then those of `sample_unit_ball` at the next
-        rng._generator().standard_normal(out=row)
-        rng = rng._next()
-        gen = rng._generator()
+        _rekey(seed, stream, index).standard_normal(out=row)
+        gen = _rekey(seed, stream, index + 1)
         gen.standard_normal(out=ball_row)
         u.append(gen.random())
-        rng = rng._next()
+        index += 2
         # the radius `_unit_ball_rows` gives this row, by the same Python float power
         if ball * u[-1] ** inv_k < MAYBE_SHORT:
             break
+    rng = RngStream(seed, stream, index)
     count = len(u)
     x = _random_points(manifold, gauss[:count])
     bases = manifold._tangent_basis_array(x)

@@ -20,6 +20,8 @@ from prgd.numerics import (
     operator_norm,
     sample_unit_ball,
 )
+from prgd.problems import PcaProblem
+from prgd.verify import empirical_grad_lipschitz
 from fd_oracles import fd_gradient, fd_hessian
 
 
@@ -520,6 +522,29 @@ class TestRekeyedGenerator:
             got = gen.standard_normal(size), gen.random()
             assert np.array_equal(got[0], want[0]) and got[1] == want[1], (seed, stream, index, size)
 
+    def test_rekeys_carry_nothing_over(self):
+        # one state record serves every re-key of a thread; a draw that leaves a half-used buffer, or a
+        # uint32 draw of odd length that leaves a cached half word (has_uint32), must not reach the next
+        fresh_state = {"buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        keys = [(0, 0, 0), (2**64 - 1, 2**64 - 1, 2**64 - 1), (40, 7, 12_345), (40, 7, 12_346), (41, 0, 2**63)]
+        draws = [lambda g: g.integers(0, 2**32, 3, dtype=np.uint32), lambda g: g.standard_normal(5),
+                 lambda g: g.random(), lambda g: g.integers(0, 2**32, 1, dtype=np.uint32),
+                 lambda g: g.standard_normal(2)]
+        for trial in range(len(keys) * len(draws) * 2):
+            seed, stream, index = keys[trial % len(keys)]
+            gen = numerics._rekey(seed, stream, index)
+            state = gen.bit_generator.state
+            assert {name: np.asarray(state[name]).tolist() for name in fresh_state} == fresh_state
+            assert list(state["state"]["counter"]) == [0, 0, 0, index]
+            assert list(state["state"]["key"]) == [seed, stream]
+            draw = draws[trial // 2 % len(draws)]
+            assert np.array_equal(draw(gen), draw(fresh_philox(seed, stream, index))), (trial, seed, stream, index)
+            # leave the generator mid-buffer with a cached uint32 for the next re-key to clear
+            if not gen.bit_generator.state["has_uint32"]:
+                gen.integers(0, 2**32, 1, dtype=np.uint32)
+            state = gen.bit_generator.state
+            assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+
     @pytest.mark.parametrize("index", [0, 1, 2**63, 2**64 - 2])
     def test_public_draws_match_the_oracle(self, index):
         rng = RngStream(2**64 - 1, 17, index)
@@ -562,17 +587,21 @@ class TestRekeyedGenerator:
 
     def test_threads_reproduce_their_serial_draws(self):
         # threads draw from different streams at once, with thread switches as often as the interpreter
-        # allows; a generator shared between them would hand one thread's state to another's draw
+        # allows; a generator shared between them would hand one thread's state to another's draw. Every
+        # 50 draws a thread also runs a short Lipschitz sweep, whose chunks re-key once per raw draw
         streams = range(1, 5)
+        problem = PcaProblem(np.diag([4.0, 3.0, 2.0, 1.0]))
 
         def draws(stream, out, start=None):
             if start is not None:
                 start.wait(timeout=30)
             rng = RngStream(77, stream)
-            for _ in range(2000):
+            for i in range(2000):
                 point, rng = sample_unit_ball(4, rng)
                 value, rng = rng.uniform()
                 out.append((point, value))
+                if i % 50 == 0:
+                    out.append((np.array(empirical_grad_lipschitz(problem, 0.5, 20, RngStream(78, stream, i))), 0.0))
 
         serial = {stream: [] for stream in streams}
         for stream in streams:

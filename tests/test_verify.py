@@ -35,7 +35,7 @@ from prgd.verify import (
 )
 from conftest import EuclideanQuadratic, SqrtGradient
 from fd_oracles import dense_basis_hessian
-from sweep_oracles import grad_lipschitz_loop, hess_lipschitz_loop
+from sweep_oracles import grad_lipschitz_loop, hess_lipschitz_loop, sample_pair
 
 
 def pca_params(problem, chi, epsilon=1e-3, gap=1.0, ball=math.inf):
@@ -369,6 +369,22 @@ def sweep_problem(name):
 
 
 REDRAW_SAMPLES = 3 * SWEEP_CHUNK + 10
+LAST_INDEX = 2**64 - 1
+
+
+def record_rekeys(monkeypatch):
+    """Patch `_rekey` in every module that binds it: the sweeps re-key through `verify`'s binding, the
+    streams' draws through `numerics`'. Returns the list of (seed, stream, index) re-keys it records."""
+    rekeys = []
+    rekey = numerics._rekey
+
+    def counted(seed, stream, index):
+        rekeys.append((seed, stream, index))
+        return rekey(seed, stream, index)
+
+    for module in (numerics, verify):
+        monkeypatch.setattr(module, "_rekey", counted)
+    return rekeys
 
 
 class TestBlockSweeps:
@@ -383,19 +399,12 @@ class TestBlockSweeps:
         redraw = n_samples == REDRAW_SAMPLES
         # ball 5 never needs a redraw; the small ball redraws about 3 samples in 200
         ball = MIN_SAMPLE_NORM / 0.015 ** (1 / problem.manifold.intrinsic_dim) if redraw else 5.0
-        generator = RngStream._generator
 
         def rekeys_of(run, seed):
-            rekeys = []
-
-            def counted(rng):
-                rekeys.append(rng.index)
-                return generator(rng)
-
-            monkeypatch.setattr(RngStream, "_generator", counted)
+            rekeys = record_rekeys(monkeypatch)
             ratio = run(problem, ball, n_samples, RngStream(seed, 0))
             monkeypatch.undo()
-            return ratio, rekeys
+            return ratio, [index for _, _, index in rekeys]
 
         # criterion 3's streams
         for sweep, loop, seed in ((empirical_grad_lipschitz, grad_lipschitz_loop, 40),
@@ -415,6 +424,53 @@ class TestBlockSweeps:
             empirical_hess_lipschitz(problem, ball, n_samples, RngStream(41, 0))
             sizes = [len(block[0]) for block in blocks]
             assert len(sizes) >= 3 and max(sizes) == SWEEP_CHUNK and min(sizes[:-1]) < SWEEP_CHUNK
+
+    @pytest.mark.parametrize("name", ["pca", "quadratic_saddle"])
+    def test_sweeps_from_a_keyed_stream_at_an_offset(self, name, monkeypatch):
+        # the other sweep-vs-loop tests start at stream 0 and index 0, where a sweep that dropped the
+        # stream's number or index would still draw the loop's samples
+        problem = sweep_problem(name)
+        ball = MIN_SAMPLE_NORM / 0.015 ** (1 / problem.manifold.intrinsic_dim)
+        start = RngStream(40, 7, 12_345)
+        n_samples = 200
+        after = start
+        for _ in range(n_samples):
+            _, _, after = sample_pair(problem, ball, after)
+        for sweep, loop in ((empirical_grad_lipschitz, grad_lipschitz_loop),
+                            (empirical_hess_lipschitz, hess_lipschitz_loop)):
+            chunks = []
+            draw_chunk = verify._draw_chunk
+            monkeypatch.setattr(verify, "_draw_chunk", lambda *args: chunks.append(draw_chunk(*args)) or chunks[-1])
+            rekeys = record_rekeys(monkeypatch)
+            ratio = sweep(problem, ball, n_samples, start)
+            monkeypatch.undo()
+            loop_rekeys = record_rekeys(monkeypatch)
+            loop_ratio = loop(problem, ball, n_samples, start)
+            monkeypatch.undo()
+            assert ratio.hex() == loop_ratio.hex()
+            # the chunks' redraws included, the same (seed, stream, index) re-keys, and the last chunk
+            # hands back the stream the loop ends at
+            assert len(rekeys) > 2 * n_samples
+            assert rekeys == loop_rekeys == [(40, 7, 12_345 + i) for i in range(len(rekeys))]
+            assert len(chunks) >= 4 and chunks[-1][3] == after == RngStream(40, 7, 12_345 + len(rekeys))
+
+    @pytest.mark.parametrize("n_samples, first, raises", [
+        (1, LAST_INDEX, True),  # the point's draw is the last index, the ball's would be past it
+        (1, LAST_INDEX - 1, True),  # the ball's draw is the last index, the advance past it raises
+        (SWEEP_CHUNK + 6, LAST_INDEX + 1 - 2 * (SWEEP_CHUNK + 6), True),  # the same, in a second chunk
+        (SWEEP_CHUNK + 6, LAST_INDEX - 2 * (SWEEP_CHUNK + 6), False),  # ends one index before the last
+    ])
+    def test_sweeps_stop_at_the_last_stream_index_as_the_loop_does(self, n_samples, first, raises):
+        problem = sweep_problem("pca")
+        for sweep, loop in ((empirical_grad_lipschitz, grad_lipschitz_loop),
+                            (empirical_hess_lipschitz, hess_lipschitz_loop)):
+            if not raises:
+                assert sweep(problem, 5.0, n_samples, RngStream(40, 7, first)) == loop(
+                    problem, 5.0, n_samples, RngStream(40, 7, first))
+                continue
+            for run in (sweep, loop):
+                with pytest.raises(ValueError, match=r"^index must lie in \[0, 2\^64\), got 18446744073709551616$"):
+                    run(problem, 5.0, n_samples, RngStream(40, 7, first))
 
     def test_block_sweeps_make_the_loops_draws(self, monkeypatch):
         # at d = 2 (k = 1) a ball of 2e-8 makes about half the draws short, so redraws are frequent
@@ -581,7 +637,7 @@ class TestBlockSweeps:
     def test_chunk_points_get_the_point_checks(self, manifold, normal, monkeypatch):
         # the chunk raises what `random_point` (through `manifold.point`) raises on the same normals;
         # on the sphere 1e300 normals have an infinite norm and normalize to the zero vector
-        generator = RngStream._generator
+        rekey = numerics._rekey
 
         class BadNormals:
             def __init__(self, gen):
@@ -595,7 +651,8 @@ class TestBlockSweeps:
             def random(self):
                 return self.gen.random()
 
-        monkeypatch.setattr(RngStream, "_generator", lambda rng: BadNormals(generator(rng)))
+        for module in (numerics, verify):
+            monkeypatch.setattr(module, "_rekey", lambda *key: BadNormals(rekey(*key)))
         # numpy warns on the way to the non-finite points; the checks are under test
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(ValueError) as one_row:
