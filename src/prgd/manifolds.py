@@ -42,17 +42,17 @@ class Manifold:
     """Common interface: metric, projection, retraction, adjoint, ball sampling.
 
     A manifold implements unchecked kernels on coordinate arrays:
-    `_project_array`, `_retract_scaled_array`, `_scaled_adjoint_array`,
-    `_tangent_basis_array`, `_ball_tangent_array`, and `_tangent_frame_array`
-    with `_basis_rows_array` and `_tangent_coords_array`, which apply the
-    tangent basis without building it. They take 1-d vectors, or blocks and
-    stacks whose rows are independent (point, vector) pairs; one base point
-    serves a block of vectors as `x[..., None, :]`. Each row gets the same
-    float operations as a 1-d call, bit for bit. The retraction also returns
+    `_project_array`, `_retract_scaled_array`, `_scaled_adjoint_array`, and
+    `_tangent_frame_array`, whose frame `_basis_rows_array`, `_tangent_coords_array`,
+    `_basis_apply_array` and `_ball_tangent_array` take to apply the tangent
+    basis without building it. They take 1-d vectors, or blocks and stacks
+    whose rows are independent (point, vector) pairs; one base point serves a
+    block of vectors as `x[..., None, :]`. Each row gets the same float
+    operations as a 1-d call, bit for bit. The retraction also returns
     the scale (for the sphere ||x + s||, None on R^d) that the adjoint takes,
     so an adjoint reuses what its retraction computed; the adjoint is the
     projection onto the tangent space at x followed by division by the scale.
-    Each validated method is its argument checks plus one call of these kernels.
+    Each validated method is its argument checks plus calls of these kernels.
     """
 
     name = "abstract"
@@ -83,12 +83,8 @@ class Manifold:
         """Pull w at Retr_x(s) back to x, given the scale `_retract_scaled_array` returned for (x, s)."""
         raise NotImplementedError
 
-    def _tangent_basis_array(self, x: np.ndarray) -> np.ndarray:
-        """Orthonormal tangent basis B at each point, shape (..., ambient_dim, intrinsic_dim)."""
-        raise NotImplementedError
-
     def _tangent_frame_array(self, x: np.ndarray):
-        """The basis B at each point in the implicit form that `_basis_rows_array` and `_tangent_coords_array` take."""
+        """The orthonormal tangent basis B at each point, in the implicit form the basis kernels take."""
         raise NotImplementedError
 
     def _basis_rows_array(self, frame, scale: float, out: np.ndarray) -> np.ndarray:
@@ -99,11 +95,12 @@ class Manifold:
         """rows @ B at each point of `frame`: (..., m, ambient_dim) rows to (..., m, intrinsic_dim) coordinates."""
         raise NotImplementedError
 
-    def _ball_tangent_array(self, x: np.ndarray, basis, radius, unit: np.ndarray) -> np.ndarray:
-        """Map unit-ball draws (..., intrinsic_dim) to ambient tangents of norm <= radius at x, through `basis`.
+    def _basis_apply_array(self, frame, coords: np.ndarray) -> np.ndarray:
+        """B @ coords at each point of `frame`: (..., intrinsic_dim) coordinates to (..., ambient_dim) vectors."""
+        raise NotImplementedError
 
-        `basis` is `_tangent_basis_array(x)`, or None to have the kernel build it only if it reads it.
-        """
+    def _ball_tangent_array(self, x: np.ndarray, frame, radius, unit: np.ndarray) -> np.ndarray:
+        """Unit-ball draws (..., intrinsic_dim) to tangents of norm <= radius at x, through the basis of x's `frame`."""
         raise NotImplementedError
 
     def _check_point(self, x: Point):
@@ -165,12 +162,13 @@ class Manifold:
         if radius < 0:
             raise ValueError("radius must be nonnegative")
         unit, rng = sample_unit_ball(self.intrinsic_dim, rng)
-        return Tangent(x, self._ball_tangent_array(x.coords, None, radius, unit)), rng
+        return Tangent(x, self._ball_tangent_array(x.coords, self._tangent_frame_array(x.coords), radius, unit)), rng
 
     def tangent_basis(self, x: Point) -> np.ndarray:
-        """Orthonormal basis of the tangent space at x, columns in ambient coordinates."""
+        """Orthonormal basis of the tangent space at x, columns in ambient coordinates: the rows B^T, transposed."""
         self._check_point(x)
-        return self._tangent_basis_array(x.coords)
+        rows = np.empty((self.ambient_dim, self.intrinsic_dim)).T
+        return self._basis_rows_array(self._tangent_frame_array(x.coords), 1.0, rows).T
 
     def check_second_order(self, x: Point, s: Tangent) -> float:
         """Finite-difference norm of the intrinsic initial acceleration of t -> Retr_x(t s).
@@ -218,10 +216,6 @@ class Euclidean(Manifold):
     def _scaled_adjoint_array(self, x, scale, w):
         return w
 
-    def _tangent_basis_array(self, x):
-        # a read-only view: the identity is never copied per point
-        return np.broadcast_to(np.eye(self.dim), x.shape[:-1] + (self.dim, self.dim))
-
     def _tangent_frame_array(self, x):
         return None
 
@@ -231,7 +225,10 @@ class Euclidean(Manifold):
     def _tangent_coords_array(self, frame, rows):
         return rows
 
-    def _ball_tangent_array(self, x, basis, radius, unit):
+    def _basis_apply_array(self, frame, coords):
+        return coords
+
+    def _ball_tangent_array(self, x, frame, radius, unit):
         return radius * unit
 
     # each class holds its own name for these, so the bench tracer can wrap them per class
@@ -323,13 +320,6 @@ class Sphere(Manifold):
         before = np.arange(n - 1) < p
         return before, v, _drop_p(v, before) / -(1.0 + np.abs(x_p.reshape(p.shape)))
 
-    def _tangent_basis_array(self, x):
-        """Orthonormal basis of x-perp at each point: the reflector of `_tangent_frame_array` without column p; O(n^2)."""
-        before, v, w = self._tangent_frame_array(x)
-        basis = v[..., :, None] * w[..., None, :]
-        _add_kept_identity(basis.mT, before, 1.0)
-        return basis
-
     def _basis_rows_array(self, frame, scale, out):
         # the outer product (scale w) v^T plus the kept identity rows: O(k*n), and no basis is built
         before, v, w = frame
@@ -344,10 +334,16 @@ class Sphere(Manifold):
         coords += np.einsum("...i,...j->...ij", np.matvec(rows, v), w)
         return coords
 
-    def _ball_tangent_array(self, x, basis, radius, unit):
-        if basis is None:
-            basis = self._tangent_basis_array(x)
-        ambient = self._project_array(x, np.matvec(basis, radius * unit))
+    def _basis_apply_array(self, frame, coords):
+        # v (w . c) plus c placed at the entries others: O(n) a point, where B @ c is O(n*k)
+        before, v, w = frame
+        out = v * np.vecdot(w, coords, keepdims=True)
+        np.add(out[..., :-1], coords, out=out[..., :-1], where=before)
+        np.add(out[..., 1:], coords, out=out[..., 1:], where=~before)
+        return out
+
+    def _ball_tangent_array(self, x, frame, radius, unit):
+        ambient = self._project_array(x, self._basis_apply_array(frame, radius * unit))
         nrm = _norm(ambient, keepdims=True)
         # round-off guard: a row longer than radius is scaled back onto the sphere of that radius
         return ambient * np.divide(radius, nrm, out=np.ones_like(nrm), where=nrm > radius)

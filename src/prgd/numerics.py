@@ -183,21 +183,21 @@ def _norm(v: np.ndarray, keepdims: bool = False):
     return np.sqrt(np.vecdot(v, v, keepdims=keepdims))
 
 
-def fd_hessian_from_gradients(gradient_many, manifold, x, center) -> np.ndarray:
-    """Central-difference Hessian at x in the tangent basis B = `manifold._tangent_basis_array(x)`, symmetrized.
+def fd_hessian_from_gradients(gradient_many, manifold, x, frame, center) -> np.ndarray:
+    """Central-difference Hessian at x in the tangent basis B of `frame`, symmetrized.
 
-    Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * B^T (h =
+    `frame` is `manifold._tangent_frame_array(x)`, made once by the caller, so Hessians at one x share
+    it. Calls `gradient_many` (rows to gradient rows) once on the 2k rows center +/- h * B^T (h =
     DEFAULT_HESS_H), which `manifold._basis_rows_array` writes C-contiguous into one (..., 2k, n)
-    buffer, and takes the gradient differences to basis coordinates with `_tangent_coords_array`, both
-    from one `_tangent_frame_array`. On the sphere they apply the Householder reflector in O(k*n), and
-    no basis is built. The coordinates drop any gradient component along x, so `gradient_many` may
-    leave it in; it may also overwrite the rows. `pullback_gradient_rows` retracts them in place, so a
-    pullback Hessian peaks at about two such buffers. A (count, n) stack of points with (count, 1, n)
-    centers gives a stack of Hessians, each with the bits of a one-point call.
+    buffer, and takes the gradient differences to basis coordinates with `_tangent_coords_array`. On
+    the sphere both apply the Householder reflector in O(k*n), and no basis is built. The coordinates
+    drop any gradient component along x, so `gradient_many` may leave it in; it may also overwrite the
+    rows. `pullback_gradient_rows` retracts them in place, so a pullback Hessian peaks at about two
+    such buffers. A (count, n) stack of points with (count, 1, n) centers gives a stack of Hessians,
+    each with the bits of a one-point call.
     """
     h = DEFAULT_HESS_H
     k = manifold.intrinsic_dim
-    frame = manifold._tangent_frame_array(x)
     rows = np.empty(x.shape[:-1] + (2 * k, manifold.ambient_dim))
     steps = manifold._basis_rows_array(frame, h, rows[..., :k, :])
     np.subtract(center, steps, out=rows[..., k:, :])

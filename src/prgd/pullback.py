@@ -34,8 +34,8 @@ class Pullback:
         return self.base.manifold
 
     @cached_property
-    def basis(self) -> np.ndarray:
-        return self.manifold.tangent_basis(self.base)
+    def frame(self):
+        return self.manifold._tangent_frame_array(self.base.coords)
 
     def _check_arg(self, s: Tangent):
         if s.base is not self.base and not same_point(s.base, self.base):
@@ -58,14 +58,14 @@ class Pullback:
     def hessian_at_zero(self) -> np.ndarray:
         """Finite-difference Hessian at the tangent-space origin, in the orthonormal basis."""
         x = self.base.coords
-        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, x), self.manifold, x, 0.0)
+        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, x), self.manifold, x, self.frame, 0.0)
 
     def hessian_at(self, s: Tangent) -> np.ndarray:
-        """Finite-difference Hessian at a tangent point, in the same orthonormal basis."""
+        """Finite-difference Hessian at a tangent point, in the same orthonormal basis, centred at s projected."""
         self._check_arg(s)
         x = self.base.coords
-        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, x), self.manifold, x,
-                                         self.basis @ (self.basis.T @ s.coords))
+        center = self.manifold._project_array(x, s.coords)
+        return fd_hessian_from_gradients(partial(pullback_gradient_rows, self.problem, x), self.manifold, x, self.frame, center)
 
 
 def pullback_step(problem, x: np.ndarray, s: np.ndarray):

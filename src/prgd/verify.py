@@ -41,9 +41,9 @@ MIN_SAMPLE_NORM = 1e-8
 # a draw with ball * u^(1/k) below this may round to a tangent shorter than MIN_SAMPLE_NORM; the
 # tangent's norm is ball * u^(1/k) to a relative round-off far below this margin
 MAYBE_SHORT = MIN_SAMPLE_NORM * (1.0 + 1e-6)
-# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats: a sweep sample's
-# rows and tangent basis, or a certificate point's 2k*n gradient rows. At d=20 the sample cap binds
-# for both sweeps (the float cap allows 115 Hessian and 327 gradient samples). On lipschitz-pca-d20
+# samples per stacked block of a Lipschitz sweep, and a cap on one block's floats: a sweep sample's n
+# or 2k*n gradient rows, or a certificate point's 2k*n. At d=20 the sample cap binds for both sweeps (the
+# float cap allows 172 Hessian samples); at n=300 a Hessian block holds one sample. On lipschitz-pca-d20
 # (one BLAS thread, 2 vCPUs, median of 3 10-s runs) a cap of 8, 16, 32 and 64 gave 11,014, 13,754,
 # 15,607 and 16,618 samples/s at 39.1, 39.6, 39.8 and 40.8 MiB peak RSS.
 SWEEP_CHUNK = 64
@@ -71,12 +71,13 @@ class CriticalityReport:
 
 
 def _bottom_eigpair(pull: Pullback) -> tuple[float, Tangent]:
-    """`_min_eigpair` of the pullback Hessian at the origin, the vector mapped to an ambient tangent.
+    """`_min_eigpair` of the pullback Hessian at the origin, the vector mapped to an ambient tangent by the frame.
 
     The sign rule holds in the tangent basis: the vector's largest-magnitude basis coordinate is positive.
     """
     lam, vec = _min_eigpair(pull.hessian_at_zero())
-    return lam, Tangent(pull.base, pull.manifold._project_array(pull.base.coords, pull.basis @ vec))
+    ambient = pull.manifold._basis_apply_array(pull.frame, vec)
+    return lam, Tangent(pull.base, pull.manifold._project_array(pull.base.coords, ambient))
 
 
 def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
@@ -91,7 +92,7 @@ def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
     manifold = problem.manifold
     return fd_hessian_from_gradients(
         lambda tangents: problem.riemannian_gradient_many(manifold.retract_many(x.coords, tangents)),
-        manifold, x.coords, 0.0)
+        manifold, x.coords, manifold._tangent_frame_array(x.coords), 0.0)
 
 
 def check_second_order_point(problem, x: Point, eps: float, rho: float) -> CriticalityReport:
@@ -118,7 +119,8 @@ def check_second_order_points(problem, points, eps: float, rho: float) -> list[C
     for first in range(0, len(points), block):
         x = np.stack([point.coords for point in points[first:first + block]])
         # the FD Hessians are exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
-        hess = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), manifold, x, 0.0)
+        hess = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), manifold, x,
+                                         manifold._tangent_frame_array(x), 0.0)
         lams += [lam for lam, _ in _min_eigenvalue(hess)]
     bar = -math.sqrt(rho * eps)
     return [CriticalityReport(grad_norm, lam, eps, rho, bool(grad_norm <= eps and lam >= bar))
@@ -140,12 +142,12 @@ def _random_points(manifold, gauss: np.ndarray) -> np.ndarray:
 
 
 def _draw_chunk(manifold, ball, count, rng):
-    """Up to `count` samples (x, tangent bases at x, s) and the advanced stream, drawn in stream order.
+    """Up to `count` samples (x, tangent frames at x, s) and the advanced stream, drawn in stream order.
 
     Each sample draws a random point x, then unit-ball draws until its tangent s in
     the ball has ||s|| >= MIN_SAMPLE_NORM. Per sample only the raw draws are made,
-    into preallocated rows; the points, unit-ball draws, bases and tangents of the
-    whole chunk follow in one stacked pass. A row whose tangent might be short
+    into preallocated rows; the points, unit-ball draws, tangent frames and tangents
+    of the whole chunk follow in one stacked pass. A row whose tangent might be short
     (ball * u^(1/k) < MAYBE_SHORT) ends the chunk, since its redraws move every
     later row's draws down the stream; so no draw is made and then thrown away, and
     only that last row can need redraws, which follow one at a time.
@@ -172,23 +174,23 @@ def _draw_chunk(manifold, ball, count, rng):
     rng = RngStream(seed, stream, index)
     count = len(u)
     x = _random_points(manifold, gauss[:count])
-    bases = manifold._tangent_basis_array(x)
-    s = manifold._ball_tangent_array(x, bases, ball, _unit_ball_rows(direction[:count], u))
-    # a row flagged as maybe short can still turn out long, and keep its first draw
+    frame = manifold._tangent_frame_array(x)
+    s = manifold._ball_tangent_array(x, frame, ball, _unit_ball_rows(direction[:count], u))
+    # a row flagged as maybe short can still turn out long, and keep its first draw; its redraws take its own frame
     while _norm(s[-1]) < MIN_SAMPLE_NORM:
         unit, rng = sample_unit_ball(k, rng)
-        s[-1] = manifold._ball_tangent_array(x[-1], bases[-1], ball, unit)
-    return x, bases, s, rng
+        s[-1] = manifold._ball_tangent_array(x[-1], manifold._tangent_frame_array(x[-1]), ball, unit)
+    return x, frame, s, rng
 
 
 def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
     """Max of the ratios over n_samples samples, drawn in stream order.
 
     Each chunk of samples is evaluated as one stacked block: at most SWEEP_CHUNK = 64 samples
-    and about SWEEP_BLOCK_FLOATS floats of their tangent bases and rows_per_sample rows, ended
-    early at a sample whose tangent might be short (see `_draw_chunk`). `block_ratios(x, s, bases,
-    worst)` returns the ratios of the block's samples that may exceed the running max `worst`;
-    a non-finite one raises.
+    and about SWEEP_BLOCK_FLOATS floats of their rows_per_sample rows, ended early at a sample
+    whose tangent might be short (see `_draw_chunk`). `block_ratios(x, s, frame, worst)` returns
+    the ratios of the block's samples that may exceed the running max `worst`, given the block's
+    tangent frame; a non-finite one raises.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -196,12 +198,12 @@ def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
         raise ValueError(f"ball must lie in ({MIN_SAMPLE_NORM}, inf), got {ball!r}")
     manifold = problem.manifold
     n = manifold.ambient_dim
-    chunk = max(1, min(SWEEP_CHUNK, SWEEP_BLOCK_FLOATS // ((rows_per_sample + manifold.intrinsic_dim) * n)))
+    chunk = max(1, min(SWEEP_CHUNK, SWEEP_BLOCK_FLOATS // (rows_per_sample * n)))
     worst = 0.0
     done = 0
     while done < n_samples:
-        x, bases, s, rng = _draw_chunk(manifold, ball, min(chunk, n_samples - done), rng)
-        ratios = block_ratios(x, s, bases, worst)
+        x, frame, s, rng = _draw_chunk(manifold, ball, min(chunk, n_samples - done), rng)
+        ratios = block_ratios(x, s, frame, worst)
         if not np.all(np.isfinite(ratios)):
             raise NumericalError("non-finite pullback gradient or Lipschitz ratio")
         worst = max(worst, float(ratios.max(initial=0.0)))
@@ -233,12 +235,12 @@ def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
     """
     manifold = problem.manifold
 
-    def block_ratios(x, s, bases, worst):
+    def block_ratios(x, s, frame, worst):
         gradients = partial(pullback_gradient_rows, problem, x)
-        # s projected onto the basis span, as `Pullback.hessian_at` centres it
-        center = (bases @ (bases.mT @ s[..., None])).mT
-        diff = (fd_hessian_from_gradients(gradients, manifold, x, center)
-                - fd_hessian_from_gradients(gradients, manifold, x, 0.0))
+        # s projected onto the tangent space, as `Pullback.hessian_at` centres it
+        center = manifold._project_array(x, s)[:, None, :]
+        diff = (fd_hessian_from_gradients(gradients, manifold, x, frame, center)
+                - fd_hessian_from_gradients(gradients, manifold, x, frame, 0.0))
         norms = _norm(s)
         bounds = _operator_norm_bounds(diff) / norms
         ratios = []

@@ -5,9 +5,13 @@ in the same stream order, one pullback and one pair of gradients or
 finite-difference Hessians per sample, through the validated public routes.
 The block sweeps must return the same ratios bit for bit.
 
-`householder_basis` and `sphere_ball_tangent` are the per-point sphere geometry
-that the stacked kernels `Sphere._tangent_basis_array` and `_ball_tangent_array`
-replaced; the kernels must give their bits row for row.
+`householder_frame`, `frame_ball_tangent` and `householder_basis` are the
+per-point sphere geometry in plain numpy. `frame_ball_tangent` maps a unit-ball
+draw through the reflector data, as the stacked kernel `Sphere._ball_tangent_array`
+does, and that kernel must give its bits row for row. `householder_basis` is the
+dense (n, n - 1) basis, the reference for `tangent_basis` and the implicit basis
+products; `dense_ball_tangent` maps a draw through it, and agrees with the frame
+map to round-off only.
 """
 
 import numpy as np
@@ -17,24 +21,43 @@ from prgd.pullback import Pullback
 from prgd.verify import random_point
 
 
-def householder_basis(x):
-    """Tangent basis at a unit vector x: the Householder reflector of x with column argmax|x_i| deleted."""
-    n = x.size
+def householder_frame(x):
+    """(others, v, w) at a unit vector x: the reflector's kept columns, B = I[:, others] + v w^T, p = argmax|x_i|."""
     p = int(np.argmax(np.abs(x)))
     v = x.copy()
     v[p] += np.copysign(1.0, x[p])
-    others = np.delete(np.arange(n), p)
-    basis = np.outer(v, v[others] / -(1.0 + abs(x[p])))
-    basis[others, np.arange(n - 1)] += 1.0
+    others = np.delete(np.arange(x.size), p)
+    return others, v, v[others] / -(1.0 + abs(x[p]))
+
+
+def householder_basis(x):
+    """Tangent basis at a unit vector x: the Householder reflector of x with column argmax|x_i| deleted."""
+    others, v, w = householder_frame(x)
+    basis = np.outer(v, w)
+    basis[others, np.arange(x.size - 1)] += 1.0
     return basis
 
 
-def sphere_ball_tangent(x, basis, radius, ball):
-    """The tangent at x for a unit-ball draw: basis map, projection, then the norm round-off guard."""
-    ambient = basis @ (radius * ball)
+def _project_and_guard(x, ambient, radius):
+    """Projection onto x-perp, then the round-off guard that scales a vector longer than radius back to it."""
     ambient = ambient - x.dot(ambient) * x
     nrm = float(np.linalg.norm(ambient))
     return ambient * (radius / nrm) if nrm > radius else ambient
+
+
+def frame_ball_tangent(x, radius, ball):
+    """The tangent at x for a unit-ball draw: B c = v (w . c) plus c at the entries others, for c = radius * ball."""
+    others, v, w = householder_frame(x)
+    c = radius * ball
+    # vecdot, as the kernel: a dot of -0.0 and c is +0.0 there, where w.dot(c) may give -0.0
+    ambient = v * np.vecdot(w, c)
+    ambient[others] += c
+    return _project_and_guard(x, ambient, radius)
+
+
+def dense_ball_tangent(x, radius, ball):
+    """The tangent at x for a unit-ball draw through the dense `householder_basis`: one (n, n - 1) matvec."""
+    return _project_and_guard(x, householder_basis(x) @ (radius * ball), radius)
 
 
 def sample_pair(problem, ball, rng, min_norm=1e-8):

@@ -700,8 +700,8 @@ class TestRgd:
 
             monkeypatch.setattr(cli, name, counted)
         monkeypatch.setattr(verify, "fd_hessian_from_gradients",
-                            lambda gradients, manifold, x, center: certified.append(len(x))
-                            or fd_hessian_from_gradients(gradients, manifold, x, center))
+                            lambda gradients, manifold, x, frame, center: certified.append(len(x))
+                            or fd_hessian_from_gradients(gradients, manifold, x, frame, center))
         study = escape_study(problem, x0, params, base_seed=7, trials=5, algorithm="rgd",
                              rgd_max_iters=500, v_max=vecs[:, 0])
         # one certificate call, whose one block holds one point

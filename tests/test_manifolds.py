@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from prgd.manifolds import Euclidean, Sphere
 from prgd.numerics import RngStream, sample_unit_ball
-from sweep_oracles import householder_basis, sphere_ball_tangent
+from sweep_oracles import dense_ball_tangent, frame_ball_tangent, householder_basis
 
 
 def sphere_point(sph, rng):
@@ -297,6 +297,19 @@ class TestSampleBall:
         assert peak < 1_000_000
         assert same_bits(s.coords, sample_unit_ball(2000, RngStream(8))[0])
 
+    def test_sphere_draw_builds_no_basis(self):
+        # the dense tangent basis at n = 2000 would take 32 MB; the draw goes through the O(n) reflector frame
+        sph = Sphere(2000)
+        x, rng = sphere_point(sph, RngStream(8))
+        tracemalloc.start()
+        try:
+            s, _ = sph.sample_ball(x, 1.0, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert same_bits(s.coords, frame_ball_tangent(x.coords, 1.0, sample_unit_ball(1999, rng)[0]))
+
     def test_negative_radius_rejected(self):
         eu = Euclidean(2)
         with pytest.raises(ValueError):
@@ -316,16 +329,32 @@ class TestSampleBall:
             units.append(sample_unit_ball(manifold.intrinsic_dim, rng)[0])
             s, rng = manifold.sample_ball(manifold.point(xi), radius, rng)
             draws.append(s.coords)
-        bases = manifold._tangent_basis_array(x)
-        stacked = manifold._ball_tangent_array(x, bases, radii[:, None], np.array(units))
+        stacked = manifold._ball_tangent_array(x, manifold._tangent_frame_array(x), radii[:, None], np.array(units))
         assert same_bits(stacked, np.array(draws))
         for i in range(len(x)):
-            one_row = manifold._ball_tangent_array(x[i], bases[i], radii[i], units[i])
+            one_row = manifold._ball_tangent_array(x[i], manifold._tangent_frame_array(x[i]), radii[i], units[i])
             assert same_bits(one_row, draws[i])
             if isinstance(manifold, Sphere):
-                assert same_bits(draws[i], sphere_ball_tangent(x[i], householder_basis(x[i]), radii[i], units[i]))
+                assert same_bits(draws[i], frame_ball_tangent(x[i], radii[i], units[i]))
             else:
                 assert same_bits(draws[i], radii[i] * units[i])
+
+    @pytest.mark.parametrize("n", [2, 7, 40, 2000])
+    def test_frame_draws_match_the_dense_basis(self, n):
+        # B c through the reflector frame and through the dense basis round differently; every entry of
+        # the two tangents agrees within 4 ulps of the radius (the largest difference seen is about 1)
+        if n < 100:
+            sph, x = basis_test_points(n, 13)
+        else:
+            sph = Sphere(n)
+            x = np.array([frame_test_point(n, kind, 0, 1.0, seed) for kind, seed in
+                          (("random", 1), ("random", 2), ("negative", 3), ("tie", 0), ("axis", 0))])
+        rng = RngStream(23, n)
+        eps = np.finfo(float).eps
+        for xi, radius in zip(x, np.resize([1e-8, 0.3, 1.0, 7.5], len(x))):
+            unit, _ = sample_unit_ball(n - 1, rng)
+            s, rng = sph.sample_ball(sph.point(xi), radius, rng)
+            assert np.abs(s.coords - dense_ball_tangent(xi, radius, unit)).max() <= 4 * eps * radius
 
 
 class TestTangentBasis:
@@ -372,19 +401,27 @@ class TestTangentBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 50])
     def test_stacked_kernel_matches_per_point(self, n):
+        # the rows B^T of a stack of frames, transposed: the dense bases, point for point. The rows' outer
+        # product v w^T is einsum's, which sums onto +0.0, so at a point with zero entries (an axis) a zero
+        # of the dense basis may be -0.0 where the rows have +0.0; adding 0.0 to both compares all else
         sph, x = basis_test_points(n, 7)
-        stacked = sph._tangent_basis_array(x)
-        assert stacked.shape == (len(x), n, n - 1)
+        stacked = sph._basis_rows_array(sph._tangent_frame_array(x), 1.0, np.empty((len(x), n - 1, n))).mT
         for xi, basis in zip(x, stacked):
             assert same_bits(basis, sph.tangent_basis(sph.point(xi)))
-            assert same_bits(basis, householder_basis(xi))
+            assert same_bits(basis + 0.0, householder_basis(xi) + 0.0)
         # any leading axes
-        assert same_bits(sph._tangent_basis_array(x[:6].reshape(2, 3, n)), stacked[:6].reshape(2, 3, n, n - 1))
+        frames = sph._tangent_frame_array(x[:6].reshape(2, 3, n))
+        assert same_bits(sph._basis_rows_array(frames, 1.0, np.empty((2, 3, n - 1, n))).mT,
+                         stacked[:6].reshape(2, 3, n, n - 1))
 
     def test_euclidean_stacked_identity(self):
+        # R^d has no frame, and its basis kernels return their input: the identity at every point
         eu = Euclidean(3)
         x, _ = RngStream(2).standard_normal((4, 3))
-        assert np.array_equal(eu._tangent_basis_array(x), np.broadcast_to(np.eye(3), (4, 3, 3)))
+        assert eu._tangent_frame_array(x) is None
+        assert np.array_equal(eu.tangent_basis(eu.point(x[0])), np.eye(3))
+        c, _ = RngStream(3).standard_normal((4, 3))
+        assert eu._basis_apply_array(None, c) is c
 
 
 def frame_test_point(n, kind, index, sign, seed):
@@ -403,7 +440,7 @@ def frame_test_point(n, kind, index, sign, seed):
 
 
 class TestTangentFrame:
-    """The implicit basis products of the FD Hessian against the dense Householder basis."""
+    """The implicit basis products of the FD Hessian and the ball draws against the dense Householder basis."""
 
     @given(st.integers(2, 40), st.lists(st.tuples(st.sampled_from(["random", "negative", "tie", "axis"]),
                                                   st.integers(0, 39), st.sampled_from([1.0, -1.0]),
@@ -420,6 +457,7 @@ class TestTangentFrame:
         frames = sph._tangent_frame_array(x)
         coords = sph._tangent_coords_array(frames, rows)
         steps = sph._basis_rows_array(frames, 1e-4, np.empty((len(x), n - 1, n)))
+        applied = sph._basis_apply_array(frames, rows[:, 0, :-1])
         for i, xi in enumerate(x):
             basis = householder_basis(xi)
             # x = e_p or -e_p: the reflector's w is zero and B is the identity without column p
@@ -429,15 +467,18 @@ class TestTangentFrame:
             err = np.abs(coords[i] - rows[i] @ basis).max(axis=-1)
             assert np.all(err <= 8 * eps * size * np.linalg.norm(unit_rows[i], axis=-1))
             assert np.abs(steps[i] - 1e-4 * basis.T).max() <= 2 * eps * 1e-4
+            # and of the coordinates' norm for B c
+            assert np.abs(applied[i] - basis @ rows[i, 0, :-1]).max() <= 8 * eps * size * np.linalg.norm(unit_rows[i, 0, :-1])
             # B^T x = 0 to round-off: the coordinates drop a multiple of x
             assert np.abs(sph._tangent_coords_array(sph._tangent_frame_array(xi), xi[None, :])).max() <= 8 * eps
             # each point of the stack has the bits of its one-point call
             frame = sph._tangent_frame_array(xi)
             assert same_bits(coords[i], sph._tangent_coords_array(frame, rows[i]))
             assert same_bits(steps[i], sph._basis_rows_array(frame, 1e-4, np.empty((n - 1, n))))
+            assert same_bits(applied[i], sph._basis_apply_array(frame, rows[i, 0, :-1]))
 
     def test_ties_pick_the_first_largest_entry(self):
-        # all |x_i| tied: column 0 is dropped, as `_tangent_basis_array` drops it
+        # all |x_i| tied: column 0 is dropped, as `householder_basis` drops it
         sph = Sphere(4)
         x = np.array([-0.5, 0.5, -0.5, 0.5])
         frame = sph._tangent_frame_array(x)

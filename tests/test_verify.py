@@ -88,7 +88,7 @@ class TestCriticalityReport:
 
     def test_certificate_builds_no_basis_and_one_gradient_batch(self, monkeypatch):
         calls = {"basis": 0, "frame": 0, "batch": 0}
-        basis, frame = Sphere._tangent_basis_array, Sphere._tangent_frame_array
+        basis, frame = Sphere.tangent_basis, Sphere._tangent_frame_array
         batch = PcaProblem.riemannian_gradient_many
 
         def counted(name, method):
@@ -97,7 +97,7 @@ class TestCriticalityReport:
                 return method(*args)
             return wrapper
 
-        monkeypatch.setattr(Sphere, "_tangent_basis_array", counted("basis", basis))
+        monkeypatch.setattr(Sphere, "tangent_basis", counted("basis", basis))
         monkeypatch.setattr(Sphere, "_tangent_frame_array", counted("frame", frame))
         monkeypatch.setattr(PcaProblem, "riemannian_gradient_many", counted("batch", batch))
         a, _, q, _ = synthetic_matrix(6, RngStream(31, 1))
@@ -162,8 +162,11 @@ class TestCriticalityReport:
         assert report.min_eig_pullback == lam
         bottom_lam, vec = _bottom_eigpair(Pullback(p, x))
         assert bottom_lam == lam
-        expected = p.manifold._project_array(x.coords, pull.basis @ inner)
+        # the vector goes through the tangent frame, and agrees with the dense basis to round-off
+        frame = p.manifold._tangent_frame_array(x.coords)
+        expected = p.manifold._project_array(x.coords, p.manifold._basis_apply_array(frame, inner))
         assert vec.coords.tobytes() == expected.tobytes()
+        assert np.abs(vec.coords - p.manifold.tangent_basis(x) @ inner).max() <= 4 * np.finfo(float).eps
         # the residual contract, in the tangent basis where the eigensolver sees the Hessian
         assert np.linalg.norm(hess @ inner - lam * inner) <= 1e-9 * np.abs(np.linalg.eigvalsh(hess)).max()
 
@@ -591,8 +594,8 @@ class TestBlockSweeps:
         # overflows; operator_norm raised on both, and a solve without the check would not
         fd_hessian = verify.fd_hessian_from_gradients
 
-        def bad_at_s(gradients, manifold, x, center):
-            hess = fd_hessian(gradients, manifold, x, center)
+        def bad_at_s(gradients, manifold, x, frame, center):
+            hess = fd_hessian(gradients, manifold, x, frame, center)
             if not isinstance(center, float):  # the Hessians at s; the one at the origin is centred at 0.0
                 hess[-1, 0, 0] = entry
             return hess
@@ -605,7 +608,7 @@ class TestBlockSweeps:
     def test_size_limit_raises_when_every_sample_is_pruned(self, monkeypatch):
         # zero differences have zero bounds, so no sample can raise the max and none is solved
         problem = sweep_problem("pca")
-        monkeypatch.setattr(verify, "fd_hessian_from_gradients", lambda gradients, manifold, x, center:
+        monkeypatch.setattr(verify, "fd_hessian_from_gradients", lambda gradients, manifold, x, frame, center:
                             np.zeros(x.shape[:-1] + (manifold.intrinsic_dim,) * 2))
         solved = self.counted_solves(monkeypatch)
         assert empirical_hess_lipschitz(problem, 5.0, 100, RngStream(41, 0)) == 0.0
@@ -616,21 +619,42 @@ class TestBlockSweeps:
 
     @pytest.mark.parametrize("manifold", [Sphere(2), Sphere(20), Sphere(300), Euclidean(5)], ids=str)
     def test_chunk_rows_are_the_one_row_draws(self, manifold, monkeypatch):
-        # a full chunk at n = 300 would build a 64 x 300 x 299 basis stack (46 MB); a few rows do
-        count = 3 if manifold.ambient_dim > 100 else SWEEP_CHUNK
+        # a full chunk, also at n = 300: the draws go through the O(n) tangent frames, and no basis is built
         units = []
         unit_ball_rows = verify._unit_ball_rows
         monkeypatch.setattr(verify, "_unit_ball_rows", lambda *args: units.append(unit_ball_rows(*args)) or units[-1])
         rng = RngStream(5, manifold.ambient_dim, 11)
-        x, bases, s, after = verify._draw_chunk(manifold, 0.7, count, rng)
-        assert len(x) == count and after == RngStream(5, manifold.ambient_dim, 11 + 2 * count)
-        for i in range(count):
+        x, frame, s, after = verify._draw_chunk(manifold, 0.7, SWEEP_CHUNK, rng)
+        assert len(x) == SWEEP_CHUNK and after == RngStream(5, manifold.ambient_dim, 11 + 2 * SWEEP_CHUNK)
+        for i in range(SWEEP_CHUNK):
             point, at_ball = random_point(manifold, RngStream(5, manifold.ambient_dim, 11 + 2 * i))
             unit, _ = sample_unit_ball(manifold.intrinsic_dim, at_ball)
             tangent, _ = manifold.sample_ball(point, 0.7, at_ball)
             assert x[i].tobytes() == point.coords.tobytes()
             assert units[0][i].tobytes() == unit.tobytes()
             assert s[i].tobytes() == tangent.coords.tobytes()
+            # the block's frame, row for row, is the point's own (R^d has none)
+            if frame is not None:
+                assert all(a[i].tobytes() == b.tobytes() for a, b in zip(frame, manifold._tangent_frame_array(x[i])))
+
+    def test_full_chunk_at_n300_stays_small(self):
+        # a 64-row chunk at n = 300 holds a few (64, 300) blocks of floats: the draws, points, frames and
+        # tangents; the (64, 300, 299) basis stack it built before took 44 MiB, 299 such blocks
+        tracemalloc.start()
+        try:
+            verify._draw_chunk(Sphere(300), 0.7, SWEEP_CHUNK, RngStream(5, 300, 11))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * SWEEP_CHUNK * 300 * 8
+
+    def test_one_frame_per_hessian_block(self, monkeypatch):
+        # each block's one stack of frames serves its ball draws and both of its FD Hessians
+        frames = []
+        frame = Sphere._tangent_frame_array
+        monkeypatch.setattr(Sphere, "_tangent_frame_array", lambda self, x: frames.append(len(x)) or frame(self, x))
+        empirical_hess_lipschitz(sweep_problem("pca"), 5.0, 200, RngStream(41, 0))
+        assert frames == [SWEEP_CHUNK] * 3 + [200 - 3 * SWEEP_CHUNK]
 
     @pytest.mark.parametrize("manifold, normal", [(Sphere(20), math.inf), (Sphere(20), math.nan), (Sphere(20), 1e300),
                                                   (Euclidean(5), math.inf), (Euclidean(5), math.nan)], ids=str)
