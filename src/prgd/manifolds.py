@@ -323,7 +323,7 @@ class Sphere(Manifold):
     def _basis_rows_array(self, frame, scale, out):
         # the outer product (scale w) v^T plus the kept identity rows: O(k*n), and no basis is built
         before, v, w = frame
-        np.einsum("...i,...j->...ij", scale * w, v, out=out)
+        np.multiply((scale * w)[..., :, None], v[..., None, :], out=out)
         _add_kept_identity(out, before, scale)
         return out
 

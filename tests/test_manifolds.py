@@ -401,14 +401,12 @@ class TestTangentBasis:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 50])
     def test_stacked_kernel_matches_per_point(self, n):
-        # the rows B^T of a stack of frames, transposed: the dense bases, point for point. The rows' outer
-        # product v w^T is einsum's, which sums onto +0.0, so at a point with zero entries (an axis) a zero
-        # of the dense basis may be -0.0 where the rows have +0.0; adding 0.0 to both compares all else
+        # the rows B^T of a stack of frames, transposed: the dense bases, point for point
         sph, x = basis_test_points(n, 7)
         stacked = sph._basis_rows_array(sph._tangent_frame_array(x), 1.0, np.empty((len(x), n - 1, n))).mT
         for xi, basis in zip(x, stacked):
             assert same_bits(basis, sph.tangent_basis(sph.point(xi)))
-            assert same_bits(basis + 0.0, householder_basis(xi) + 0.0)
+            assert same_bits(basis, householder_basis(xi))
         # any leading axes
         frames = sph._tangent_frame_array(x[:6].reshape(2, 3, n))
         assert same_bits(sph._basis_rows_array(frames, 1.0, np.empty((2, 3, n - 1, n))).mT,
