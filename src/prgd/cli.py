@@ -21,7 +21,7 @@ import numpy as np
 from .descent import PrgdParams, derive_params, prgd, prgd_lockstep, rgd
 from .errors import NumericalError
 from .manifolds import Point
-from .numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
+from .numerics import EIG_DIM_LIMIT, RngStream, _eigenvector_rows
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
 from .verify import (
     check_second_order_point,
@@ -113,9 +113,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             if a.shape[0] < 2:
                 raise ValueError("pca requires a matrix of dimension >= 2")
             problem = PcaProblem(a)
-            v_max = min_eigpair(-problem.matrix)[1]
-            # lifting the top eigenvalue by 3|A| leaves the second eigenvector at the bottom
-            second = min_eigpair(3.0 * problem.norm * np.outer(v_max, v_max) - problem.matrix)[1]
+            v_max, second = _eigenvector_rows(problem.matrix, [-1, -2])
         else:
             if args.start == "file":
                 raise ValueError("matrix required when --problem pca starts from a file")

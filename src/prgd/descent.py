@@ -117,24 +117,26 @@ def derive_params(
             raise ValueError("theoretical mode requires a finite ball (the +inf sentinel is practical-mode only)")
         if not epsilon**1.5 <= 3.0 * math.sqrt(lip_hess) * gap:
             raise ValueError("requires epsilon^(3/2) <= 3 * sqrt(lip_hess) * gap")
-        chi0 = max(
-            _CHI_FLOOR,
-            4.0 * math.log2(2.0**31 * ell**2 * math.sqrt(dim) * gap / (delta * math.sqrt(lip_hess) * epsilon**2.5)),
-        )
-    else:
-        if chi is None:
-            raise ValueError("practical mode requires chi")
-        if not chi > 0.25:
-            raise ValueError(f"requires chi > 1/4, got {chi!r}")
-        chi0 = float(chi)
+    elif chi is None:
+        raise ValueError("practical mode requires chi")
+    elif not chi > 0.25:
+        raise ValueError(f"requires chi > 1/4, got {chi!r}")
 
-    horizon = math.ceil(ell * chi0 / root)
-    chi_adj = horizon * root / ell
-    eta = 1.0 / ell
-    radius = epsilon / (400.0 * chi_adj**3)
-    score_drop = epsilon**1.5 / (50.0 * chi_adj**3 * math.sqrt(lip_hess))
-    locality = math.sqrt(epsilon / lip_hess) / (4.0 * chi_adj)
-    budget_raw = 8.0 * max(horizon / 3.0, gap * horizon / score_drop, gap / (eta * epsilon**2))
+    try:
+        if mode == "theoretical":
+            chi0 = max(_CHI_FLOOR, 4.0 * math.log2(2.0**31 * ell**2 * math.sqrt(dim) * gap
+                                                   / (delta * math.sqrt(lip_hess) * epsilon**2.5)))
+        else:
+            chi0 = float(chi)
+        horizon = math.ceil(ell * chi0 / root)
+        chi_adj = horizon * root / ell
+        eta = 1.0 / ell
+        radius = epsilon / (400.0 * chi_adj**3)
+        score_drop = epsilon**1.5 / (50.0 * chi_adj**3 * math.sqrt(lip_hess))
+        locality = math.sqrt(epsilon / lip_hess) / (4.0 * chi_adj)
+        budget_raw = 8.0 * max(horizon / 3.0, gap * horizon / score_drop, gap / (eta * epsilon**2))
+    except ZeroDivisionError:  # a power of epsilon, or a quotient of one, underflowed to 0
+        raise ValueError(f"epsilon {epsilon!r} is too small: the parameter formulas underflow to 0") from None
     if budget_raw > _BUDGET_LIMIT:
         raise OverflowError(
             f"counter budget {budget_raw:.3e} exceeds 2^63; the theoretical constants are intentionally conservative"

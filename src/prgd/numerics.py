@@ -52,19 +52,10 @@ def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
 def min_eigpair(m) -> tuple[float, np.ndarray]:
     """Algebraically smallest eigenvalue lam and a unit eigenvector v of a symmetric matrix.
 
-    lam is the first eigenvalue of `eigvalsh`, which skips the eigenvector
-    back-transform of a full `eigh`. v is one inverse-iteration solve
-    (m - sigma I) v = b from a fixed generic start b, with sigma a few ulps
-    below lam: lam - 8 eps max|lam_i|. The solve and the residual run on
-    m / max|lam_i|, so neither overflows at any scale.
-
-    Residual contract: ||m v - lam v|| <= 1e-9 * max|lam_i|. A second solve
-    from v runs only when the first misses it; a miss after that, or a NaN,
-    raises NumericalError. The zero matrix gives lam = 0 and v = e_1.
-
-    Sign rule: the largest-magnitude coordinate of v is positive, the first
-    one on a tie, so v depends on neither the start nor the LAPACK routine.
-    The steps are `_min_eigenvalue` and `_min_eigvec`; a certificate runs only the first.
+    lam is the first eigenvalue of `eigvalsh`, so a certificate gets the same bits; v is the first
+    eigenvector of one backward-stable `eigh` call, so ||m v - lam v|| <= 1e-9 * max|lam_i| up to
+    EIG_DIM_LIMIT. The zero matrix gives lam = 0 and v = e_1. Sign rule: the largest-magnitude
+    coordinate of v is positive, the first one on a tie, whatever sign LAPACK picks.
     """
     m = as_sym_matrix(m)
     return _min_eigpair(0.5 * (m + m.T))
@@ -72,50 +63,31 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
 
 def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
     """`min_eigpair` of an exactly symmetric matrix: only its size and finiteness are checked."""
-    lam, norm_m = _min_eigenvalue(m)
-    return lam, _min_eigvec(m, lam, norm_m)
+    return _min_eigenvalue(m), _eigenvector_rows(m, [0])[0]
 
 
 def _min_eigenvalue(m: np.ndarray):
-    """`_min_eigpair`'s lam and max|lam_i| from `_eigenvalues` alone; (0.0, 0.0) for the zero matrix.
+    """`_min_eigpair`'s lam from `_eigenvalues` alone; 0.0 for the zero matrix.
 
-    For a stack of matrices, a list of these pairs, one per matrix, from one `eigvalsh` call.
+    For a stack of matrices, a list of them, one per matrix, from one `eigvalsh` call.
     """
-    vals = _eigenvalues(m)
-    lams = vals[..., 0]
-    pairs = [(lam, norm_m) if norm_m else (0.0, 0.0)
-             for lam, norm_m in zip(lams.ravel().tolist(), np.maximum(-lams, vals[..., -1]).ravel().tolist())]
-    return pairs if m.ndim > 2 else pairs[0]
+    vals = _eigenvalues(m).reshape(-1, m.shape[-1])
+    # lam and the top eigenvalue are both zero (of either sign) only for the zero matrix
+    lams = [lam if lam or top else 0.0 for lam, top in vals[:, [0, -1]].tolist()]
+    return lams if m.ndim > 2 else lams[0]
 
 
-def _min_eigvec(m: np.ndarray, lam: float, norm_m: float) -> np.ndarray:
-    """The eigenvector step of `min_eigpair`: inverse iteration from the fixed start, residual check, sign rule."""
-    n = m.shape[0]
-    if norm_m == 0.0:
-        vec = np.zeros(n)
-        vec[0] = 1.0
-        return vec
-    shift = 8.0 * np.finfo(float).eps
-    shifted = m / norm_m
-    shifted.flat[::n + 1] -= lam / norm_m - shift
-    # the first n normals of RngStream(0): fixed, and generic, so no eigenvector is orthogonal to it
-    vec = RngStream(0)._generator().standard_normal(n)
-    for _ in range(2):
-        try:
-            vec = np.linalg.solve(shifted, vec)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover - needs an exact zero pivot
-            raise NumericalError(f"inverse-iteration solve failed: {exc}") from exc
-        vec /= np.linalg.norm(vec)
-        # ||m v - lam v|| / |m| to round-off, from the scaled matrix: the norm of the unscaled
-        # residual squares it, and overflows once |m| nears 1e170
-        residual = float(np.linalg.norm(shifted @ vec - shift * vec))
-        if residual <= 1e-9:  # False for a NaN residual, which then raises
-            break
-    else:
-        raise NumericalError(f"eigenpair residual {residual:.3e} * |m| exceeds 1e-9 * |m|")
-    if vec[np.argmax(np.abs(vec))] < 0:
-        vec = -vec
-    return vec
+def _eigenvector_rows(m: np.ndarray, which: list[int]) -> np.ndarray:
+    """Unit eigenvectors `which` (indices in ascending eigenvalue order) of an exactly symmetric matrix, whose
+    size and finiteness the caller has checked, from one `eigh` call: C-contiguous rows, each normalized
+    (LAPACK's are unit only to O(n eps)) and negated if needed to meet `min_eigpair`'s sign rule."""
+    try:
+        rows = np.ascontiguousarray(np.linalg.eigh(m)[1].T[which])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK essentially never fails here
+        raise NumericalError(f"symmetric eigenvector solve did not converge: {exc}") from exc
+    rows /= _norm(rows, keepdims=True)
+    rows[rows[np.arange(len(rows)), np.argmax(np.abs(rows), axis=1)] < 0] *= -1.0
+    return rows
 
 
 def _check_eig_dim(m: np.ndarray):

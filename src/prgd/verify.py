@@ -121,7 +121,7 @@ def check_second_order_points(problem, points, eps: float, rho: float) -> list[C
         # the FD Hessians are exactly symmetric, so the eigensolver skips `min_eigpair`'s symmetry check
         hess = fd_hessian_from_gradients(partial(pullback_gradient_rows, problem, x), manifold, x,
                                          manifold._tangent_frame_array(x), 0.0)
-        lams += [lam for lam, _ in _min_eigenvalue(hess)]
+        lams += _min_eigenvalue(hess)
     bar = -math.sqrt(rho * eps)
     return [CriticalityReport(grad_norm, lam, eps, rho, bool(grad_norm <= eps and lam >= bar))
             for grad_norm, lam in zip(grad_norms, lams)]

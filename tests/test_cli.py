@@ -122,6 +122,30 @@ class TestParams:
             assert abs(float(v_max @ vecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
             assert abs(float(saddle.coords @ vecs[:, -2])) == pytest.approx(1.0, abs=1e-12)
 
+    def test_matrix_set_up_makes_one_eigh_and_no_solve(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "a.txt"
+        save_matrix(path, np.diag([3.0, 1.0, 0.5, -2.0]))
+        calls = []
+        for name in ("eigh", "solve"):
+            routine = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *args, name=name, routine=routine: calls.append(name) or routine(*args))
+        code = main(["params", "--problem", "pca", "--matrix", str(path), "--chi", "4", "--start", "saddle"])
+        assert code == EXIT_OK
+        assert calls == ["eigh"]
+
+    @pytest.mark.parametrize("command", ["params", "study"])
+    @pytest.mark.parametrize("mode", [["--chi", "4", "--eps", "1e-300"],
+                                      ["--mode", "theoretical", "--ball", "1.0", "--eps", "1e-130"]],
+                             ids=["practical", "theoretical"])
+    def test_underflowing_epsilon_is_config_error(self, command, mode, tmp_path, capsys):
+        argv = [command, "--problem", "pca", "--dim", "5"] + mode
+        if command == "study":
+            argv += ["--out", str(tmp_path / "s")]
+        assert main(argv) == EXIT_CONFIG
+        assert "epsilon" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):
         def no_matrix(*args, **kwargs):

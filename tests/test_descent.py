@@ -97,6 +97,14 @@ class TestDeriveParams:
             derive_params(epsilon=1e-6, delta=0.1, dim=2, ell=1.0, lip_grad=1.0,
                           lip_hess=1.0, ball=math.inf, gap=1e7, mode="practical", chi=4.0)
 
+    @pytest.mark.parametrize("mode, epsilon", [("practical", 1e-300), ("practical", 1e-200),
+                                               ("theoretical", 1e-130), ("theoretical", 1e-300)])
+    def test_underflowing_epsilon_is_named(self, mode, epsilon):
+        # a power of epsilon that underflows to 0 would divide by zero in the formulas
+        with pytest.raises(ValueError, match=f"epsilon {epsilon!r} is too small"):
+            derive_params(epsilon=epsilon, delta=0.1, dim=4, ell=1.0, lip_grad=1.0, lip_hess=1.0,
+                          ball=1.0, gap=1.0, mode=mode, chi=4.0)
+
     def test_params_invariants_enforced(self):
         good = practical(chi=4.0)
         with pytest.raises(ValueError, match="chi > 1/4"):

@@ -39,7 +39,7 @@ def with_spectrum(lams, seed):
 
 
 def stress_spectra():
-    """(name, matrix) cases that are hard for one inverse-iteration step."""
+    """(name, matrix) cases with repeated, nearly repeated or clustered bottom eigenvalues, or extreme scales."""
     cases = [("n=1", np.array([[-3.0]]))]
     for n in (2, 3, 10, 50, 150, 400):
         cases.append((f"random n={n}", random_symmetric(n, n)))
@@ -147,62 +147,45 @@ class TestMinEigpair:
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("name, m", STRESS, ids=STRESS_IDS)
-    def test_stress_spectra_against_full_eigh(self, name, m, monkeypatch):
-        solves = []
-        solve = np.linalg.solve
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    def test_stress_spectra_against_full_eigh(self, name, m):
         lam, vec = min_eigpair(m)
-        oracle_vals, oracle_vecs = np.linalg.eigh(m)
+        oracle_vals = np.linalg.eigh(m)[0]
         norm_m = float(np.abs(oracle_vals).max())
         assert abs(lam - oracle_vals[0]) <= 1e-12 * norm_m
-        # the contract is 1e-9 * |m|; one solve meets it with a wide margin on every case
+        # the contract is 1e-9 * |m|; eigh meets it with a wide margin on every case
         assert np.linalg.norm(m @ vec - lam * vec) <= 1e-9 / 30 * norm_m
-        assert len(solves) == 1
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-14)
+        # eigh's vectors are unit only to O(n eps); the returned one is normalized to an ulp
+        assert abs(np.linalg.norm(vec) - 1.0) <= np.finfo(float).eps
         if len(oracle_vals) == 1 or oracle_vals[1] - oracle_vals[0] >= 1e-7 * norm_m:
-            assert abs(float(vec @ oracle_vecs[:, 0])) == pytest.approx(1.0, abs=1e-9)
+            # the vector oracle is the general (non-symmetric) QR eigensolver, not eigh itself
+            eig_vals, eig_vecs = scipy.linalg.eig(m)
+            oracle_vec = eig_vecs[:, int(np.argmin(eig_vals.real))].real
+            oracle_vec /= np.linalg.norm(oracle_vec)
+            assert abs(float(vec @ oracle_vec)) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("name, m", STRESS[::4], ids=STRESS_IDS[::4])
     def test_sign_rule_fixes_the_vector(self, name, m, monkeypatch):
         lam, vec = min_eigpair(m)
         top = int(np.argmax(np.abs(vec)))
         assert vec[top] > 0 and np.all(np.abs(vec[:top]) < vec[top])
-        # the solve is linear in its start, so a negated or doubled start gives the same bits
-        solve = np.linalg.solve
-        for factor in (-1.0, 2.0):
-            monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, factor * b))
-            again = min_eigpair(m)
-            monkeypatch.undo()
-            assert again[0] == lam and np.array_equal(again[1], vec)
+        # eigh may return either sign of each eigenvector; the rule gives the same bits for both
+        eigh, calls = np.linalg.eigh, []
+
+        def negated(a):
+            calls.append(1)
+            vals, vecs = eigh(a)
+            return vals, -vecs
+
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        again = min_eigpair(m)
+        assert len(calls) == 1
+        assert again[0] == lam and np.array_equal(again[1], vec)
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_zero_matrix(self, n):
         lam, vec = min_eigpair(np.zeros((n, n)))
         assert lam == 0.0
         assert np.array_equal(vec, np.eye(n)[0])
-
-    def test_second_solve_runs_only_after_a_miss(self, monkeypatch):
-        m = random_symmetric(12, seed=3)
-        lam, vec = min_eigpair(m)
-        solves = []
-        solve = np.linalg.solve
-
-        def first_misses(a, b):
-            solves.append(1)
-            # the unsolved start misses the residual contract, so a second solve must follow
-            return b.copy() if len(solves) == 1 else solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", first_misses)
-        again = min_eigpair(m)
-        assert len(solves) == 2
-        assert again[0] == lam
-        assert abs(float(again[1] @ vec)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_nan_solve_raises(self, monkeypatch):
-        # a NaN residual fails `residual <= tol`, so it raises instead of returning a NaN vector
-        monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full_like(b, np.nan))
-        with pytest.raises(NumericalError, match="residual nan"):
-            min_eigpair(random_symmetric(5, seed=2))
 
     @pytest.mark.parametrize("scale", [1e170, 1e200, 1e300, 1e-300])
     def test_extreme_scales(self, scale):
