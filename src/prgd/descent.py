@@ -20,8 +20,6 @@ TANGENT_STEP = "tangent_step"
 BOUNDARY_TRUNCATION = "boundary_truncation"
 SMALL_GRAD_VISIT = "small_grad_visit"
 
-EVENT_KINDS = (MANIFOLD_STEP, PERTURBATION, TANGENT_STEP, BOUNDARY_TRUNCATION, SMALL_GRAD_VISIT)
-
 _CHI_FLOOR = 0.25 + 1e-9
 _BUDGET_LIMIT = 2**63
 
@@ -126,6 +124,8 @@ def derive_params(
         if mode == "theoretical":
             chi0 = max(_CHI_FLOOR, 4.0 * math.log2(2.0**31 * ell**2 * math.sqrt(dim) * gap
                                                    / (delta * math.sqrt(lip_hess) * epsilon**2.5)))
+            if chi0 == math.inf:  # epsilon**2.5 is subnormal, and the log's argument overflowed
+                raise ValueError(f"epsilon {epsilon!r} is too small: the theoretical chi overflows")
         else:
             chi0 = float(chi)
         horizon = math.ceil(ell * chi0 / root)
@@ -232,7 +232,6 @@ class RunTrace:
     object; `events` builds their events from the columns on its first read, field for field the same.
     """
 
-    iterates: list[np.ndarray] = field(default_factory=list)
     last_small_grad_point: Point | None = None
     final_point: Point | None = None
     final_f: float = math.nan
@@ -398,10 +397,10 @@ class _Trial:
     gradient norm there, and `row` the run's row of the block. During a
     perturbation phase `phase` is the tick of its first step and `span` the
     first tick whose step is not yet in a recorded span; `phase` is None
-    during a manifold step.
+    during a manifold step. `end` is the tick whose step moves the anchor.
     """
 
-    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "row", "phase", "span")
+    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "row", "phase", "span", "end")
 
     def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float, row: int):
         self.trace, self.rng, self.x, self.f_x, self.row = trace, rng, x, f_x, row
@@ -451,7 +450,7 @@ def prgd_lockstep(
     start = np.ascontiguousarray(x0.coords)
     f0, grad0 = problem._value_and_gradient_array(start)
     f0 = float(f0)
-    trials = [_Trial(RunTrace(iterates=[start]), rng, start, f0, row) for row, rng in enumerate(rngs)]
+    trials = [_Trial(RunTrace(), rng, start, f0, row) for row, rng in enumerate(rngs)]
     traces = [trial.trace for trial in trials]
     x = np.tile(start, (len(trials), 1))
     # the norm buffer: s, s - s0 and the loop-top gradient; rows 0 and 2 are the block's s and gradient
@@ -464,11 +463,9 @@ def prgd_lockstep(
     # the pre-step gradient norms of this tick: the last entry's column, patched where a phase starts
     grad_norms = next(entries)[3]
     grad_norms[:] = _norm(stack[2])
-    ends: dict[int, list[_Trial]] = {}  # the runs whose phase takes its last step at each tick
     top = list(range(len(trials)))  # rows at a new anchor, whose loop top runs before the next tick
     stopped: list[int] = []
     while True:
-        stepping = []  # runs taking a manifold step this tick
         top_norms = grad_norms.tolist() if top else ()
         s, grad = stack[0], stack[2]  # the block's s and loop-top gradient
         for i in top:
@@ -488,7 +485,7 @@ def prgd_lockstep(
             trial.grad_norm = grad_norm
             trial.phase = None
             if grad_norm > params.epsilon:
-                stepping.append(trial)
+                trial.end = tick
                 continue
             log = trial.trace._log
             log.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
@@ -506,7 +503,7 @@ def prgd_lockstep(
             s[i] = start_s
             s0[i] = start_s
             trial.phase = trial.span = tick
-            ends.setdefault(tick + horizon - 1, []).append(trial)
+            trial.end = tick + horizon - 1
         if stopped:
             keep = np.ones(len(trials), dtype=bool)
             keep[stopped] = False
@@ -535,14 +532,9 @@ def prgd_lockstep(
         s[...] = s_new
         np.subtract(s, s0, out=stack[1])
         grad[...] = grad_new
-        ending = ends.pop(tick, [])
-        for i in alphas:
-            trial = trials[i]
-            if trial.phase is not None and trial.phase + horizon - 1 != tick:
-                # a truncated step ends its phase early
-                ends[trial.phase + horizon - 1].remove(trial)
-                ending.append(trial)
-        changed = stepping + ending
+        for i in alphas:  # a truncated step ends its phase early
+            trials[i].end = tick
+        changed = [trial for trial in trials if trial.end == tick]
         for trial in changed:
             # a new anchor is the retracted point, and its loop-top gradient the fused one there
             i = trial.row
@@ -580,7 +572,6 @@ def prgd_lockstep(
                     continue
             trial.x = y[i].copy()
             trial.f_x = values[i]
-            trace.iterates.append(trial.x)
             top.append(i)
         grad_norms = entry[3]
         tick += 1
@@ -599,7 +590,7 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
     x = x0.coords
     # one fused call per iterate gives its value and the next loop-top gradient
     f_x, grad = problem._value_and_gradient_array(x)
-    trace = RunTrace(iterates=[x])
+    trace = RunTrace()
     events = trace.events
     queries = 0
     t = 0
@@ -631,7 +622,6 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
         )
         f_x = f_new
         t += 1
-        trace.iterates.append(x)
 
     trace.finish(Point(manifold, x), f_x, t, grad_norm, queries, terminated)
     return trace

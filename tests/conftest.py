@@ -1,3 +1,6 @@
+import contextlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -31,6 +34,40 @@ class SqrtGradient(CostFunction):
     def _value_and_gradient_array(self, y):
         with np.errstate(invalid="ignore"):
             return np.sum(y**1.5, axis=-1), 1.5 * np.sqrt(y)
+
+
+@contextlib.contextmanager
+def evaluated_points(problem, points=None):
+    """Collect, while open, the rows of every point at which `problem`'s fused cost oracle is evaluated.
+
+    Each row is appended to `points` (a new list by default) as its bytes, in call order, and the list
+    is what the context yields: every point a run visited, which its trace does not keep.
+    """
+    points = [] if points is None else points
+    oracle = problem._value_and_gradient_array
+
+    def recording(y):
+        points.extend(row.tobytes() for row in y.reshape(-1, y.shape[-1]))
+        return oracle(y)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(problem, "_value_and_gradient_array", recording)
+        yield points
+
+
+def recorded(function, points):
+    """`function` of one point, appending each point it is called at to `points` as its bytes."""
+
+    def call(v):
+        points.append(v.tobytes())
+        return function(v)
+
+    return call
+
+
+def collapsed(points):
+    """`points` with each run of consecutive equal entries collapsed to one."""
+    return [point for point, _ in itertools.groupby(points)]
 
 
 @pytest.fixture

@@ -13,10 +13,9 @@ from prgd.numerics import sample_unit_ball
 
 
 def reference_pgd(f, grad_f, x0, eta, radius, horizon, epsilon, budget, gap, rng):
-    """Returns (iterates after every counter advance, f after every descent step)."""
+    """Returns f after every descent step."""
     x = np.array(x0, dtype=float)
     f0 = f(x)
-    iterates = [x]
     f_values = []
     t = 0
     while t <= budget:
@@ -26,7 +25,6 @@ def reference_pgd(f, grad_f, x0, eta, radius, horizon, epsilon, budget, gap, rng
         if float(np.linalg.norm(g)) > epsilon:
             x = x - eta * g
             t += 1
-            iterates.append(x)
             f_values.append(f(x))
         else:
             ball, rng = sample_unit_ball(x.size, rng)
@@ -36,5 +34,4 @@ def reference_pgd(f, grad_f, x0, eta, radius, horizon, epsilon, budget, gap, rng
                 f_values.append(f(x + disp))
             x = x + disp
             t += horizon
-            iterates.append(x)
-    return iterates, f_values
+    return f_values

@@ -135,9 +135,14 @@ class TestParams:
         assert calls == ["eigh"]
 
     @pytest.mark.parametrize("command", ["params", "study"])
+    # from about 1e-119 to 1e-129, epsilon**2.5 is subnormal and the theoretical chi's log argument overflows
     @pytest.mark.parametrize("mode", [["--chi", "4", "--eps", "1e-300"],
-                                      ["--mode", "theoretical", "--ball", "1.0", "--eps", "1e-130"]],
-                             ids=["practical", "theoretical"])
+                                      ["--mode", "theoretical", "--ball", "1.0", "--eps", "1e-130"],
+                                      ["--mode", "theoretical", "--ball", "1.0", "--eps", "1e-120"],
+                                      ["--mode", "theoretical", "--ball", "1.0", "--eps", "1e-125"],
+                                      ["--mode", "theoretical", "--ball", "1.0", "--eps", "1e-129"]],
+                             ids=["practical", "theoretical", "theoretical-1e-120", "theoretical-1e-125",
+                                  "theoretical-1e-129"])
     def test_underflowing_epsilon_is_config_error(self, command, mode, tmp_path, capsys):
         argv = [command, "--problem", "pca", "--dim", "5"] + mode
         if command == "study":
@@ -176,6 +181,32 @@ class TestParams:
         assert code == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["budget"] > 10**12
+
+
+class TestOverrides:
+    @pytest.mark.parametrize("flag, value, field, expected", [
+        ("--ell", "6", "ell", 6.0),
+        ("--rho", "20", "lip_hess", 20.0),
+        ("--gap", "2.5", "gap", 2.5),
+        ("--delta", "0.01", "horizon", None),
+        ("--max-iters", "3", "final_t", 3),
+    ])
+    def test_override_sets_its_field(self, flag, value, field, expected, tmp_path, capsys):
+        def read(extra):
+            if flag == "--max-iters":
+                out = tmp_path / f"r{len(extra)}"
+                assert main(["study", "--problem", "pca", "--dim", "5", "--chi", "4", "--algorithm", "rgd",
+                             "--start", "random", "--out", str(out)] + extra) == EXIT_OK
+                return json.loads(out.with_suffix(".summary.json").read_text())["trial_records"][0][field]
+            # the theoretical horizon is the one that depends on delta
+            mode = ["--mode", "theoretical", "--ball", "1.0", "--eps", "0.01"] if flag == "--delta" else ["--chi", "4"]
+            assert main(["params", "--problem", "pca", "--dim", "5"] + mode + extra) == EXIT_OK
+            return json.loads(capsys.readouterr().out)[field]
+
+        default, overridden = read([]), read([flag, value])
+        assert overridden != default
+        if expected is not None:
+            assert overridden == expected
 
 
 class TestStudy:

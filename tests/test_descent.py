@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from prgd.numerics import RngStream, fd_hessian_from_gradients
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
 from prgd.verify import check_second_order_point, random_point
-from conftest import EuclideanQuadratic
+from conftest import EuclideanQuadratic, collapsed, evaluated_points, recorded
 from reference_pgd import reference_pgd
 
 
@@ -98,9 +99,12 @@ class TestDeriveParams:
                           lip_hess=1.0, ball=math.inf, gap=1e7, mode="practical", chi=4.0)
 
     @pytest.mark.parametrize("mode, epsilon", [("practical", 1e-300), ("practical", 1e-200),
-                                               ("theoretical", 1e-130), ("theoretical", 1e-300)])
+                                               ("theoretical", 1e-130), ("theoretical", 1e-300),
+                                               ("theoretical", 1e-120), ("theoretical", 1e-125),
+                                               ("theoretical", 1e-129)])
     def test_underflowing_epsilon_is_named(self, mode, epsilon):
-        # a power of epsilon that underflows to 0 would divide by zero in the formulas
+        # a power of epsilon that underflows to 0 would divide by zero in the formulas; from about 1e-119
+        # to 1e-129 epsilon**2.5 is subnormal, and the theoretical chi's log argument overflows instead
         with pytest.raises(ValueError, match=f"epsilon {epsilon!r} is too small"):
             derive_params(epsilon=epsilon, delta=0.1, dim=4, ell=1.0, lip_grad=1.0, lip_hess=1.0,
                           ball=1.0, gap=1.0, mode=mode, chi=4.0)
@@ -330,12 +334,12 @@ class TestTangentStepCost:
 def public_api_prgd(problem, x0, params, rng, terminate):
     """The PRGD outer loop written over the validated API, as a reference for the lockstep kernel.
 
-    Returns (events, iterates, final point, gradient queries, stop reason).
+    Returns (events, final point, gradient queries, stop reason).
     """
     manifold = problem.manifold
     x = x0
     f_x = f0 = problem.value(x)
-    events, iterates = [], [x.coords]
+    events = []
     t = queries = 0
     terminated = "budget"
     while t <= params.budget:
@@ -371,8 +375,7 @@ def public_api_prgd(problem, x0, params, rng, terminate):
                 break
         x = manifold.retract(x, Tangent(x, s))
         f_x = events[-1].f
-        iterates.append(x.coords)
-    return events, iterates, x, queries + 1, terminated
+    return events, x, queries + 1, terminated
 
 
 def pca_saddle(dim, ball=math.inf):
@@ -389,12 +392,19 @@ def pca_saddle(dim, ball=math.inf):
 
 def assert_same_run(trace, other):
     assert trace.events == other.events
-    assert len(trace.iterates) == len(other.iterates)
-    assert all(np.array_equal(p, q) for p, q in zip(trace.iterates, other.iterates))
     assert np.array_equal(trace.final_point.coords, other.final_point.coords)
     for name in ("final_f", "final_grad_norm", "final_t", "gradient_queries", "terminated",
                  "suspected_second_order"):
         assert getattr(trace, name) == getattr(other, name), name
+
+
+def assert_block_repeats_single_runs(block_points, single_points, start):
+    """A lockstep block evaluated the single runs' points, as a multiset, with their shared start once."""
+    expected = Counter()
+    for points in single_points:
+        expected.update(points)
+    expected[start.coords.tobytes()] -= len(single_points) - 1
+    assert Counter(block_points) == expected
 
 
 class TestPrgdAgainstPublicApi:
@@ -410,11 +420,12 @@ class TestPrgdAgainstPublicApi:
             # descend to the top eigenvector, where the first phase fails to decrease f
             x0, _ = random_point(problem.manifold, RngStream(6, 1))
             params = dataclasses.replace(params, gap=1.0)
-        trace = prgd(problem, x0, params, RngStream(3, 0), terminate_on_no_decrease=terminate)
-        events, iterates, x, queries, terminated = public_api_prgd(problem, x0, params, RngStream(3, 0), terminate)
+        with evaluated_points(problem) as points:
+            trace = prgd(problem, x0, params, RngStream(3, 0), terminate_on_no_decrease=terminate)
+        with evaluated_points(problem) as ref_points:
+            events, x, queries, terminated = public_api_prgd(problem, x0, params, RngStream(3, 0), terminate)
         assert trace.events == events
-        assert len(trace.iterates) == len(iterates)
-        assert all(np.array_equal(p, q) for p, q in zip(trace.iterates, iterates))
+        assert collapsed(points) == collapsed(ref_points)
         assert np.array_equal(trace.final_point.coords, x.coords)
         assert (trace.gradient_queries, trace.terminated) == (queries, terminated)
         assert trace.n_perturbations >= 1
@@ -425,39 +436,52 @@ class TestPrgdAgainstPublicApi:
 class TestStudyEqualsSingleRuns:
     """A study's lockstep block repeats each trial's single `prgd` run bit for bit."""
 
-    def check(self, problem, x0, params, trials, terminate=True):
+    def check(self, monkeypatch, problem, x0, params, trials, terminate=True):
+        # the block's points, not the certificates'
+        block, lockstep = [], cli.prgd_lockstep
+
+        def recorded_lockstep(*args, **kwargs):
+            with evaluated_points(problem, block):
+                return lockstep(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "prgd_lockstep", recorded_lockstep)
         study = escape_study(problem, x0, params, base_seed=1, trials=trials, terminate=terminate)
+        singles = []
         for i, res in enumerate(study):
-            assert_same_run(res.trace, prgd(problem, x0, params, RngStream(1 + i, i),
-                                            terminate_on_no_decrease=terminate))
+            with evaluated_points(problem) as points:
+                single = prgd(problem, x0, params, RngStream(1 + i, i), terminate_on_no_decrease=terminate)
+            assert_same_run(res.trace, single)
+            singles.append(points)
+        assert_block_repeats_single_runs(block, singles, x0)
         return [res.trace for res in study]
 
-    def test_pca_d50_from_the_saddle(self):
-        traces = self.check(*pca_saddle(50), trials=10)
+    def test_pca_d50_from_the_saddle(self, monkeypatch):
+        traces = self.check(monkeypatch, *pca_saddle(50), trials=10)
         # rows leave the block at different ticks, by both stopping rules
         assert {tr.terminated for tr in traces} == {"gap_exhausted", "decrease_threshold"}
         assert len({tr.final_t for tr in traces}) > 1
 
-    def test_quadratic_saddle(self):
+    def test_quadratic_saddle(self, monkeypatch):
         h = np.diag([-0.5, 0.8, 1.0, 0.3, 0.9, -0.2, 0.6, 1.0, 0.7, 0.4])
         problem = QuadraticSaddle(h)
         params = PrgdParams(epsilon=0.3, delta=0.1, dim=10, ell=1.0, lip_grad=1.0,
                             lip_hess=1.0, ball=math.inf, gap=2.0, chi=4.0,
                             eta=1.0, radius=0.05, horizon=10, score_drop=1e-6,
                             locality=1e-2, budget=200, mode="practical")
-        traces = self.check(problem, problem.manifold.point(np.full(10, 0.01)), params, 6, terminate=False)
+        traces = self.check(monkeypatch, problem, problem.manifold.point(np.full(10, 0.01)), params, 6,
+                            terminate=False)
         assert all(tr.n_perturbations >= 1 for tr in traces)
         assert any(tr.n_manifold_steps >= 1 for tr in traces)
 
-    def test_finite_ball_truncates_rows_mid_block(self):
-        traces = self.check(*pca_saddle(50, ball=0.05), trials=10)
+    def test_finite_ball_truncates_rows_mid_block(self, monkeypatch):
+        traces = self.check(monkeypatch, *pca_saddle(50, ball=0.05), trials=10)
         steps = [ev.step for tr in traces for ev in tr.events if ev.kind == BOUNDARY_TRUNCATION]
         # every row truncates once, at its own step, while the other rows keep stepping
         assert len(steps) == 10 and len(set(steps)) > 1
 
-    def test_small_budget_stops_rows_with_budget(self):
+    def test_small_budget_stops_rows_with_budget(self, monkeypatch):
         problem, saddle, params = pca_saddle(50)
-        traces = self.check(problem, saddle, dataclasses.replace(params, budget=200), 6, terminate=False)
+        traces = self.check(monkeypatch, problem, saddle, dataclasses.replace(params, budget=200), 6, terminate=False)
         assert all(tr.terminated == "budget" for tr in traces)
 
 
@@ -487,8 +511,7 @@ class TestBallTest:
         assert all(ev.kind == BOUNDARY_TRUNCATION for ev in truncated if ev.step is not None)
         problem, x0, params = pca_saddle(20, ball=0.05)
         for i, trace in enumerate(traces):
-            events, _, _, _, _ = public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)
-            assert trace.events == events
+            assert trace.events == public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)[0]
 
 
 # Bytes one in-phase step cost in a trace before its steps became trace columns: a 9-field TraceEvent
@@ -516,19 +539,45 @@ class TestTraceColumns:
         assert steps >= 10_000
         assert peak / steps <= TRACE_EVENT_BYTES
 
+    @staticmethod
+    def held_bytes_per_step(dim):
+        """Bytes per step that tracemalloc counts as held after a one-row 3,000-step run, with its trace alive."""
+        problem, saddle, params = pca_saddle(dim)
+        # without --terminate the run ends only by budget: a gap no run can exhaust keeps it going
+        params = dataclasses.replace(params, gap=10.0, budget=3000)
+        tracemalloc.start()
+        try:
+            trace = prgd(problem, saddle, params, RngStream(2, 0))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert trace.terminated == "budget"
+        return held / sum(ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION) for ev in trace.events)
+
+    def test_held_bytes_per_step_do_not_grow_with_dimension(self):
+        # a trace holds events, per-tick columns and a few points, so its steps cost about 41 B at d=3 and
+        # at d=500 alike; keeping one n-vector per manifold step and per phase end held 106 B per step at d=500
+        small, large = self.held_bytes_per_step(3), self.held_bytes_per_step(500)
+        assert large <= 1.25 * small, (small, large)
+
     def test_spans_across_chunks_and_a_shrinking_block_repeat_the_single_runs(self, monkeypatch):
         # chunks of 7 ticks, so every phase spans many chunks
         monkeypatch.setattr(descent, "TRACE_CHUNK", 7)
         problem, x0, params = pca_saddle(50)
-        traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)], True)
+        with evaluated_points(problem) as block:
+            traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)], True)
         spans = [sum(type(item) is descent._PhaseSpan for item in trace._log) for trace in traces]
         # a run that stops mid-phase of another re-forms the block, which splits that phase's span
         assert any(count > trace.n_perturbations for count, trace in zip(spans, traces))
+        singles = []
         for i, trace in enumerate(traces):
             events = trace.events
             assert trace.events is events
-            assert_same_run(trace, prgd(problem, x0, params, RngStream(1 + i, i), True))
+            with evaluated_points(problem) as points:
+                assert_same_run(trace, prgd(problem, x0, params, RngStream(1 + i, i), True))
+            singles.append(points)
             assert events == public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)[0]
+        assert_block_repeats_single_runs(block, singles, x0)
 
 
 class TestPrgd:
@@ -543,12 +592,14 @@ class TestPrgd:
     def test_determinism_bitwise(self, simple_saddle):
         params = practical(chi=4.0, epsilon=0.3)
         x0 = simple_saddle.manifold.point([0.01, 0.02])
-        t1 = prgd(simple_saddle, x0, params, RngStream(5, 1))
-        t2 = prgd(simple_saddle, x0, params, RngStream(5, 1))
+        with evaluated_points(simple_saddle) as p1:
+            t1 = prgd(simple_saddle, x0, params, RngStream(5, 1))
+        with evaluated_points(simple_saddle) as p2:
+            t2 = prgd(simple_saddle, x0, params, RngStream(5, 1))
         assert len(t1.events) == len(t2.events)
         for a, b in zip(t1.events, t2.events):
             assert a == b
-        assert all(np.array_equal(p, q) for p, q in zip(t1.iterates, t2.iterates))
+        assert p1 == p2
 
     def test_flat_space_reduction_matches_reference_pgd(self):
         h = np.diag([-0.5, 0.8, 1.0, 0.3, 0.9, -0.2, 0.6, 1.0, 0.7, 0.4])
@@ -558,14 +609,16 @@ class TestPrgd:
                             eta=1.0, radius=0.05, horizon=10, score_drop=1e-6,
                             locality=1e-2, budget=200, mode="practical")
         x0 = problem.manifold.point(np.full(10, 0.01))
-        trace = prgd(problem, x0, params, RngStream(42, 3))
-        ref_iters, ref_f = reference_pgd(
-            lambda v: 0.5 * float(v @ (h @ v)), lambda v: h @ v, x0.coords,
-            params.eta, params.radius, params.horizon, params.epsilon,
+        with evaluated_points(problem) as points:
+            trace = prgd(problem, x0, params, RngStream(42, 3))
+        ref_points = []
+        ref_f = reference_pgd(
+            recorded(lambda v: 0.5 * float(v @ (h @ v)), ref_points), recorded(lambda v: h @ v, ref_points),
+            x0.coords, params.eta, params.radius, params.horizon, params.epsilon,
             params.budget, params.gap, RngStream(42, 3),
         )
-        assert len(trace.iterates) == len(ref_iters)
-        assert all(np.array_equal(a, b) for a, b in zip(trace.iterates, ref_iters))
+        assert collapsed(points) == collapsed(ref_points)
+        assert trace.final_point.coords.tobytes() == ref_points[-1]
         mine = [ev.f for ev in trace.events if ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION)]
         assert mine == ref_f
 
@@ -669,8 +722,10 @@ class TestRgd:
     def test_euclidean_gradient_step(self):
         problem = EuclideanQuadratic(np.eye(2))
         x0 = problem.manifold.point([1.0, 0.0])
-        trace = rgd(problem, x0, eta=0.5, epsilon=1e-12, max_iters=1)
-        assert np.array_equal(trace.iterates[1], [0.5, 0.0])
+        with evaluated_points(problem) as points:
+            trace = rgd(problem, x0, eta=0.5, epsilon=1e-12, max_iters=1)
+        assert points == [np.array([1.0, 0.0]).tobytes(), np.array([0.5, 0.0]).tobytes()]
+        assert np.array_equal(trace.final_point.coords, [0.5, 0.0])
 
     def test_one_fused_cost_call_per_iterate(self, monkeypatch):
         a, _, _, _ = synthetic_matrix(6, RngStream(3, 44))
@@ -697,8 +752,16 @@ class TestRgd:
         problem, _, params = pca_saddle(12)
         _, _, vecs, _ = synthetic_matrix(12, RngStream(1, 2**48))
         x0, _ = random_point(problem.manifold, RngStream(6, 1))
-        single = rgd(problem, x0, params.eta, params.epsilon, 500)
+        with evaluated_points(problem) as single_points:
+            single = rgd(problem, x0, params.eta, params.epsilon, 500)
         report = check_second_order_point(problem, single.final_point, params.epsilon, params.lip_hess)
+        study_points = []
+
+        def recorded_rgd(*args, **kwargs):
+            with evaluated_points(problem, study_points):
+                return rgd(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "rgd", recorded_rgd)
         calls = {"rgd": 0, "check_second_order_points": 0}
         certified = []
         for name in calls:
@@ -717,6 +780,8 @@ class TestRgd:
         assert certified == [1]
         assert [(res.seed, res.stream) for res in study] == [(7 + i, i) for i in range(5)]
         assert single.final_t >= 1
+        # the study's one run evaluated the single run's points, in order
+        assert study_points == single_points
         for res in study:
             assert_same_run(res.trace, single)
             assert res.report.as_dict() == report.as_dict()

@@ -746,6 +746,21 @@ class TestTraceAudit:
         report = audit_trace(trace, params)
         assert any("localization" in v for v in report.violations)
 
+    @pytest.mark.parametrize("event, violation", [
+        (TraceEvent(t=3, kind=MANIFOLD_STEP, f=1.0, grad_norm=0.5, tangent_norm=0.5, alpha=1.0),
+         "t=3: manifold step lacks audit fields"),
+        (TraceEvent(t=2, kind=TANGENT_STEP, f=1.0, grad_norm=0.5, tangent_norm=0.1, alpha=1.0, dist_start=0.1, step=1),
+         "t=2: tangent step outside a phase or lacking fields"),
+    ], ids=["manifold-step-without-f-before", "tangent-step-without-perturbation"])
+    def test_malformed_event_is_flagged(self, event, violation):
+        params = derive_params(epsilon=0.3, delta=0.1, dim=2, ell=1.0, lip_grad=1.0,
+                               lip_hess=1.0, ball=math.inf, gap=2.0, mode="practical", chi=4.0)
+        trace = RunTrace()
+        trace.events.append(event)
+        report = audit_trace(trace, params)
+        assert report.violations == [violation]
+        assert report.n_manifold_steps + report.n_tangent_steps == 1
+
 
 class TestCouplingExperiment:
     def canonical(self):
