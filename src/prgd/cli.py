@@ -109,10 +109,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
     """Instantiate the cost; returns (problem, dominant eigenvector, saddle point)."""
     if args.problem == "pca":
         if args.matrix:
-            a = load_matrix(args.matrix)
-            if a.shape[0] < 2:
-                raise ValueError("pca requires a matrix of dimension >= 2")
-            problem = PcaProblem(a)
+            problem = PcaProblem(load_matrix(args.matrix))
             v_max, second = _eigenvector_rows(problem.matrix, [-1, -2])
         else:
             if args.start == "file":

@@ -24,6 +24,22 @@ _CHI_FLOOR = 0.25 + 1e-9
 _BUDGET_LIMIT = 2**63
 
 
+def _check_inputs(mode: str, epsilon: float, delta: float, dim: int, ell: float, lip_hess: float, gap: float,
+                  chi: float | None) -> None:
+    """The input checks `PrgdParams` shares with `derive_params`, run before its formulas; a None chi is skipped."""
+    if mode not in ("theoretical", "practical"):
+        raise ValueError(f"mode must be 'theoretical' or 'practical', got {mode!r}")
+    for name, val in (("epsilon", epsilon), ("ell", ell), ("lip_hess", lip_hess), ("gap", gap)):
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+    if not 0 < delta < 1:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if chi is not None and not 0.25 < chi < math.inf:
+        raise ValueError(f"requires finite chi > 1/4, got {chi!r}")
+
+
 @dataclass(frozen=True)
 class PrgdParams:
     """The balanced parameter set driving one PRGD run.
@@ -52,23 +68,15 @@ class PrgdParams:
     mode: str
 
     def __post_init__(self):
-        if self.mode not in ("theoretical", "practical"):
-            raise ValueError(f"mode must be 'theoretical' or 'practical', got {self.mode!r}")
-        for name in ("epsilon", "ell", "lip_grad", "lip_hess", "ball", "gap", "chi", "eta", "radius",
-                     "score_drop", "locality"):
+        _check_inputs(self.mode, self.epsilon, self.delta, self.dim, self.ell, self.lip_hess, self.gap, self.chi)
+        for name in ("lip_grad", "ball", "eta", "radius", "score_drop", "locality"):
             val = getattr(self, name)
             if not val > 0:
                 raise ValueError(f"{name} must be positive, got {val!r}")
-        if not 0 < self.delta < 1:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
         if not (isinstance(self.horizon, int) and self.horizon >= 1):
             raise ValueError("horizon must be an integer >= 1")
         if not (isinstance(self.budget, int) and self.budget >= 1):
             raise ValueError("budget must be an integer >= 1")
-        if not self.chi > 0.25:
-            raise ValueError(f"requires chi > 1/4, got {self.chi!r}")
         if abs(self.eta * self.ell - 1.0) > 1e-12:
             raise ValueError("requires eta == 1/ell")
         if not self.epsilon <= self.ball**2 * self.lip_hess:
@@ -98,34 +106,18 @@ def derive_params(
     horizon is rounded up to an integer and chi recomputed so that
     horizon = ell * chi / sqrt(lip_hess * epsilon) holds exactly.
     """
-    if mode not in ("theoretical", "practical"):
-        raise ValueError(f"mode must be 'theoretical' or 'practical', got {mode!r}")
-    # the hypotheses on lip_grad and ball are PrgdParams' checks; these guard the arithmetic below
-    for name, val in (("epsilon", epsilon), ("ell", ell), ("lip_hess", lip_hess), ("gap", gap)):
-        if not val > 0:
-            raise ValueError(f"{name} must be positive, got {val!r}")
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-
-    root = math.sqrt(lip_hess * epsilon)
-    if mode == "theoretical":
-        if not math.isfinite(ball):
-            raise ValueError("theoretical mode requires a finite ball (the +inf sentinel is practical-mode only)")
-        if not epsilon**1.5 <= 3.0 * math.sqrt(lip_hess) * gap:
-            raise ValueError("requires epsilon^(3/2) <= 3 * sqrt(lip_hess) * gap")
-    elif chi is None:
-        raise ValueError("practical mode requires chi")
-    elif not chi > 0.25:
-        raise ValueError(f"requires chi > 1/4, got {chi!r}")
-
+    _check_inputs(mode, epsilon, delta, dim, ell, lip_hess, gap, chi if mode == "practical" else None)
     try:
+        root = math.sqrt(lip_hess * epsilon)
         if mode == "theoretical":
+            if not math.isfinite(ball):
+                raise ValueError("theoretical mode requires a finite ball (the +inf sentinel is practical-mode only)")
+            if not epsilon**1.5 <= 3.0 * math.sqrt(lip_hess) * gap:
+                raise ValueError("requires epsilon^(3/2) <= 3 * sqrt(lip_hess) * gap")
             chi0 = max(_CHI_FLOOR, 4.0 * math.log2(2.0**31 * ell**2 * math.sqrt(dim) * gap
                                                    / (delta * math.sqrt(lip_hess) * epsilon**2.5)))
-            if chi0 == math.inf:  # epsilon**2.5 is subnormal, and the log's argument overflowed
-                raise ValueError(f"epsilon {epsilon!r} is too small: the theoretical chi overflows")
+        elif chi is None:
+            raise ValueError("practical mode requires chi")
         else:
             chi0 = float(chi)
         horizon = math.ceil(ell * chi0 / root)
@@ -135,8 +127,9 @@ def derive_params(
         score_drop = epsilon**1.5 / (50.0 * chi_adj**3 * math.sqrt(lip_hess))
         locality = math.sqrt(epsilon / lip_hess) / (4.0 * chi_adj)
         budget_raw = 8.0 * max(horizon / 3.0, gap * horizon / score_drop, gap / (eta * epsilon**2))
-    except ZeroDivisionError:  # a power of epsilon, or a quotient of one, underflowed to 0
-        raise ValueError(f"epsilon {epsilon!r} is too small: the parameter formulas underflow to 0") from None
+    except (ZeroDivisionError, OverflowError):  # a power or quotient left the float range, or ceil met inf
+        given = "" if mode == "theoretical" else f" and chi {chi!r}"
+        raise ValueError(f"the parameter formulas leave the float range at epsilon {epsilon!r}{given}") from None
     if budget_raw > _BUDGET_LIMIT:
         raise OverflowError(
             f"counter budget {budget_raw:.3e} exceeds 2^63; the theoretical constants are intentionally conservative"

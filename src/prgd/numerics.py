@@ -242,13 +242,8 @@ class RngStream:
         return _rekey(self.seed, self.stream, self.index)
 
     def _next(self) -> "RngStream":
-        """The stream one draw on; its fields are already valid, so only the new index is checked."""
-        index = self.index + 1
-        if index >= 2**64:
-            raise ValueError(f"index must lie in [0, 2^64), got {index}")
-        nxt = object.__new__(RngStream)
-        vars(nxt).update(seed=self.seed, stream=self.stream, index=index)
-        return nxt
+        """The stream one draw on."""
+        return RngStream(self.seed, self.stream, self.index + 1)
 
     def standard_normal(self, shape=None):
         """Draw standard normals; returns (values, advanced stream)."""

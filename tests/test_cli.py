@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -150,6 +151,31 @@ class TestParams:
         assert main(argv) == EXIT_CONFIG
         assert "epsilon" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["params", "study"])
+    @pytest.mark.parametrize("flags, name", [(["--chi", "inf"], "chi"), (["--chi", "1e300"], "chi"),
+                                             (["--chi", "4", "--eps", "1e250"], "epsilon"),
+                                             (["--chi", "4", "--eps", "inf"], "epsilon"),
+                                             (["--chi", "4", "--ell", "inf"], "ell"),
+                                             (["--chi", "4", "--rho", "inf"], "lip_hess"),
+                                             (["--chi", "4", "--gap", "inf"], "gap")],
+                             ids=["chi-inf", "chi-1e300", "eps-1e250", "eps-inf", "ell-inf", "rho-inf", "gap-inf"])
+    def test_out_of_range_input_is_named(self, command, flags, name, tmp_path, capsys):
+        argv = [command, "--problem", "pca", "--dim", "5"] + flags
+        if command == "study":
+            argv += ["--out", str(tmp_path / "s")]
+        assert main(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert re.search(rf"\b{name}\b", err), err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
+    def test_one_by_one_matrix_file_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "a.txt"
+        save_matrix(path, np.array([[2.0]]))
+        assert main(["params", "--problem", "pca", "--matrix", str(path), "--chi", "4"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: PCA needs an ambient dimension of at least 2\n"
 
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):

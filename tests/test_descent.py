@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 from collections import Counter
 
@@ -104,10 +105,26 @@ class TestDeriveParams:
                                                ("theoretical", 1e-129)])
     def test_underflowing_epsilon_is_named(self, mode, epsilon):
         # a power of epsilon that underflows to 0 would divide by zero in the formulas; from about 1e-119
-        # to 1e-129 epsilon**2.5 is subnormal, and the theoretical chi's log argument overflows instead
-        with pytest.raises(ValueError, match=f"epsilon {epsilon!r} is too small"):
+        # to 1e-129 epsilon**2.5 is subnormal, and the theoretical chi's log argument overflows instead.
+        # Theoretical mode derives its own chi, so only a practical chi is named
+        given = " and chi 4.0" if mode == "practical" else ""
+        message = f"the parameter formulas leave the float range at epsilon {epsilon!r}{given}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             derive_params(epsilon=epsilon, delta=0.1, dim=4, ell=1.0, lip_grad=1.0, lip_hess=1.0,
                           ball=1.0, gap=1.0, mode=mode, chi=4.0)
+
+    def test_params_record_and_derivation_share_one_input_guard(self):
+        common = dict(epsilon=0.01, delta=0.1, dim=2, ell=1.0, lip_hess=1.0, gap=1.0, mode="practical")
+        good = practical(chi=4.0)
+        bad = [{"epsilon": eps} for eps in (0.0, -1.0, math.nan, math.inf)]
+        bad += [{"delta": 0.0}, {"delta": 1.0}, {"dim": 0}, {"mode": "x"}]
+        for change in bad:
+            with pytest.raises(ValueError) as derived:
+                derive_params(**{**common, **change}, lip_grad=1.0, ball=math.inf, chi=4.0)
+            with pytest.raises(ValueError) as built:
+                dataclasses.replace(good, **change)
+            assert str(built.value) == str(derived.value), change
+            assert next(iter(change)) in str(derived.value)
 
     def test_params_invariants_enforced(self):
         good = practical(chi=4.0)

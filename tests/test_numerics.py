@@ -548,16 +548,11 @@ class TestRekeyedGenerator:
         got = draw()
         assert (got.hex() if np.ndim(got) == 0 else [float(v).hex() for v in got]) == want
 
-    def test_advance_does_not_revalidate(self, monkeypatch):
-        calls = []
-        post_init = RngStream.__post_init__
-        monkeypatch.setattr(RngStream, "__post_init__", lambda self: calls.append(1) or post_init(self))
+    def test_advance_returns_an_equal_frozen_stream(self):
         rng = RngStream(4, 2)
-        assert len(calls) == 1
         for _ in range(10):
             _, rng = sample_unit_ball(3, rng)
             _, rng = rng.uniform()
-        assert len(calls) == 1
         assert rng == RngStream(4, 2, 20) and hash(rng) == hash(RngStream(4, 2, 20))
         with pytest.raises(AttributeError):
             rng.index = 0
