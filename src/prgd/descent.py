@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import count
 from typing import NamedTuple
 
 import numpy as np
@@ -127,9 +126,16 @@ def derive_params(
         score_drop = epsilon**1.5 / (50.0 * chi_adj**3 * math.sqrt(lip_hess))
         locality = math.sqrt(epsilon / lip_hess) / (4.0 * chi_adj)
         budget_raw = 8.0 * max(horizon / 3.0, gap * horizon / score_drop, gap / (eta * epsilon**2))
+        # a product that leaves the float range gives inf or 0, and the formulas after it inf, 0 or nan
+        in_range = all(0 < val < math.inf for val in (chi_adj, eta, radius, score_drop, locality, budget_raw))
     except (ZeroDivisionError, OverflowError):  # a power or quotient left the float range, or ceil met inf
+        in_range = False
+    if not in_range:
+        # the input farthest from 1 in magnitude is the one that drove a power or product out of range
+        name, val = max(zip(("epsilon", "delta", "ell", "lip_hess", "gap"), (epsilon, delta, ell, lip_hess, gap)),
+                        key=lambda item: abs(math.log(item[1])))
         given = "" if mode == "theoretical" else f" and chi {chi!r}"
-        raise ValueError(f"the parameter formulas leave the float range at epsilon {epsilon!r}{given}") from None
+        raise ValueError(f"the parameter formulas leave the float range at {name} {val!r}{given}")
     if budget_raw > _BUDGET_LIMIT:
         raise OverflowError(
             f"counter budget {budget_raw:.3e} exceeds 2^63; the theoretical constants are intentionally conservative"
@@ -173,46 +179,41 @@ TRACE_CHUNK = 256
 
 
 class _TickColumns:
-    """Per-tick trace columns of one lockstep block, in (TRACE_CHUNK, 4, rows) chunks made as the ticks reach them.
+    """Per-tick trace columns of one lockstep call, one per run, in (TRACE_CHUNK, 4, runs) chunks.
 
-    The entry of tick k holds, for every row, f after the tick's step, ||s|| and ||s - s0|| after it, and the
-    gradient norm before the step of tick k + 1. Entry `first` holds only that last column: the pre-step
-    norms of the block's first tick.
+    A chunk is made when the ticks reach it. The entry of tick k holds, for every run still in the block, f
+    after the tick's step, the gradient norm before it, and ||s|| and ||s - s0|| after it.
     """
 
-    __slots__ = ("first", "rows", "chunks")
+    __slots__ = ("runs", "chunks")
 
-    def __init__(self, first: int, rows: int):
-        self.first, self.rows, self.chunks = first, rows, []
+    def __init__(self, runs: int):
+        self.runs, self.chunks = runs, []
 
     def entries(self):
-        """The entries of ticks `first`, `first` + 1, ... in turn, (4, rows) views made a chunk at a time."""
+        """The entries of ticks 0, 1, ... in turn, (4, runs) views made a chunk at a time."""
         while True:
-            chunk = np.empty((TRACE_CHUNK, 4, self.rows))
+            chunk = np.empty((TRACE_CHUNK, 4, self.runs))
             self.chunks.append(chunk)
             yield from chunk
 
 
 class _PhaseSpan(NamedTuple):
-    """In-phase tangent steps `step`, `step` + 1, ... of one row, taken at ticks [start, stop) at counter t."""
+    """The in-phase tangent steps 1, 2, ... of one run, taken at ticks [start, stop) at counter t."""
 
     columns: _TickColumns
-    row: int
+    run: int
     start: int
     stop: int
     t: int
-    step: int
 
     def events(self) -> list[TraceEvent]:
-        # the entries of ticks start - 1 to stop - 1: the first holds only the first step's pre-step norm
-        first, i = divmod(self.start - 1 - self.columns.first, TRACE_CHUNK)
-        last = (self.stop - 1 - self.columns.first) // TRACE_CHUNK
-        rows = np.concatenate([chunk[:, :, self.row] for chunk in self.columns.chunks[first:last + 1]])
-        rows = rows[i:i + self.stop - self.start + 1]
-        after, before = rows[1:].T.tolist(), rows[:-1, 3].tolist()
+        first, i = divmod(self.start, TRACE_CHUNK)
+        last = (self.stop - 1) // TRACE_CHUNK
+        rows = np.concatenate([chunk[:, :, self.run] for chunk in self.columns.chunks[first:last + 1]])
+        rows = rows[i:i + self.stop - self.start].tolist()
         return [TraceEvent(self.t, TANGENT_STEP, f, grad_norm, tangent_norm, 1.0, dist, step)
-                for step, f, grad_norm, tangent_norm, dist in zip(count(self.step), after[0], before, after[1],
-                                                                  after[2])]
+                for step, (f, grad_norm, tangent_norm, dist) in enumerate(rows, 1)]
 
 
 @dataclass
@@ -221,7 +222,7 @@ class RunTrace:
 
     `events` is the run's list of `TraceEvent`s. `prgd_lockstep` records a row's visits, perturbations,
     manifold steps, phase ends and truncations as events when they happen, but keeps its other in-phase
-    tangent steps in its block's per-tick columns, one span per phase, so that such a step makes no Python
+    tangent steps in its call's per-run tick columns, one span per phase, so that such a step makes no Python
     object; `events` builds their events from the columns on its first read, field for field the same.
     """
 
@@ -233,16 +234,14 @@ class RunTrace:
     gradient_queries: int = 0
     terminated: str = ""
     suspected_second_order: bool = False
-    # TraceEvents and _PhaseSpans in run order; _spans says whether a span is still unbuilt
+    # TraceEvents and _PhaseSpans in run order
     _log: list = field(default_factory=list, init=False, repr=False)
-    _spans: bool = field(default=False, init=False, repr=False)
 
     @property
     def events(self) -> list[TraceEvent]:
-        if self._spans:
+        if any(type(item) is _PhaseSpan for item in self._log):
             self._log = [ev for item in self._log
                          for ev in (item.events() if type(item) is _PhaseSpan else (item,))]
-            self._spans = False
         return self._log
 
     @property
@@ -387,29 +386,23 @@ class _Trial:
     """The scalars of one lockstep run; its arrays are one row of each block.
 
     `x` is the anchor point (a copy of its block row), `grad_norm` the
-    gradient norm there, and `row` the run's row of the block. During a
-    perturbation phase `phase` is the tick of its first step and `span` the
-    first tick whose step is not yet in a recorded span; `phase` is None
-    during a manifold step. `end` is the tick whose step moves the anchor.
+    gradient norm there, `run` the run's column of the trace columns and
+    `row` its row of the block. During a perturbation phase `phase` is the
+    tick of its first step; it is None during a manifold step. `end` is the
+    tick whose step moves the anchor.
     """
 
-    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "row", "phase", "span", "end")
+    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "run", "row", "phase", "end")
 
-    def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float, row: int):
-        self.trace, self.rng, self.x, self.f_x, self.row = trace, rng, x, f_x, row
+    def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float, run: int):
+        self.trace, self.rng, self.x, self.f_x = trace, rng, x, f_x
+        self.run = self.row = run
         self.grad_norm = math.nan
         self.t = self.queries = 0
-        self.phase = self.span = None
+        self.phase = None
 
     def finish(self, manifold, terminated: str, grad_norm: float):
         self.trace.finish(Point(manifold, self.x), self.f_x, self.t, grad_norm, self.queries + 1, terminated)
-
-    def record_span(self, columns: _TickColumns, stop: int):
-        """Record this phase's steps from `span` up to tick `stop`, at the run's current row."""
-        if self.span < stop:
-            self.trace._log.append(_PhaseSpan(columns, self.row, self.span, stop, self.t, self.span - self.phase + 1))
-            self.trace._spans = True
-            self.span = stop
 
 
 def prgd_lockstep(
@@ -428,13 +421,14 @@ def prgd_lockstep(
     the whole block. A row's loop-top gradient is the Riemannian gradient that
     its last fused call computed at its new anchor. One `np.vecdot` over the
     stacked (3, rows, n) buffer of the new s, s - s0 and the next tick's
-    gradients then gives every norm of the tick, written with the values into
-    the block's per-tick trace columns (`_TickColumns`). Python runs per row
-    only where a row's state changes: to start a phase (the ball draw is on the
-    row's own stream), to end one, to take a manifold step, to truncate a step
-    at the ball and to stop a run; each records its events there, and a phase's
-    other steps become one span of the columns. A stopped run leaves the block.
-    Rows share no arithmetic, so trace i is bit-identical to
+    gradients then gives every norm of the tick, and one `put` at the rows'
+    cells writes the tick's values into the call's trace columns
+    (`_TickColumns`), one column per run. Python runs per row only where a
+    row's state changes: to start a phase (the ball draw is on the row's own
+    stream), to end one, to take a manifold step, to truncate a step at the
+    ball and to stop a run; each records its events there, and a phase's
+    other steps become one span of its run's column. A stopped run leaves the
+    block. Rows share no arithmetic, so trace i is bit-identical to
     `prgd(problem, x0, params, rngs[i], ...)`.
     """
     problem._check_point(x0)
@@ -443,23 +437,26 @@ def prgd_lockstep(
     start = np.ascontiguousarray(x0.coords)
     f0, grad0 = problem._value_and_gradient_array(start)
     f0 = float(f0)
-    trials = [_Trial(RunTrace(), rng, start, f0, row) for row, rng in enumerate(rngs)]
+    trials = [_Trial(RunTrace(), rng, start, f0, run) for run, rng in enumerate(rngs)]
     traces = [trial.trace for trial in trials]
+    columns = _TickColumns(len(trials))
+    entries = columns.entries()
+    # each row's cells of a (4, runs) entry: value j of run r is cell j * runs + r
+    cells = np.arange(4 * len(trials)).reshape(4, -1)
     x = np.tile(start, (len(trials), 1))
     # the norm buffer: s, s - s0 and the loop-top gradient; rows 0 and 2 are the block's s and gradient
     stack = np.zeros((3,) + x.shape)
     stack[2] = grad0
     s0 = np.zeros_like(x)
+    # per row: f after the tick's step, the gradient norm before it (patched where a phase starts), ||s|| and
+    # ||s - s0|| after it, and the next tick's pre-step gradient norm
+    vals = np.empty((5, len(trials)))
+    vals[1] = _norm(stack[2])
     tick = 0
-    columns = _TickColumns(tick - 1, len(trials))
-    entries = columns.entries()
-    # the pre-step gradient norms of this tick: the last entry's column, patched where a phase starts
-    grad_norms = next(entries)[3]
-    grad_norms[:] = _norm(stack[2])
     top = list(range(len(trials)))  # rows at a new anchor, whose loop top runs before the next tick
     stopped: list[int] = []
     while True:
-        top_norms = grad_norms.tolist() if top else ()
+        top_norms = vals[1].tolist() if top else ()
         s, grad = stack[0], stack[2]  # the block's s and loop-top gradient
         for i in top:
             trial = trials[i]
@@ -492,36 +489,27 @@ def prgd_lockstep(
             _, f_s0, _, grad[i] = pullback_step(problem, trial.x, start_s)
             log.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
                                   tangent_norm=start_norm))
-            grad_norms[i] = _norm(grad[i])
+            vals[1, i] = _norm(grad[i])
             s[i] = start_s
             s0[i] = start_s
-            trial.phase = trial.span = tick
+            trial.phase = tick
             trial.end = tick + horizon - 1
         if stopped:
             keep = np.ones(len(trials), dtype=bool)
             keep[stopped] = False
             trials = [trial for trial, kept in zip(trials, keep) if kept]
-            # the smaller block writes new columns; a phase that runs on records its steps so far first
-            old, columns = columns, _TickColumns(tick - 1, len(trials))
-            entries = columns.entries()
-            kept_norms = next(entries)[3]
-            kept_norms[:] = grad_norms[keep]
-            grad_norms = kept_norms
             for row, trial in enumerate(trials):
-                if trial.phase is not None:
-                    trial.record_span(old, tick)
                 trial.row = row
-            x, s0, stack = x[keep], s0[keep], stack[:, keep]
+            x, s0, stack, vals, cells = x[keep], s0[keep], stack[:, keep], vals[:, keep], cells[:, keep]
             s, grad = stack[0], stack[2]
             stopped = []
         if not trials:
             return traces
 
-        if not all(map(math.isfinite, grad_norms.tolist())):
+        if not all(map(math.isfinite, vals[1].tolist())):
             raise NumericalError("pullback gradient is non-finite")
         s_new, alphas, y, f, grad_y, grad_new = _gradient_step(problem, x, s, grad, eta, ball)
-        entry = next(entries)
-        entry[0] = f
+        vals[0] = f
         s[...] = s_new
         np.subtract(s, s0, out=stack[1])
         grad[...] = grad_new
@@ -533,14 +521,13 @@ def prgd_lockstep(
             i = trial.row
             x[i] = y[i]
             grad[i] = grad_y[i]
-        norms = entry[1:]
+        norms = vals[2:]
         np.vecdot(stack, stack, out=norms)
         np.sqrt(norms, out=norms)
+        next(entries).put(cells, vals[:4])
         top = []
         if changed:
-            values = f.tolist()
-            grad_before = grad_norms.tolist()
-            tangent_norms, dists, _ = norms.tolist()
+            values, grad_before, tangent_norms, dists = vals[:4].tolist()
         for trial in changed:
             i, trace = trial.row, trial.trace
             s[i] = 0.0
@@ -551,7 +538,8 @@ def prgd_lockstep(
                 trial.t += 1
             else:
                 step = tick - trial.phase + 1
-                trial.record_span(columns, tick)
+                if step > 1:  # the phase's steps before this one are the ticks [phase, tick) of its column
+                    trace._log.append(_PhaseSpan(columns, trial.run, trial.phase, tick, trial.t))
                 trace._log.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if i in alphas else TANGENT_STEP,
                                              f=values[i], grad_norm=grad_before[i], tangent_norm=tangent_norms[i],
                                              alpha=alphas.get(i, 1.0), dist_start=dists[i], step=step))
@@ -566,7 +554,7 @@ def prgd_lockstep(
             trial.x = y[i].copy()
             trial.f_x = values[i]
             top.append(i)
-        grad_norms = entry[3]
+        vals[1] = vals[4]
         tick += 1
 
 

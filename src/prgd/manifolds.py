@@ -124,10 +124,6 @@ class Manifold:
             raise ValueError(f"vector is not tangent to {self.name} at the base point (normal part {normal:.3e})")
         return Tangent(base, c)
 
-    def zero_tangent(self, x: Point) -> Tangent:
-        self._check_point(x)
-        return Tangent(x, np.zeros(self.ambient_dim))
-
     def project(self, x: Point, v) -> Tangent:
         """Orthogonal projection of an ambient vector onto the tangent space at x."""
         self._check_point(x)

@@ -158,8 +158,12 @@ class TestParams:
                                              (["--chi", "4", "--eps", "inf"], "epsilon"),
                                              (["--chi", "4", "--ell", "inf"], "ell"),
                                              (["--chi", "4", "--rho", "inf"], "lip_hess"),
-                                             (["--chi", "4", "--gap", "inf"], "gap")],
-                             ids=["chi-inf", "chi-1e300", "eps-1e250", "eps-inf", "ell-inf", "rho-inf", "gap-inf"])
+                                             (["--chi", "4", "--gap", "inf"], "gap"),
+                                             (["--chi", "4", "--rho", "1e300", "--eps", "1e10"], "lip_hess"),
+                                             (["--chi", "4", "--ell", "1e300"], "ell"),
+                                             (["--chi", "4", "--gap", "1e300"], "gap")],
+                             ids=["chi-inf", "chi-1e300", "eps-1e250", "eps-inf", "ell-inf", "rho-inf", "gap-inf",
+                                  "rho-1e300-eps-1e10", "ell-1e300", "gap-1e300"])
     def test_out_of_range_input_is_named(self, command, flags, name, tmp_path, capsys):
         argv = [command, "--problem", "pca", "--dim", "5"] + flags
         if command == "study":

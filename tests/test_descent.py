@@ -113,6 +113,17 @@ class TestDeriveParams:
             derive_params(epsilon=epsilon, delta=0.1, dim=4, ell=1.0, lip_grad=1.0, lip_hess=1.0,
                           ball=1.0, gap=1.0, mode=mode, chi=4.0)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"lip_hess": 1e300, "epsilon": 1e10}, "lip_hess 1e+300"), ({"ell": 1e300}, "ell 1e+300"),
+        ({"ell": 1e-300}, "ell 1e-300"), ({"gap": 1e300}, "gap 1e+300")])
+    def test_overflowing_product_of_finite_inputs_is_named(self, change, message):
+        # lip_hess * epsilon overflows to inf (so chi would be 0 * inf = nan), or the budget's gap * horizon / ...
+        # does; the range error names the input farthest from 1 in magnitude
+        message = f"the parameter formulas leave the float range at {message} and chi 4.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            derive_params(**{**dict(epsilon=1e-3, delta=0.1, dim=4, ell=1.0, lip_hess=1.0, gap=1.0), **change},
+                          lip_grad=1.0, ball=math.inf, mode="practical", chi=4.0)
+
     def test_params_record_and_derivation_share_one_input_guard(self):
         common = dict(epsilon=0.01, delta=0.1, dim=2, ell=1.0, lip_hess=1.0, gap=1.0, mode="practical")
         good = practical(chi=4.0)
@@ -206,7 +217,7 @@ class TestTangentSpaceSteps:
     def test_critical_start_stays_put(self, simple_saddle):
         x = simple_saddle.manifold.point([0.0, 0.0])
         pull = Pullback(simple_saddle, x)
-        s_fin, events = tangent_space_steps(pull, simple_saddle.manifold.zero_tangent(x),
+        s_fin, events = tangent_space_steps(pull, Tangent(x, np.zeros(2)),
                                             eta=1.0, ball=math.inf, horizon=5)
         assert np.array_equal(s_fin.coords, np.zeros(2))
         assert len(events) == 5
@@ -225,7 +236,7 @@ class TestTangentSpaceSteps:
         problem = EuclideanQuadratic(np.eye(2))
         x = problem.manifold.point([2.0, 0.0])
         pull = Pullback(problem, x)
-        s0 = problem.manifold.zero_tangent(x)
+        s0 = Tangent(x, np.zeros(2))
         ball = 1.0
         s_fin, events = tangent_space_steps(pull, s0, eta=1.0, ball=ball, horizon=10)
         assert events[-1].kind == BOUNDARY_TRUNCATION
@@ -583,18 +594,28 @@ class TestTraceColumns:
         problem, x0, params = pca_saddle(50)
         with evaluated_points(problem) as block:
             traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)], True)
-        spans = [sum(type(item) is descent._PhaseSpan for item in trace._log) for trace in traces]
-        # a run that stops mid-phase of another re-forms the block, which splits that phase's span
-        assert any(count > trace.n_perturbations for count, trace in zip(spans, traces))
+        spans = [[item for item in trace._log if type(item) is descent._PhaseSpan] for trace in traces]
+        # one column object per call, shared by every run's spans
+        (columns,) = {id(span.columns): span.columns for run in spans for span in run}.values()
+        steps = []
         singles = []
         for i, trace in enumerate(traces):
             events = trace.events
             assert trace.events is events
+            # each phase of two or more steps is one span: its steps but the last, which is an event
+            ends = [ev.step for j, ev in enumerate(events)
+                    if ev.step is not None and (j + 1 == len(events) or events[j + 1].step != ev.step + 1)]
+            assert [span.stop - span.start for span in spans[i]] == [n - 1 for n in ends if n >= 2]
+            steps.append(sum(ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION) for ev in events))
             with evaluated_points(problem) as points:
                 assert_same_run(trace, prgd(problem, x0, params, RngStream(1 + i, i), True))
             singles.append(points)
             assert events == public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)[0]
         assert_block_repeats_single_runs(block, singles, x0)
+        # a run leaves the block at the tick after its last step; some leave while another run's phase goes on
+        assert any(span.start < stop <= span.stop for run in spans for span in run for stop in steps)
+        # a shrinking block makes no columns and no chunk: the ticks fill the chunks in turn
+        assert len(columns.chunks) == math.ceil(max(steps) / 7)
 
 
 class TestPrgd:
