@@ -35,7 +35,8 @@ def _check_finite(v: np.ndarray):
 
 
 def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
-    """Validate entries as a finite square matrix (`stacked`: a stack of them), symmetric to relative SYM_RTOL."""
+    """A new array (m + m^T)/2 of a finite square matrix m (`stacked`: of each of a stack); an exactly symmetric m
+    keeps its bits. Rejects max|m_ij - m_ji| > SYM_RTOL * max(max|m_ij|, 1), which is absolute below unit scale."""
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"expected a {'stack of square matrices' if stacked else 'square matrix'}, got shape {m.shape}")
@@ -46,7 +47,7 @@ def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
     bad = asym > SYM_RTOL * scale
     if bad.any():
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym[bad][0]:.3e} exceeds {SYM_RTOL:.1e} * scale")
-    return m
+    return 0.5 * (m + m.mT)
 
 
 def min_eigpair(m) -> tuple[float, np.ndarray]:
@@ -58,16 +59,11 @@ def min_eigpair(m) -> tuple[float, np.ndarray]:
     coordinate of v is positive, the first one on a tie, whatever sign LAPACK picks.
     """
     m = as_sym_matrix(m)
-    return _min_eigpair(0.5 * (m + m.T))
-
-
-def _min_eigpair(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """`min_eigpair` of an exactly symmetric matrix: only its size and finiteness are checked."""
     return _min_eigenvalue(m), _eigenvector_rows(m, [0])[0]
 
 
 def _min_eigenvalue(m: np.ndarray):
-    """`_min_eigpair`'s lam from `_eigenvalues` alone; 0.0 for the zero matrix.
+    """`min_eigpair`'s lam, of an exactly symmetric matrix, from `_eigenvalues` alone; 0.0 for the zero matrix.
 
     For a stack of matrices, a list of them, one per matrix, from one `eigvalsh` call.
     """
@@ -107,16 +103,9 @@ def _eigenvalues(m: np.ndarray) -> np.ndarray:
         raise NumericalError(f"symmetric eigenvalue solve did not converge: {exc}") from exc
 
 
-def sym_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues, ascending, of a symmetric matrix or of each of a stack (one LAPACK call each); sizes above
-    EIG_DIM_LIMIT raise before solving."""
-    m = as_sym_matrix(m, stacked=np.ndim(m) == 3)
-    return _eigenvalues(0.5 * (m + m.mT))
-
-
 def operator_norm(m):
     """Spectral norm max|eigenvalue| of a symmetric matrix, or an array of them for a stack."""
-    norms = np.abs(sym_eigenvalues(m)).max(axis=-1)
+    norms = np.abs(_eigenvalues(as_sym_matrix(m, stacked=np.ndim(m) == 3))).max(axis=-1)
     return float(norms) if norms.ndim == 0 else norms
 
 

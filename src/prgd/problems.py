@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import EIG_DIM_LIMIT, RngStream, as_sym_matrix, as_vector, sym_eigenvalues
+from .numerics import EIG_DIM_LIMIT, RngStream, _eigenvalues, as_sym_matrix, as_vector
 
 PROJECT_FLOATS = 2**14
 
@@ -71,6 +71,7 @@ class PcaProblem(CostFunction):
 
     The dominant eigenvector of A is the global minimizer, with value
     `f_star` = -lambda_max / 2; every other unit eigenvector is a critical point.
+    A is `matrix` symmetrized by `as_sym_matrix`, a copy the problem owns.
     """
 
     def __init__(self, matrix):
@@ -78,7 +79,7 @@ class PcaProblem(CostFunction):
         if matrix.shape[0] < 2:
             raise ValueError("PCA needs an ambient dimension of at least 2")
         self.matrix = matrix
-        eigenvalues = sym_eigenvalues(matrix)
+        eigenvalues = _eigenvalues(matrix)
         self.norm = float(np.abs(eigenvalues).max())
         self.f_star = -0.5 * float(eigenvalues[-1])
         self.manifold = Sphere(matrix.shape[0])
@@ -92,14 +93,13 @@ class PcaProblem(CostFunction):
 
     def riemannian_gradient_many(self, coords: np.ndarray) -> np.ndarray:
         grads = coords @ self.matrix.T
-        np.negative(grads, out=grads)
         dots = np.einsum("...j,...j->...", grads, coords)
-        # g - (y.g) y in place, about PROJECT_FLOATS floats a pass, so no temporary as large as the block is made
+        # (y.Ay) y - Ay in place, about PROJECT_FLOATS floats a pass, so no temporary as large as the block is made
         n = grads.shape[-1]
         g, y, d = grads.reshape(-1, n), coords.reshape(-1, n), dots.reshape(-1, 1)
         step = max(1, PROJECT_FLOATS // n)
         for rows in range(0, len(g), step):
-            g[rows:rows + step] -= d[rows:rows + step] * y[rows:rows + step]
+            np.subtract(d[rows:rows + step] * y[rows:rows + step], g[rows:rows + step], out=g[rows:rows + step])
         return grads
 
     # each class holds its own name for these, so the bench tracer can wrap them per class
@@ -112,11 +112,11 @@ class PcaProblem(CostFunction):
 
 
 class QuadraticSaddle(CostFunction):
-    """f(x) = 1/2 x^T H x on R^d, with H indefinite so the origin is a strict saddle."""
+    """f(x) = 1/2 x^T H x on R^d, H (the problem's own symmetrized copy) indefinite so the origin is a strict saddle."""
 
     def __init__(self, matrix):
         matrix = as_sym_matrix(matrix)
-        eigenvalues = sym_eigenvalues(matrix)
+        eigenvalues = _eigenvalues(matrix)
         self.norm = float(np.abs(eigenvalues).max())
         if float(eigenvalues[0]) >= 0.0:
             raise ValueError("quadratic saddle requires at least one negative eigenvalue")

@@ -23,8 +23,8 @@ from .numerics import (
     RngStream,
     _check_finite,
     _eigenvalues,
+    _eigenvector_rows,
     _min_eigenvalue,
-    _min_eigpair,
     _norm,
     _operator_norm_bounds,
     _rekey,
@@ -71,12 +71,12 @@ class CriticalityReport:
 
 
 def _bottom_eigpair(pull: Pullback) -> tuple[float, Tangent]:
-    """`_min_eigpair` of the pullback Hessian at the origin, the vector mapped to an ambient tangent by the frame.
-
-    The sign rule holds in the tangent basis: the vector's largest-magnitude basis coordinate is positive.
-    """
-    lam, vec = _min_eigpair(pull.hessian_at_zero())
-    ambient = pull.manifold._basis_apply_array(pull.frame, vec)
+    """`min_eigpair` of the pullback Hessian at the origin, which is exactly symmetric and so not checked again, the
+    vector mapped to an ambient tangent by the frame. The sign rule holds in the tangent basis: the vector's
+    largest-magnitude basis coordinate is positive."""
+    hess = pull.hessian_at_zero()
+    lam = _min_eigenvalue(hess)
+    ambient = pull.manifold._basis_apply_array(pull.frame, _eigenvector_rows(hess, [0])[0])
     return lam, Tangent(pull.base, pull.manifold._project_array(pull.base.coords, ambient))
 
 

@@ -123,6 +123,18 @@ class TestParams:
             assert abs(float(v_max @ vecs[:, -1])) == pytest.approx(1.0, abs=1e-12)
             assert abs(float(saddle.coords @ vecs[:, -2])) == pytest.approx(1.0, abs=1e-12)
 
+    def test_nearly_symmetric_matrix_file_reaches_the_problem(self, tmp_path, capsys):
+        # 1e-10 relative asymmetry passes load_matrix's 1e-9 test; PcaProblem gets the file's (M + M^T)/2
+        raw = np.diag([3.0, 1.0, 0.5]) + 0.25
+        raw[0, 1] += 1e-10 * 3.25
+        path = tmp_path / "a.txt"
+        save_matrix(path, raw)
+        args = ["params", "--problem", "pca", "--matrix", str(path), "--chi", "4"]
+        problem, _, _ = _build_problem(build_parser().parse_args(args))
+        assert np.array_equal(problem.matrix, 0.5 * (raw + raw.T))
+        assert main(args) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["lip_grad"] == pytest.approx(2.5 * problem.norm, rel=1e-12)
+
     def test_matrix_set_up_makes_one_eigh_and_no_solve(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "a.txt"
         save_matrix(path, np.diag([3.0, 1.0, 0.5, -2.0]))

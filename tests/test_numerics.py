@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from prgd import numerics
 from prgd.errors import NumericalError
 from prgd.numerics import (
+    EIG_DIM_LIMIT,
     RngStream,
     _norm,
     _operator_norm_bounds,
@@ -114,6 +115,18 @@ class TestValidation:
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]])
         as_sym_matrix(m)
 
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_sym_matrix_returns_a_new_symmetrized_array(self, stacked):
+        m = np.array([random_symmetric(5, seed) for seed in range(3)]) if stacked else random_symmetric(5, 0)
+        got = as_sym_matrix(m, stacked=stacked)
+        # an exactly symmetric matrix comes back with its own bits, in an array of its own
+        assert not np.shares_memory(got, m)
+        assert got.tobytes() == m.tobytes()
+        near = m.copy()
+        near[..., 0, 3] += 1e-13
+        got = as_sym_matrix(near, stacked=stacked)
+        assert np.array_equal(got, 0.5 * (near + near.mT)) and np.array_equal(got, got.mT)
+
 
 class TestMinEigpair:
     def test_diagonal(self):
@@ -216,6 +229,14 @@ class TestOperatorNorm:
         m = random_symmetric(8, seed=11)
         oracle = float(scipy.linalg.svdvals(m).max())
         assert operator_norm(m) == pytest.approx(oracle, rel=1e-12)
+
+    def test_rejects_oversized_before_solving(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("ran an eigensolver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        with pytest.raises(ValueError, match="exceeds the supported limit"):
+            operator_norm(np.zeros((EIG_DIM_LIMIT + 1, EIG_DIM_LIMIT + 1)))
 
 
 class TestStackedSymmetricMatrices:

@@ -146,6 +146,36 @@ class TestQuadraticSaddle:
             QuadraticSaddle(np.zeros((EIG_DIM_LIMIT + 1, EIG_DIM_LIMIT + 1)))
 
 
+class TestProblemOwnsItsMatrix:
+    # a problem solves and evaluates one symmetrized copy of its input, so the caller's array is never read again
+    @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle])
+    def test_scaling_the_callers_array_changes_nothing(self, cls):
+        a, _, q, _ = synthetic_matrix(6, RngStream(45, 1))
+        matrix = a - 1.5 * np.eye(6)
+        problem = cls(matrix)
+        x = problem.manifold.point(q[:, 0])
+
+        def answers():
+            return (problem.value(x), problem.riemannian_gradient(x).coords.tobytes(), problem.norm,
+                    getattr(problem, "f_star", None))
+
+        before = answers()
+        matrix *= 3.0
+        assert problem.matrix is not matrix
+        assert answers() == before
+
+    def test_a_nearly_symmetric_matrix_gives_the_gradient_of_its_symmetric_part(self):
+        # accepted, as SYM_RTOL is absolute below unit scale; f falls on both sides of e1 along the circle,
+        # though A e1 is zero for the matrix as given
+        m = np.array([[0.0, 1e-12], [0.0, 0.0]])
+        problem = PcaProblem(m)
+        sym = 0.5 * (m + m.T)
+        e1 = np.array([1.0, 0.0])
+        grad = problem.riemannian_gradient(problem.manifold.point(e1)).coords
+        assert np.array_equal(grad, (e1 @ sym @ e1) * e1 - sym @ e1)
+        assert np.array_equal(grad, [0.0, -5e-13])
+
+
 class TestRiemannianGradientMany:
     # PcaProblem has one GEMM; QuadraticSaddle and EuclideanQuadratic go through their block oracle
     @pytest.mark.parametrize("cls", [PcaProblem, QuadraticSaddle, EuclideanQuadratic])
