@@ -11,7 +11,7 @@ import numpy as np
 from .errors import NumericalError
 
 EIG_DIM_LIMIT = 2000
-SYM_RTOL = 1e-12
+SYM_RTOL = 1e-9
 DEFAULT_HESS_H = 1e-4
 
 
@@ -35,19 +35,30 @@ def _check_finite(v: np.ndarray):
 
 
 def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
-    """A new array (m + m^T)/2 of a finite square matrix m (`stacked`: of each of a stack); an exactly symmetric m
-    keeps its bits. Rejects max|m_ij - m_ji| > SYM_RTOL * max(max|m_ij|, 1), which is absolute below unit scale."""
+    """The one rule for every matrix the program accepts: a new (m + m^T)/2 of a square m (`stacked`: of each of a
+    stack), with the bits of an exactly symmetric m. Raises for the shape, `_check_entries`, then for max|m_ij - m_ji|
+    > SYM_RTOL * max(max|m_ij|, 1), absolute below unit scale."""
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"expected a {'stack of square matrices' if stacked else 'square matrix'}, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must all be finite")
-    scale = np.maximum(np.abs(m).max(axis=(-2, -1)), 1.0)
+    scale = np.maximum(_check_entries(m), 1.0)
     asym = np.abs(m - m.mT).max(axis=(-2, -1))
     bad = asym > SYM_RTOL * scale
     if bad.any():
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym[bad][0]:.3e} exceeds {SYM_RTOL:.1e} * scale")
     return 0.5 * (m + m.mT)
+
+
+def _check_entries(m: np.ndarray) -> np.ndarray:
+    """max|m_ij| of a matrix, or of each of a stack, once it passes, in this order: finite entries, a size
+    within EIG_DIM_LIMIT, and every |m_ij| below 2^1023, so that m + m.mT and m - m.mT cannot overflow."""
+    peak = np.abs(m).max(axis=(-2, -1))
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("matrix entries must all be finite")
+    _check_eig_dim(m.shape[-1])
+    if not np.all(peak < 2.0**1023):
+        raise ValueError("matrix entries must all be below 2^1023 in magnitude")
+    return peak
 
 
 def min_eigpair(m) -> tuple[float, np.ndarray]:
@@ -86,15 +97,15 @@ def _eigenvector_rows(m: np.ndarray, which: list[int]) -> np.ndarray:
     return rows
 
 
-def _check_eig_dim(m: np.ndarray):
-    """Raise for a matrix (or stack) above EIG_DIM_LIMIT, the largest size the eigensolvers take."""
-    if m.shape[-1] > EIG_DIM_LIMIT:
-        raise ValueError(f"matrix dimension {m.shape[-1]} exceeds the supported limit {EIG_DIM_LIMIT}")
+def _check_eig_dim(n: int):
+    """Raise for a matrix dimension n above EIG_DIM_LIMIT, the largest size the eigensolvers take."""
+    if n > EIG_DIM_LIMIT:
+        raise ValueError(f"matrix dimension {n} exceeds the supported limit {EIG_DIM_LIMIT}")
 
 
 def _eigenvalues(m: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of an exactly symmetric matrix or stack: only size and finiteness are checked."""
-    _check_eig_dim(m)
+    _check_eig_dim(m.shape[-1])
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must all be finite")
     try:
@@ -118,17 +129,10 @@ def _operator_norm_bounds(m: np.ndarray):
     or underflows at any finite scale, and the bound is finite while c * k is. The factor covers the
     round-off of the scaling, the product, the sums and the eigensolver up to EIG_DIM_LIMIT. It comes
     before the one multiplication by c, so a subnormal bound is rounded once, as the eigensolver rounds
-    its scaled-back eigenvalues, and the zero matrix gets 0. Raises what `operator_norm` raises on the
-    same input, in its order: non-finite entries, the size limit, then entries of 2^1023 or more, whose
-    symmetrizing sum m + m.mT overflows.
+    its scaled-back eigenvalues, and the zero matrix gets 0. Raises what `operator_norm` raises, by `_check_entries`:
+    "matrix entries must all be finite", the size limit, then "matrix entries must all be below 2^1023 in magnitude".
     """
-    peak = np.abs(m).max(axis=(-2, -1))
-    if not np.all(np.isfinite(peak)):
-        raise ValueError("matrix entries must all be finite")
-    _check_eig_dim(m)
-    if not np.all(peak < 2.0**1023):
-        raise ValueError("matrix entries must all be finite")
-    scale = np.maximum(peak, np.finfo(float).smallest_normal)
+    scale = np.maximum(_check_entries(m), np.finfo(float).smallest_normal)
     unit = m / scale[..., None, None]
     square = (unit @ unit).reshape(m.shape[:-2] + (-1,))
     return scale * (np.sqrt(np.sqrt(np.vecdot(square, square))) * (1.0 + 1e-9))

@@ -230,8 +230,8 @@ def empirical_hess_lipschitz(problem, ball: float, n_samples: int, rng: RngStrea
     over ||s|| exceeds the running max are solved, largest bound first, each raising the max. A skipped
     sample's ratio is at most its bound over ||s|| (correctly rounded division keeps the order), which
     is at most the max, so the max has the bits of solving every sample. On criterion 3's d=20 PCA
-    problem (stream 41) the 200-sample sweep solves 3 samples and the 10^4-sample sweep 9. A non-finite
-    difference, and a size above EIG_DIM_LIMIT, raise what `operator_norm` raises, solved or not.
+    problem (stream 41) the 200-sample sweep solves 3 samples and the 10^4-sample sweep 9. Non-finite
+    entries, a size above EIG_DIM_LIMIT or entries of 2^1023 or more raise what `operator_norm` raises, solved or not.
     """
     manifold = problem.manifold
 

@@ -135,6 +135,15 @@ class TestParams:
         assert main(args) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["lip_grad"] == pytest.approx(2.5 * problem.norm, rel=1e-12)
 
+    @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
+    def test_matrix_file_above_the_entry_range_is_config_error(self, problem, tmp_path, capsys):
+        # finite and symmetric; the range error comes before any symmetrizing sum could overflow and warn
+        path = tmp_path / "a.txt"
+        save_matrix(path, np.diag([1e308, -1.0]))
+        assert main(["params", "--problem", problem, "--matrix", str(path), "--chi", "4"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: matrix entries must all be below 2^1023 in magnitude\n"
+
     def test_matrix_set_up_makes_one_eigh_and_no_solve(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "a.txt"
         save_matrix(path, np.diag([3.0, 1.0, 0.5, -2.0]))

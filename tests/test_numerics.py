@@ -26,6 +26,10 @@ from prgd.verify import empirical_grad_lipschitz
 from fd_oracles import fd_gradient, fd_hessian
 
 
+FINITE = "^matrix entries must all be finite$"
+IN_RANGE = r"^matrix entries must all be below 2\^1023 in magnitude$"
+
+
 def random_symmetric(n, seed):
     g, _ = RngStream(seed).standard_normal((n, n))
     return 0.5 * (g + g.T)
@@ -110,6 +114,13 @@ class TestValidation:
     def test_sym_matrix_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             as_sym_matrix([[0.0, 1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("route", [as_sym_matrix, PcaProblem, min_eigpair, operator_norm], ids=lambda f: f.__name__)
+    def test_symmetric_matrix_with_an_entry_above_the_range_is_rejected(self, route):
+        # finite and symmetric, but m + m^T would overflow: the range error comes before any sum, so
+        # no RuntimeWarning (an error under this suite's settings) is emitted
+        with pytest.raises(ValueError, match=IN_RANGE):
+            route(np.diag([1e308, 1.0]))
 
     def test_sym_matrix_accepts_tiny_asymmetry(self):
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]])
@@ -282,24 +293,25 @@ class TestOperatorNormBounds:
 
     @pytest.mark.parametrize("entry", [math.inf, math.nan, 2.0**1023, -1.7e308])
     def test_raises_what_operator_norm_raises(self, entry):
-        # entries of 2^1023 or more are finite, but operator_norm's symmetrizing sum overflows them
+        # entries of 2^1023 or more are finite, but a symmetrizing sum would overflow them; both raise before
+        # any sum, so no RuntimeWarning (an error under this suite's settings) is emitted
         stack = np.stack([random_symmetric(3, 1), random_symmetric(3, 2)])
         stack[1, 0, 2] = stack[1, 2, 0] = entry
-        # numpy warns as operator_norm's sum overflows; the error is under test
-        with np.errstate(over="ignore"), pytest.raises(ValueError) as want:
+        with pytest.raises(ValueError, match=FINITE if not math.isfinite(entry) else IN_RANGE) as want:
             operator_norm(stack)
         with pytest.raises(ValueError) as got:
             _operator_norm_bounds(stack)
-        assert str(got.value) == str(want.value) == "matrix entries must all be finite"
+        assert str(got.value) == str(want.value)
 
     def test_size_limit_comes_after_finiteness(self, monkeypatch):
+        # finite, then the size, then the range
         monkeypatch.setattr(numerics, "EIG_DIM_LIMIT", 2)
-        for entry, message in ((math.nan, "matrix entries must all be finite"), (2.0**1023, "exceeds the supported limit 2"),
-                               (1.0, "exceeds the supported limit 2")):
-            stack = np.zeros((2, 3, 3))
+        for n, entry, message in ((3, math.nan, FINITE), (3, 2.0**1023, "exceeds the supported limit 2"),
+                                  (3, 1.0, "exceeds the supported limit 2"), (2, 2.0**1023, IN_RANGE)):
+            stack = np.zeros((2, n, n))
             stack[1, 1, 1] = entry
             for run in (operator_norm, _operator_norm_bounds):
-                with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):
+                with pytest.raises(ValueError, match=message):
                     run(stack)
 
 

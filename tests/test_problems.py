@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from prgd import numerics
 from prgd.manifolds import Euclidean
 from prgd.numerics import EIG_DIM_LIMIT, RngStream, min_eigpair
 from prgd.pullback import Pullback
@@ -309,9 +310,30 @@ class TestMatrixIo:
         assert np.array_equal(load_matrix(path), m)
 
     def test_rejects_asymmetric(self, tmp_path):
+        # load_matrix only parses; the problem's as_sym_matrix rejects the file, as it would the array
         path = tmp_path / "m.txt"
         path.write_text("2\n0 1\n0 0\n")
         with pytest.raises(ValueError, match="asymmetry"):
+            PcaProblem(load_matrix(path))
+
+    def test_returns_a_nearly_symmetric_file_as_written(self, tmp_path):
+        m = np.array([[1.0, 0.5], [0.5 + 5e-10 * 2.0, 2.0]])
+        path = tmp_path / "m.txt"
+        save_matrix(path, m)
+        assert load_matrix(path).tobytes() == m.tobytes()
+
+    def test_file_and_array_follow_one_symmetry_rule(self, tmp_path):
+        # 5e-11 relative asymmetry: accepted on both routes, and symmetrized to the same bits
+        m = [[1, 0.5], [0.5000000001, 2]]
+        path = tmp_path / "m.txt"
+        save_matrix(path, m)
+        assert PcaProblem(m).matrix.tobytes() == PcaProblem(load_matrix(path)).matrix.tobytes()
+
+    def test_size_is_checked_at_the_dimension_line(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(numerics, "EIG_DIM_LIMIT", 2)
+        path = tmp_path / "m.txt"
+        path.write_text("3\n1 0 0\n0 oops 0\n0 0 1\n")
+        with pytest.raises(ValueError, match="^matrix dimension 3 exceeds the supported limit 2$"):
             load_matrix(path)
 
     def test_error_reports_line_number(self, tmp_path):
