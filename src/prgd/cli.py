@@ -114,7 +114,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
         else:
             if args.start == "file":
                 raise ValueError("matrix required when --problem pca starts from a file")
-            if not args.dim:
+            if args.dim is None:
                 raise ValueError("pca requires --matrix or --dim for the synthetic spectrum")
             a, _, vecs, _ = synthetic_matrix(args.dim, RngStream(args.seed, STREAM_SPECTRUM))
             problem = PcaProblem(a)
@@ -124,7 +124,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
         h = load_matrix(args.matrix)
         problem = QuadraticSaddle(h)
     else:
-        if not args.dim:
+        if args.dim is None:
             raise ValueError("quadratic_saddle requires --matrix or --dim")
         if args.dim < 2:
             raise ValueError("quadratic_saddle requires --dim >= 2")

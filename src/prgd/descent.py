@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .manifolds import Point, Tangent
-from .numerics import RngStream, _norm
+from .numerics import RngStream, _norm, sample_unit_ball
 from .pullback import Pullback, pullback_step
 
 MANIFOLD_STEP = "manifold_step"
@@ -383,26 +383,23 @@ def prgd(
 
 
 class _Trial:
-    """The scalars of one lockstep run; its arrays are one row of each block.
+    """The scalars of one lockstep run; its arrays, the anchor x among them, are one row of each block.
 
-    `x` is the anchor point (a copy of its block row), `grad_norm` the
-    gradient norm there, `run` the run's column of the trace columns and
-    `row` its row of the block. During a perturbation phase `phase` is the
-    tick of its first step; it is None during a manifold step. `end` is the
-    tick whose step moves the anchor.
+    `f_x` and `grad_norm` are f and the gradient norm at the anchor, `run` the run's column of the trace
+    columns and `row` its row of the block. During a perturbation phase `phase` is the tick of its first
+    step; it is None during a manifold step. `end` is the tick whose step moves the anchor.
     """
 
-    __slots__ = ("trace", "rng", "x", "f_x", "grad_norm", "t", "queries", "run", "row", "phase", "end")
+    __slots__ = ("trace", "rng", "f_x", "grad_norm", "t", "queries", "run", "row", "phase", "end")
 
-    def __init__(self, trace: RunTrace, rng: RngStream, x: np.ndarray, f_x: float, run: int):
-        self.trace, self.rng, self.x, self.f_x = trace, rng, x, f_x
+    def __init__(self, trace: RunTrace, rng: RngStream, f_x: float, run: int):
+        self.trace, self.rng, self.f_x = trace, rng, f_x
         self.run = self.row = run
-        self.grad_norm = math.nan
+        self.grad_norm, self.phase = math.nan, None
         self.t = self.queries = 0
-        self.phase = None
 
-    def finish(self, manifold, terminated: str, grad_norm: float):
-        self.trace.finish(Point(manifold, self.x), self.f_x, self.t, grad_norm, self.queries + 1, terminated)
+    def finish(self, point: Point, terminated: str, grad_norm: float):
+        self.trace.finish(point, self.f_x, self.t, grad_norm, self.queries + 1, terminated)
 
 
 def prgd_lockstep(
@@ -423,13 +420,13 @@ def prgd_lockstep(
     stacked (3, rows, n) buffer of the new s, s - s0 and the next tick's
     gradients then gives every norm of the tick, and one `put` at the rows'
     cells writes the tick's values into the call's trace columns
-    (`_TickColumns`), one column per run. Python runs per row only where a
-    row's state changes: to start a phase (the ball draw is on the row's own
-    stream), to end one, to take a manifold step, to truncate a step at the
-    ball and to stop a run; each records its events there, and a phase's
-    other steps become one span of its run's column. A stopped run leaves the
-    block. Rows share no arithmetic, so trace i is bit-identical to
-    `prgd(problem, x0, params, rngs[i], ...)`.
+    (`_TickColumns`), one column per run. Phase starts are block work too: each
+    starting row draws on its own stream, and one stacked pass maps the tick's
+    draws into the tangent balls and retracts them. Python runs per row only to
+    decide and record: at a new anchor (stop, manifold step or phase start), at
+    a phase's end and at a truncation; a phase's other steps become one span of
+    its run's column. A stopped run leaves the block. Rows share no arithmetic,
+    so trace i is bit-identical to `prgd(problem, x0, params, rngs[i], ...)`.
     """
     problem._check_point(x0)
     manifold = problem.manifold
@@ -437,7 +434,7 @@ def prgd_lockstep(
     start = np.ascontiguousarray(x0.coords)
     f0, grad0 = problem._value_and_gradient_array(start)
     f0 = float(f0)
-    trials = [_Trial(RunTrace(), rng, start, f0, run) for run, rng in enumerate(rngs)]
+    trials = [_Trial(RunTrace(), rng, f0, run) for run, rng in enumerate(rngs)]
     traces = [trial.trace for trial in trials]
     columns = _TickColumns(len(trials))
     entries = columns.entries()
@@ -458,17 +455,15 @@ def prgd_lockstep(
     while True:
         top_norms = vals[1].tolist() if top else ()
         s, grad = stack[0], stack[2]  # the block's s and loop-top gradient
+        starts, units = [], []  # the rows that start a phase at this tick, and their unit-ball draws
         for i in top:
             trial = trials[i]
             grad_norm = top_norms[i]
             if not math.isfinite(grad_norm):
                 raise NumericalError("Riemannian gradient is non-finite")
-            if trial.t > params.budget:
-                trial.finish(manifold, "budget", grad_norm)
-                stopped.append(i)
-                continue
-            if trial.f_x < f0 - params.gap:
-                trial.finish(manifold, "gap_exhausted", grad_norm)
+            stop = "budget" if trial.t > params.budget else "gap_exhausted" if trial.f_x < f0 - params.gap else ""
+            if stop:
+                trial.finish(Point(manifold, x[i].copy()), stop, grad_norm)
                 stopped.append(i)
                 continue
             trial.queries += 1
@@ -477,23 +472,28 @@ def prgd_lockstep(
             if grad_norm > params.epsilon:
                 trial.end = tick
                 continue
-            log = trial.trace._log
-            log.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
-            trial.trace.last_small_grad_point = point = Point(manifold, trial.x)
-            xi, trial.rng = manifold.sample_ball(point, params.radius, trial.rng)
-            start_s = eta * xi.coords
-            start_norm = float(_norm(start_s))
-            if start_norm > ball:
-                raise ValueError(f"requires ||s0|| <= ball, got {start_norm!r} > {ball!r}")
+            trial.trace._log.append(TraceEvent(t=trial.t, kind=SMALL_GRAD_VISIT, f=trial.f_x, grad_norm=grad_norm))
+            trial.trace.last_small_grad_point = Point(manifold, x[i].copy())
+            unit, trial.rng = sample_unit_ball(manifold.intrinsic_dim, trial.rng)
+            starts.append(i)
+            units.append(unit)
+            trial.phase, trial.end = tick, tick + horizon - 1
+        if starts:
+            # s0 = eta * xi for every start, xi the row's draw mapped into the tangent ball of radius params.radius
+            xs = x[starts]
+            start_s = eta * manifold._ball_tangent_array(xs, manifold._tangent_frame_array(xs), params.radius,
+                                                         np.array(units))
+            start_norms = _norm(start_s).tolist()
+            for norm in start_norms:
+                if norm > ball:
+                    raise ValueError(f"requires ||s0|| <= ball, got {norm!r} > {ball!r}")
             # one retraction of s0 gives the event value and the phase's first gradient
-            _, f_s0, _, grad[i] = pullback_step(problem, trial.x, start_s)
-            log.append(TraceEvent(t=trial.t, kind=PERTURBATION, f=float(f_s0), grad_norm=grad_norm,
-                                  tangent_norm=start_norm))
-            vals[1, i] = _norm(grad[i])
-            s[i] = start_s
-            s0[i] = start_s
-            trial.phase = tick
-            trial.end = tick + horizon - 1
+            _, f_s0, _, grad[starts] = pullback_step(problem, xs, start_s)
+            s[starts] = s0[starts] = start_s
+            vals[1, starts] = _norm(grad[starts])
+            for i, f_start, norm in zip(starts, f_s0.tolist(), start_norms):
+                trial = trials[i]
+                trial.trace._log.append(TraceEvent(trial.t, PERTURBATION, f_start, trial.grad_norm, norm))
         if stopped:
             keep = np.ones(len(trials), dtype=bool)
             keep[stopped] = False
@@ -516,21 +516,21 @@ def prgd_lockstep(
         for i in alphas:  # a truncated step ends its phase early
             trials[i].end = tick
         changed = [trial for trial in trials if trial.end == tick]
-        for trial in changed:
+        anchored = [trial.row for trial in changed]
+        if anchored:
             # a new anchor is the retracted point, and its loop-top gradient the fused one there
-            i = trial.row
-            x[i] = y[i]
-            grad[i] = grad_y[i]
+            x[anchored] = y[anchored]
+            grad[anchored] = grad_y[anchored]
         norms = vals[2:]
         np.vecdot(stack, stack, out=norms)
         np.sqrt(norms, out=norms)
         next(entries).put(cells, vals[:4])
         top = []
-        if changed:
+        if anchored:
+            s[anchored] = 0.0  # after the norms, since ||s|| is the step's tangent_norm
             values, grad_before, tangent_norms, dists = vals[:4].tolist()
         for trial in changed:
             i, trace = trial.row, trial.trace
-            s[i] = 0.0
             if trial.phase is None:
                 trace._log.append(TraceEvent(t=trial.t, kind=MANIFOLD_STEP, f=values[i], grad_norm=grad_before[i],
                                              tangent_norm=tangent_norms[i], alpha=alphas.get(i, 1.0),
@@ -548,10 +548,10 @@ def prgd_lockstep(
                 trial.t += horizon
                 if terminate_on_no_decrease and values[i] - trial.f_x > -params.score_drop / 2.0:
                     trace.suspected_second_order = True
-                    trial.finish(manifold, "decrease_threshold", trial.grad_norm)
+                    # the phase started at the anchor of the run's last small-gradient visit
+                    trial.finish(trace.last_small_grad_point, "decrease_threshold", trial.grad_norm)
                     stopped.append(i)
                     continue
-            trial.x = y[i].copy()
             trial.f_x = values[i]
             top.append(i)
         vals[1] = vals[4]

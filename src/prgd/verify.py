@@ -363,6 +363,6 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tup
     for step in (half, -half):
         s0 = Tangent(x, step * eigvec.coords)
         f_start = pull.value(s0)
-        s_end, _ = tangent_space_steps(pull, s0, params.eta, params.ball, params.horizon)
-        drops.append(pull.value(s_end) - f_start)
+        _, events = tangent_space_steps(pull, s0, params.eta, params.ball, params.horizon)
+        drops.append(events[-1].f - f_start)  # the last step's value is f at the phase's end
     return drops[0], drops[1]

@@ -202,6 +202,16 @@ class TestParams:
         assert main(["params", "--problem", "pca", "--matrix", str(path), "--chi", "4"]) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: PCA needs an ambient dimension of at least 2\n"
 
+    @pytest.mark.parametrize("problem, message", [
+        ("pca", "synthetic spectrum needs dim >= 2"),
+        ("quadratic_saddle", "quadratic_saddle requires --dim >= 2"),
+    ])
+    @pytest.mark.parametrize("dim", ["0", "-3"])
+    def test_too_small_dimension_is_named_not_missing(self, problem, message, dim, capsys):
+        # --dim 0 is a given dimension, so it meets the size rule rather than the missing-dimension one
+        assert main(["params", "--problem", problem, "--dim", dim, "--chi", "4"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):
         def no_matrix(*args, **kwargs):

@@ -2,14 +2,15 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prgd import cli, descent, verify
-from prgd.cli import escape_study
+from prgd.cli import DEFAULT_QUAD_GAP, escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
     MANIFOLD_STEP,
@@ -25,7 +26,7 @@ from prgd.descent import (
     tangent_space_steps,
 )
 from prgd.errors import NumericalError
-from prgd.manifolds import Sphere, Tangent, same_point
+from prgd.manifolds import Euclidean, Manifold, Sphere, Tangent, same_point
 from prgd.numerics import RngStream, fd_hessian_from_gradients
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
@@ -618,6 +619,65 @@ class TestTraceColumns:
         assert len(columns.chunks) == math.ceil(max(steps) / 7)
 
 
+def outcome(run):
+    """run() with numpy's RuntimeWarnings raised: its result, or the type and message of the error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return run(), None
+        except (NumericalError, RuntimeWarning) as exc:
+            return None, (type(exc), str(exc))
+
+
+class TestLockstepRowsAreSingleRuns:
+    """The single-run oracle over drawn set-ups: each lockstep row is its `prgd` run and the public-API loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(pca=st.booleans(), dim=st.integers(2, 20), index=st.integers(0, 19), rows=st.integers(1, 4),
+           epsilon=st.sampled_from([1e-2, 1e-3, 1e-4]), ball_scale=st.sampled_from([math.inf, 1.01, 2.0, 10.0]),
+           chi=st.sampled_from([2.0, 4.0]), rho=st.sampled_from([0.01, 0.1, 1.0]), terminate=st.booleans(),
+           budget=st.integers(1, 600), seed=st.integers(0, 2**32))
+    # a quadratic-saddle phase of 1265 steps doubles s at every step and overflows before the gap test
+    @example(pca=False, dim=5, index=0, rows=3, epsilon=1e-3, ball_scale=math.inf, chi=4.0, rho=0.01,
+             terminate=True, budget=600, seed=1)
+    @example(pca=False, dim=5, index=0, rows=1, epsilon=1e-3, ball_scale=math.inf, chi=4.0, rho=0.01,
+             terminate=False, budget=600, seed=1)
+    def test_every_row_repeats_its_single_run(self, pca, dim, index, rows, epsilon, ball_scale, chi, rho,
+                                              terminate, budget, seed):
+        if pca:
+            # from an eigenvector of a synthetic spectrum: the top one is the minimum, the others saddles
+            a, _, vecs, _ = synthetic_matrix(dim, RngStream(seed, 2**48))
+            problem = PcaProblem(a)
+            x0 = problem.manifold.point(vecs[:, index % dim])
+            consts = problem.constants()
+            ell, rho, gap = consts.lip_grad, consts.lip_hess, max(problem.value(x0) - problem.f_star, 1e-12)
+        else:
+            # the CLI's saddle, whose phases may overflow before the gap test stops them
+            problem = QuadraticSaddle(np.diag([-1.0] + [1.0] * (dim - 1)))
+            x0 = problem.manifold.point(np.zeros(dim))
+            ell, gap = problem.norm, DEFAULT_QUAD_GAP
+        # a ball of at least sqrt(epsilon / rho), the smallest that the parameter record accepts
+        params = derive_params(epsilon=epsilon, delta=0.1, dim=problem.manifold.intrinsic_dim, ell=ell,
+                               lip_grad=ell, lip_hess=rho, ball=ball_scale * math.sqrt(epsilon / rho), gap=gap,
+                               mode="practical", chi=chi)
+        params = dataclasses.replace(params, budget=budget)
+        rngs = [RngStream(seed + i, i) for i in range(rows)]
+        singles = [outcome(lambda: prgd(problem, x0, params, rng, terminate)) for rng in rngs]
+        block, error = outcome(lambda: descent.prgd_lockstep(problem, x0, params, rngs, terminate))
+        errors = [err for _, err in singles if err is not None]
+        if errors:
+            # the block stops at the first error any of its rows meets
+            assert error in errors
+            return
+        assert error is None
+        for trace, (single, _), rng in zip(block, singles, rngs):
+            assert_same_run(trace, single)
+            events, x, queries, terminated = public_api_prgd(problem, x0, params, rng, terminate)
+            assert trace.events == events
+            assert trace.final_point.coords.tobytes() == x.coords.tobytes()
+            assert (trace.gradient_queries, trace.terminated) == (queries, terminated)
+
+
 class TestPrgd:
     def test_point_memory_layout_does_not_change_the_run(self):
         problem, saddle, params = pca_saddle(50)
@@ -711,26 +771,50 @@ class TestPrgd:
                                lip_grad=consts.lip_grad, lip_hess=consts.lip_hess,
                                ball=math.inf, gap=1.0, mode="practical", chi=4.0)
         starts, retracted = [], []
-        sample_ball = Sphere.sample_ball
+        ball_tangent = Sphere._ball_tangent_array
         retract = Sphere._retract_scaled_array
 
-        def recording_sample_ball(self, x, radius, rng):
-            # a phase starts at s0 = eta * xi
-            xi, rng = sample_ball(self, x, radius, rng)
-            starts.append(params.eta * xi.coords)
-            return xi, rng
+        def recording_ball_tangent(self, x, frame, radius, unit):
+            # a phase starts at s0 = eta * xi, one row per start of the tick
+            xi = ball_tangent(self, x, frame, radius, unit)
+            starts.extend(params.eta * np.array(xi, ndmin=2))
+            return xi
 
         def recording_retract(self, x, s):
             retracted.extend(np.array(s, ndmin=2))  # a copy, one tangent vector per row of a block
             return retract(self, x, s)
 
-        monkeypatch.setattr(Sphere, "sample_ball", recording_sample_ball)
+        monkeypatch.setattr(Sphere, "_ball_tangent_array", recording_ball_tangent)
         monkeypatch.setattr(Sphere, "_retract_scaled_array", recording_retract)
         trace = prgd(pca3, pca3.manifold.point([0.0, 1.0, 0.0]), params, RngStream(2, 0),
                      terminate_on_no_decrease=True)
         assert len(starts) == trace.n_perturbations >= 1
         for s0 in starts:
             assert sum(np.array_equal(s, s0) for s in retracted) == 1
+
+    def test_phase_starts_are_block_work(self, monkeypatch):
+        # the lockstep draws and maps its ball samples on arrays, and retracts only whole blocks of rows
+        def refused(*args, **kwargs):
+            raise AssertionError("the lockstep used the validated API")
+
+        for owner in (Manifold, Sphere, Euclidean):
+            monkeypatch.setattr(owner, "sample_ball", refused)
+        monkeypatch.setattr(descent, "Tangent", refused)
+        monkeypatch.setattr(descent, "Pullback", refused)
+        step = descent.pullback_step
+
+        def block_step(problem, x, s):
+            assert x.ndim == s.ndim == 2, "a one-row pullback step"
+            return step(problem, x, s)
+
+        monkeypatch.setattr(descent, "pullback_step", block_step)
+        problem, saddle, params = pca_saddle(20)
+        quadratic = QuadraticSaddle(np.diag([-1.0] + [1.0] * 9))
+        quadratic_params = practical(4.0, epsilon=1e-3, ell=quadratic.norm, dim=10)
+        for problem, x0, params in ((problem, saddle, params),
+                                    (quadratic, quadratic.manifold.point(np.zeros(10)), quadratic_params)):
+            traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)], True)
+            assert all(trace.n_perturbations >= 1 for trace in traces)
 
     def test_small_grad_visits_recorded(self, pca3):
         consts = pca3.constants()

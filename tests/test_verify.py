@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from prgd.descent import (
+    BOUNDARY_TRUNCATION,
     MANIFOLD_STEP,
     PERTURBATION,
     TANGENT_STEP,
@@ -802,6 +803,29 @@ class TestCouplingExperiment:
         monkeypatch.setattr(Pullback, "hessian_at_zero", lambda pull: calls.append(pull) or hessian(pull))
         assert coupling_experiment(pca3, x, params, 2.0 * params.radius) == drops
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case, ball, end", [
+        ("quadratic", math.inf, TANGENT_STEP),
+        ("pca", math.inf, TANGENT_STEP),
+        ("pca", 0.01, BOUNDARY_TRUNCATION),
+    ])
+    def test_drops_are_the_pullback_values_at_the_end_less_the_start(self, case, ball, end, pca3, monkeypatch):
+        # a drop's end value is the phase's last step value, which equals the pullback at its final s bit for bit
+        if case == "quadratic":
+            problem, x, params = self.canonical()
+        else:
+            problem, x, params = pca3, pca3.manifold.point([0.0, 1.0, 0.0]), pca_params(pca3, chi=24.0, ball=ball)
+        phases, steps = [], verify.tangent_space_steps
+
+        def recording(pull, s0, *args):
+            s_end, events = steps(pull, s0, *args)
+            phases.append((pull, s0, s_end, events[-1].kind))
+            return s_end, events
+
+        monkeypatch.setattr(verify, "tangent_space_steps", recording)
+        drops = coupling_experiment(problem, x, params, 2.0 * params.radius)
+        assert [kind for *_, kind in phases] == [end, end]
+        assert list(drops) == [pull.value(s_end) - pull.value(s0) for pull, s0, s_end, _ in phases]
 
     def test_pca_saddle_coupling(self, pca3):
         params = pca_params(pca3, chi=24.0)
