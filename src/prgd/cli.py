@@ -21,7 +21,7 @@ import numpy as np
 from .descent import PrgdParams, derive_params, prgd, prgd_lockstep, rgd
 from .errors import NumericalError
 from .manifolds import Point
-from .numerics import EIG_DIM_LIMIT, RngStream, _eigenvector_rows
+from .numerics import RngStream, _check_eig_dim, _eigenvector_rows
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
 from .verify import (
     check_second_order_point,
@@ -128,8 +128,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             raise ValueError("quadratic_saddle requires --matrix or --dim")
         if args.dim < 2:
             raise ValueError("quadratic_saddle requires --dim >= 2")
-        if args.dim > EIG_DIM_LIMIT:
-            raise ValueError(f"--dim {args.dim} exceeds the supported limit {EIG_DIM_LIMIT}")
+        _check_eig_dim(args.dim)
         h = np.diag(np.concatenate(([-1.0], np.ones(args.dim - 1))))
         problem = QuadraticSaddle(h)
     saddle = problem.manifold.point(np.zeros(problem.manifold.ambient_dim))

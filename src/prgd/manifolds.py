@@ -41,23 +41,25 @@ def same_point(a: Point, b: Point) -> bool:
 class Manifold:
     """Common interface: metric, projection, retraction, adjoint, ball sampling.
 
-    A manifold implements unchecked kernels on coordinate arrays:
-    `_project_array`, `_retract_scaled_array`, `_scaled_adjoint_array`, and
-    `_tangent_frame_array`, whose frame `_basis_rows_array`, `_tangent_coords_array`,
-    `_basis_apply_array` and `_ball_tangent_array` take to apply the tangent
-    basis without building it. They take 1-d vectors, or blocks and stacks
-    whose rows are independent (point, vector) pairs; one base point serves a
-    block of vectors as `x[..., None, :]`. Each row gets the same float
-    operations as a 1-d call, bit for bit. The retraction also returns
-    the scale (for the sphere ||x + s||, None on R^d) that the adjoint takes,
-    so an adjoint reuses what its retraction computed; the adjoint is the
-    projection onto the tangent space at x followed by division by the scale.
-    Each validated method is its argument checks plus calls of these kernels.
-    """
+    A manifold implements these unchecked kernels on coordinate arrays, with n = `ambient_dim` and k =
+    `intrinsic_dim`. They are declared in this docstring only, so a manifold that lacks one fails with
+    `AttributeError` at its first use:
 
-    name = "abstract"
-    ambient_dim = 0
-    intrinsic_dim = 0
+    - `_project_array(x, v)`: the orthogonal projection of v onto the tangent space at x.
+    - `_retract_scaled_array(x, s, out=None)`: Retr_x(s), written into `out` if given (it may be s), and a
+      scale (for the sphere ||x + s||, None on R^d).
+    - `_scaled_adjoint_array(x, scale, w)`: w at Retr_x(s) pulled back to x, reusing the scale the retraction
+      returned for (x, s): the projection onto the tangent space at x, divided by the scale.
+    - `_tangent_frame_array(x)`: the orthonormal tangent basis B at each point, in the form the next four take.
+    - `_basis_rows_array(frame, scale, out)`: scale * B^T, written into and returned as `out`, (..., k, n).
+    - `_tangent_coords_array(frame, rows)`: rows @ B, (..., m, n) rows to (..., m, k) coordinates.
+    - `_basis_apply_array(frame, coords)`: B @ coords, (..., k) coordinates to (..., n) vectors.
+    - `_ball_tangent_array(x, frame, radius, unit)`: (..., k) unit-ball draws to tangents at x of norm <= radius.
+
+    They take 1-d vectors, or blocks and stacks whose rows are independent (point, vector) pairs; one base
+    point serves a block of vectors as `x[..., None, :]`. Each row gets the same float operations as a 1-d
+    call, bit for bit. Each validated method is its argument checks plus calls of these kernels.
+    """
 
     def point(self, coords) -> Point:
         c = as_vector(coords)
@@ -69,39 +71,8 @@ class Manifold:
     def _check_point_rows(self, x: np.ndarray):
         """`point`'s checks beyond shape and finiteness, on a point or a block of point rows."""
 
-    def _project_array(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def _retract_array(self, x: np.ndarray, s: np.ndarray) -> np.ndarray:
         return self._retract_scaled_array(x, s)[0]
-
-    def _retract_scaled_array(self, x: np.ndarray, s: np.ndarray, out=None):
-        """Retr_x(s), written into `out` if given (it may be s), and the scale `_scaled_adjoint_array` takes."""
-        raise NotImplementedError
-
-    def _scaled_adjoint_array(self, x: np.ndarray, scale, w: np.ndarray) -> np.ndarray:
-        """Pull w at Retr_x(s) back to x, given the scale `_retract_scaled_array` returned for (x, s)."""
-        raise NotImplementedError
-
-    def _tangent_frame_array(self, x: np.ndarray):
-        """The orthonormal tangent basis B at each point, in the implicit form the basis kernels take."""
-        raise NotImplementedError
-
-    def _basis_rows_array(self, frame, scale: float, out: np.ndarray) -> np.ndarray:
-        """scale * B^T at each point of `frame`, written into and returned as `out`, (..., intrinsic_dim, ambient_dim)."""
-        raise NotImplementedError
-
-    def _tangent_coords_array(self, frame, rows: np.ndarray) -> np.ndarray:
-        """rows @ B at each point of `frame`: (..., m, ambient_dim) rows to (..., m, intrinsic_dim) coordinates."""
-        raise NotImplementedError
-
-    def _basis_apply_array(self, frame, coords: np.ndarray) -> np.ndarray:
-        """B @ coords at each point of `frame`: (..., intrinsic_dim) coordinates to (..., ambient_dim) vectors."""
-        raise NotImplementedError
-
-    def _ball_tangent_array(self, x: np.ndarray, frame, radius, unit: np.ndarray) -> np.ndarray:
-        """Unit-ball draws (..., intrinsic_dim) to tangents of norm <= radius at x, through the basis of x's `frame`."""
-        raise NotImplementedError
 
     def _check_point(self, x: Point):
         if x.manifold != self:

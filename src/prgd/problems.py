@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import EIG_DIM_LIMIT, RngStream, _check_eig_dim, _eigenvalues, as_sym_matrix, as_vector
+from .numerics import RngStream, _check_eig_dim, _eigenvalues, as_sym_matrix, as_vector
 
 PROJECT_FLOATS = 2**14
 
@@ -192,8 +192,7 @@ def synthetic_matrix(dim: int, rng: RngStream):
     """
     if dim < 2:
         raise ValueError("synthetic spectrum needs dim >= 2")
-    if dim > EIG_DIM_LIMIT:
-        raise ValueError(f"synthetic spectrum dimension {dim} exceeds the supported limit {EIG_DIM_LIMIT}")
+    _check_eig_dim(dim)
     lams = np.empty(dim)
     lams[0] = 2.0
     for k in range(2, dim + 1):

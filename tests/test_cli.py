@@ -221,7 +221,9 @@ class TestParams:
         monkeypatch.setattr(np.linalg, "qr", no_matrix)
         code = main(["params", "--problem", problem, "--dim", str(EIG_DIM_LIMIT + 1), "--chi", "4"])
         assert code == EXIT_CONFIG
-        assert "exceeds the supported limit" in capsys.readouterr().err
+        # one rule and one message for every matrix size, whichever problem asked for it
+        assert capsys.readouterr().err == (f"error: matrix dimension {EIG_DIM_LIMIT + 1} exceeds the supported "
+                                           f"limit {EIG_DIM_LIMIT}\n")
 
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_set_up_solves_one_eigenvalue_problem(self, problem, monkeypatch, capsys):

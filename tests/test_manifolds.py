@@ -1,11 +1,12 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from prgd.manifolds import Euclidean, Sphere, Tangent
+from prgd.manifolds import Euclidean, Manifold, Sphere, Tangent
 from prgd.numerics import RngStream, sample_unit_ball
 from sweep_oracles import dense_ball_tangent, frame_ball_tangent, householder_basis
 
@@ -520,3 +521,21 @@ class TestSecondOrderCheck:
         x = sph.point([1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             sph.check_second_order(x, sph.tangent(x, [0.0, 0.5, 0.0]))
+
+
+class TestKernelContract:
+    def test_each_manifold_defines_exactly_the_kernels_the_interface_names(self):
+        # `Manifold` declares its kernels in its docstring only, so this keeps the list and the classes in step
+        named = set(re.findall(r"`(_\w+_array)\(", Manifold.__doc__))
+        assert len(named) == 8
+        assert not named & set(vars(Manifold))
+        for cls in (Sphere, Euclidean):
+            assert {name for name in vars(cls) if re.fullmatch(r"_\w+_array", name)} == named, cls.__name__
+
+    def test_a_manifold_without_a_kernel_fails_at_first_use(self):
+        class NoKernels(Manifold):
+            ambient_dim = intrinsic_dim = 2
+
+        manifold = NoKernels()
+        with pytest.raises(AttributeError, match="_project_array"):
+            manifold.project(manifold.point([1.0, 0.0]), [0.0, 1.0])
