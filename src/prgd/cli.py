@@ -137,6 +137,8 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
 
 def _resolve_start(args, problem, saddle) -> Point:
     start = args.start if args.start is not None else ("saddle" if args.command == "study" else "random")
+    if start != "file" and args.start_file is not None:
+        raise ValueError("--start-file requires --start file")
     if start == "saddle":
         return saddle
     if start == "file":
@@ -245,8 +247,8 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
                  rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
     """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
 
-    PRGD trials run in lockstep, as one `prgd_lockstep` block, whose in-phase
-    steps live in per-tick trace columns until a trace's events are read.
+    PRGD trials run in lockstep, as one `prgd_lockstep` block, whose traces
+    keep each phase's steps in an array of its own until their events are read.
     `rgd` draws nothing, so its trials are one run: it runs and is certified
     once, and every trial record repeats it. The final points are certified
     by one `check_second_order_points` call, in stacked blocks of about

@@ -174,46 +174,16 @@ class TraceEvent(NamedTuple):
     f_before: float | None = None
 
 
-# ticks per chunk of a lockstep block's trace columns
-TRACE_CHUNK = 256
-
-
-class _TickColumns:
-    """Per-tick trace columns of one lockstep call, one per run, in (TRACE_CHUNK, 4, runs) chunks.
-
-    A chunk is made when the ticks reach it. The entry of tick k holds, for every run still in the block, f
-    after the tick's step, the gradient norm before it, and ||s|| and ||s - s0|| after it.
-    """
-
-    __slots__ = ("runs", "chunks")
-
-    def __init__(self, runs: int):
-        self.runs, self.chunks = runs, []
-
-    def entries(self):
-        """The entries of ticks 0, 1, ... in turn, (4, runs) views made a chunk at a time."""
-        while True:
-            chunk = np.empty((TRACE_CHUNK, 4, self.runs))
-            self.chunks.append(chunk)
-            yield from chunk
-
-
 class _PhaseSpan(NamedTuple):
-    """The in-phase tangent steps 1, 2, ... of one run, taken at ticks [start, stop) at counter t."""
+    """The in-phase tangent steps 1, 2, ... of one phase at counter t; `rows` is the phase's own (steps, 4)
+    array of f after each step, the gradient norm before it, and ||s|| and ||s - s0|| after it."""
 
-    columns: _TickColumns
-    run: int
-    start: int
-    stop: int
+    rows: np.ndarray
     t: int
 
     def events(self) -> list[TraceEvent]:
-        first, i = divmod(self.start, TRACE_CHUNK)
-        last = (self.stop - 1) // TRACE_CHUNK
-        rows = np.concatenate([chunk[:, :, self.run] for chunk in self.columns.chunks[first:last + 1]])
-        rows = rows[i:i + self.stop - self.start].tolist()
         return [TraceEvent(self.t, TANGENT_STEP, f, grad_norm, tangent_norm, 1.0, dist, step)
-                for step, (f, grad_norm, tangent_norm, dist) in enumerate(rows, 1)]
+                for step, (f, grad_norm, tangent_norm, dist) in enumerate(self.rows.tolist(), 1)]
 
 
 @dataclass
@@ -221,9 +191,9 @@ class RunTrace:
     """Ordered record of everything a run did, plus the points needed to audit it.
 
     `events` is the run's list of `TraceEvent`s. `prgd_lockstep` records a row's visits, perturbations,
-    manifold steps, phase ends and truncations as events when they happen, but keeps its other in-phase
-    tangent steps in its call's per-run tick columns, one span per phase, so that such a step makes no Python
-    object; `events` builds their events from the columns on its first read, field for field the same.
+    manifold steps, phase ends and truncations as events when they happen, but keeps a phase's other
+    tangent steps as one `_PhaseSpan`, an array the trace shares with no other, so that such a step makes no
+    Python object; `events` builds their events from the spans on its first read, field for field the same.
     """
 
     last_small_grad_point: Point | None = None
@@ -385,16 +355,15 @@ def prgd(
 class _Trial:
     """The scalars of one lockstep run; its arrays, the anchor x among them, are one row of each block.
 
-    `f_x` and `grad_norm` are f and the gradient norm at the anchor, `run` the run's column of the trace
-    columns and `row` its row of the block. During a perturbation phase `phase` is the tick of its first
-    step; it is None during a manifold step. `end` is the tick whose step moves the anchor.
+    `f_x` and `grad_norm` are f and the gradient norm at the anchor, and `row` the run's row of the block.
+    During a perturbation phase `phase` is the tick of its first step; it is None during a manifold step.
+    `end` is the tick whose step moves the anchor.
     """
 
-    __slots__ = ("trace", "rng", "f_x", "grad_norm", "t", "queries", "run", "row", "phase", "end")
+    __slots__ = ("trace", "rng", "f_x", "grad_norm", "t", "queries", "row", "phase", "end")
 
-    def __init__(self, trace: RunTrace, rng: RngStream, f_x: float, run: int):
-        self.trace, self.rng, self.f_x = trace, rng, f_x
-        self.run = self.row = run
+    def __init__(self, trace: RunTrace, rng: RngStream, f_x: float, row: int):
+        self.trace, self.rng, self.f_x, self.row = trace, rng, f_x, row
         self.grad_norm, self.phase = math.nan, None
         self.t = self.queries = 0
 
@@ -418,14 +387,15 @@ def prgd_lockstep(
     the whole block. A row's loop-top gradient is the Riemannian gradient that
     its last fused call computed at its new anchor. One `np.vecdot` over the
     stacked (3, rows, n) buffer of the new s, s - s0 and the next tick's
-    gradients then gives every norm of the tick, and one `put` at the rows'
-    cells writes the tick's values into the call's trace columns
-    (`_TickColumns`), one column per run. Phase starts are block work too: each
+    gradients then gives every norm of the tick, and one slice copy writes the
+    tick's values into a row-keyed ring that holds the block's last `horizon`
+    ticks, the longest a phase runs. Phase starts are block work too: each
     starting row draws on its own stream, and one stacked pass maps the tick's
     draws into the tangent balls and retracts them. Python runs per row only to
     decide and record: at a new anchor (stop, manifold step or phase start), at
-    a phase's end and at a truncation; a phase's other steps become one span of
-    its run's column. A stopped run leaves the block. Rows share no arithmetic,
+    a phase's end and at a truncation; when a phase ends, its other steps are
+    copied out of the ring as one `_PhaseSpan`. A stopped run leaves the block
+    at a new anchor, never in the middle of a phase. Rows share no arithmetic,
     so trace i is bit-identical to `prgd(problem, x0, params, rngs[i], ...)`.
     """
     problem._check_point(x0)
@@ -434,12 +404,10 @@ def prgd_lockstep(
     start = np.ascontiguousarray(x0.coords)
     f0, grad0 = problem._value_and_gradient_array(start)
     f0 = float(f0)
-    trials = [_Trial(RunTrace(), rng, f0, run) for run, rng in enumerate(rngs)]
+    trials = [_Trial(RunTrace(), rng, f0, row) for row, rng in enumerate(rngs)]
     traces = [trial.trace for trial in trials]
-    columns = _TickColumns(len(trials))
-    entries = columns.entries()
-    # each row's cells of a (4, runs) entry: value j of run r is cell j * runs + r
-    cells = np.arange(4 * len(trials)).reshape(4, -1)
+    # tick k's vals[:4] at recent[k % len(recent)]; it doubles as the ticks reach its length, up to horizon
+    recent = np.empty((1, 4, len(trials)))
     x = np.tile(start, (len(trials), 1))
     # the norm buffer: s, s - s0 and the loop-top gradient; rows 0 and 2 are the block's s and gradient
     stack = np.zeros((3,) + x.shape)
@@ -500,7 +468,7 @@ def prgd_lockstep(
             trials = [trial for trial, kept in zip(trials, keep) if kept]
             for row, trial in enumerate(trials):
                 trial.row = row
-            x, s0, stack, vals, cells = x[keep], s0[keep], stack[:, keep], vals[:, keep], cells[:, keep]
+            x, s0, stack, vals, recent = x[keep], s0[keep], stack[:, keep], vals[:, keep], recent[..., keep]
             s, grad = stack[0], stack[2]
             stopped = []
         if not trials:
@@ -524,7 +492,9 @@ def prgd_lockstep(
         norms = vals[2:]
         np.vecdot(stack, stack, out=norms)
         np.sqrt(norms, out=norms)
-        next(entries).put(cells, vals[:4])
+        if tick == len(recent) < horizon:
+            recent = np.concatenate((recent, np.empty((min(tick, horizon - tick),) + recent.shape[1:])))
+        recent[tick % len(recent)] = vals[:4]
         top = []
         if anchored:
             s[anchored] = 0.0  # after the norms, since ||s|| is the step's tangent_norm
@@ -538,8 +508,9 @@ def prgd_lockstep(
                 trial.t += 1
             else:
                 step = tick - trial.phase + 1
-                if step > 1:  # the phase's steps before this one are the ticks [phase, tick) of its column
-                    trace._log.append(_PhaseSpan(columns, trial.run, trial.phase, tick, trial.t))
+                if step > 1:  # the phase's steps before this one, ticks [phase, tick), are still in the ring
+                    trace._log.append(_PhaseSpan(recent[..., i].take(np.arange(trial.phase, tick), 0, mode="wrap"),
+                                                 trial.t))
                 trace._log.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if i in alphas else TANGENT_STEP,
                                              f=values[i], grad_norm=grad_before[i], tangent_norm=tangent_norms[i],
                                              alpha=alphas.get(i, 1.0), dist_start=dists[i], step=step))

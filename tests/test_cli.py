@@ -51,6 +51,17 @@ class TestRun:
         assert code == EXIT_CONFIG
         assert "matrix required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run --terminate --out x", "study --out x", "params", "verify --samples 10"])
+    def test_start_file_without_start_file_mode_is_config_error(self, tmp_path, monkeypatch, capsys, command):
+        # otherwise the run starts where --start (or its default) says and ignores the file
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x0.txt").write_text("1 0 0 0 0\n")
+        name, *rest = command.split()
+        code = main([name, "--problem", "pca", "--dim", "5", "--chi", "4", "--start-file", "x0.txt", *rest])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: --start-file requires --start file\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["x0.txt"]
+
     def test_start_from_file(self, tmp_path):
         matrix_path = tmp_path / "a.txt"
         save_matrix(matrix_path, np.diag([3.0, 1.0]))

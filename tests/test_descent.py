@@ -543,7 +543,7 @@ class TestBallTest:
             assert trace.events == public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)[0]
 
 
-# Bytes one in-phase step cost in a trace before its steps became trace columns: a 9-field TraceEvent
+# Bytes one in-phase step cost in a trace when each step was an object of its own: a 9-field TraceEvent
 # (112 B) with four fresh floats (4 x 24 B) in one list slot (8 B). The whole one-row run below then
 # had a tracemalloc peak of 225-228 B per step (numpy 2.4, Python 3.11).
 TRACE_EVENT_BYTES = 112 + 4 * 24 + 8
@@ -584,39 +584,54 @@ class TestTraceColumns:
         return held / sum(ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION) for ev in trace.events)
 
     def test_held_bytes_per_step_do_not_grow_with_dimension(self):
-        # a trace holds events, per-tick columns and a few points, so its steps cost about 41 B at d=3 and
-        # at d=500 alike; keeping one n-vector per manifold step and per phase end held 106 B per step at d=500
+        # a trace holds events, one array of per-step values for each phase and a few points, so its steps cost
+        # about 40 B at d=3 and at d=500 alike; keeping one n-vector per manifold step and per phase end held
+        # 106 B per step at d=500
         small, large = self.held_bytes_per_step(3), self.held_bytes_per_step(500)
         assert large <= 1.25 * small, (small, large)
 
-    def test_spans_across_chunks_and_a_shrinking_block_repeat_the_single_runs(self, monkeypatch):
-        # chunks of 7 ticks, so every phase spans many chunks
-        monkeypatch.setattr(descent, "TRACE_CHUNK", 7)
+    def test_phases_that_wrap_the_ring_repeat_the_single_runs(self):
         problem, x0, params = pca_saddle(50)
         with evaluated_points(problem) as block:
             traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)], True)
         spans = [[item for item in trace._log if type(item) is descent._PhaseSpan] for trace in traces]
-        # one column object per call, shared by every run's spans
-        (columns,) = {id(span.columns): span.columns for run in spans for span in run}.values()
-        steps = []
-        singles = []
+        phases, leaves, singles = [], [], []
         for i, trace in enumerate(traces):
             events = trace.events
             assert trace.events is events
-            # each phase of two or more steps is one span: its steps but the last, which is an event
-            ends = [ev.step for j, ev in enumerate(events)
-                    if ev.step is not None and (j + 1 == len(events) or events[j + 1].step != ev.step + 1)]
-            assert [span.stop - span.start for span in spans[i]] == [n - 1 for n in ends if n >= 2]
-            steps.append(sum(ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION) for ev in events))
+            # a run steps once per tick from tick 0, and leaves the block at the tick after its last step
+            stepped = [ev for ev in events if ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION)]
+            leaves.append(len(stepped))
+            # each phase ends at tick k after n steps; the ones of two or more steps are one span, all but the last
+            ends = [(k, ev.step) for k, ev in enumerate(stepped)
+                    if ev.step is not None and (k + 1 == len(stepped) or stepped[k + 1].step != ev.step + 1)]
+            assert [len(span.rows) for span in spans[i]] == [n - 1 for _, n in ends if n >= 2]
+            phases.extend((k - n + 1, k) for k, n in ends)
             with evaluated_points(problem) as points:
                 assert_same_run(trace, prgd(problem, x0, params, RngStream(1 + i, i), True))
             singles.append(points)
             assert events == public_api_prgd(problem, x0, params, RngStream(1 + i, i), True)[0]
         assert_block_repeats_single_runs(block, singles, x0)
-        # a run leaves the block at the tick after its last step; some leave while another run's phase goes on
-        assert any(span.start < stop <= span.stop for run in spans for span in run for stop in steps)
-        # a shrinking block makes no columns and no chunk: the ticks fill the chunks in turn
-        assert len(columns.chunks) == math.ceil(max(steps) / 7)
+        # the ring holds `horizon` ticks, and the block runs for more than three times as many
+        assert max(leaves) > 3 * params.horizon
+        # some run leaves while another run's phase goes on
+        assert any(first < leave <= last for first, last in phases for leave in leaves)
+
+    def test_a_kept_trace_holds_no_other_run_of_its_block(self):
+        problem, x0, params = pca_saddle(50)
+        # without terminate the runs end only by budget: a gap no run can exhaust keeps them going
+        params = dataclasses.replace(params, gap=10.0, budget=3000)
+        tracemalloc.start()
+        try:
+            traces = descent.prgd_lockstep(problem, x0, params, [RngStream(1 + i, i) for i in range(10)])
+            block = tracemalloc.get_traced_memory()[0]
+            del traces[1:]
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert traces[0].terminated == "budget"
+        # a trace holds only its own run's values, about a tenth of what the block holds
+        assert kept <= 0.25 * block, kept / block
 
 
 def outcome(run):
@@ -642,6 +657,14 @@ class TestLockstepRowsAreSingleRuns:
              terminate=True, budget=600, seed=1)
     @example(pca=False, dim=5, index=0, rows=1, epsilon=1e-3, ball_scale=math.inf, chi=4.0, rho=0.01,
              terminate=False, budget=600, seed=1)
+    # horizons 1, 2 and 3, where the ring of the block's last `horizon` ticks wraps inside every phase; the rows
+    # end gap_exhausted after 25-29 events, so they leave the block at different ticks
+    @example(pca=False, dim=4, index=0, rows=4, epsilon=0.36, ball_scale=math.inf, chi=0.3, rho=1.0,
+             terminate=False, budget=300, seed=7)
+    @example(pca=False, dim=4, index=0, rows=4, epsilon=0.36, ball_scale=math.inf, chi=0.8, rho=1.0,
+             terminate=False, budget=300, seed=7)
+    @example(pca=False, dim=4, index=0, rows=4, epsilon=0.36, ball_scale=math.inf, chi=1.6, rho=1.0,
+             terminate=False, budget=300, seed=7)
     def test_every_row_repeats_its_single_run(self, pca, dim, index, rows, epsilon, ball_scale, chi, rho,
                                               terminate, budget, seed):
         if pca:
