@@ -394,7 +394,9 @@ def main(argv=None) -> int:
         "verify": verify_cmd,
     }
     try:
-        return handlers[args.command](args)
+        # a non-finite value is reported once, as the numerical failure it raises, not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return handlers[args.command](args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

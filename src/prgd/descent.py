@@ -175,25 +175,29 @@ class TraceEvent(NamedTuple):
 
 
 class _PhaseSpan(NamedTuple):
-    """The in-phase tangent steps 1, 2, ... of one phase at counter t; `rows` is the phase's own (steps, 4)
-    array of f after each step, the gradient norm before it, and ||s|| and ||s - s0|| after it."""
+    """The tangent steps 1 ... n of one phase at counter t: `rows` is its own (n, 4) array of f after each step,
+    the gradient norm before it, ||s|| and ||s - s0|| after it; `alpha` is step n's truncation fraction or None."""
 
     rows: np.ndarray
     t: int
+    alpha: float | None
 
     def events(self) -> list[TraceEvent]:
-        return [TraceEvent(self.t, TANGENT_STEP, f, grad_norm, tangent_norm, 1.0, dist, step)
-                for step, (f, grad_norm, tangent_norm, dist) in enumerate(self.rows.tolist(), 1)]
+        events = [TraceEvent(self.t, TANGENT_STEP, f, grad_norm, tangent_norm, 1.0, dist, step)
+                  for step, (f, grad_norm, tangent_norm, dist) in enumerate(self.rows.tolist(), 1)]
+        if self.alpha is not None:
+            events[-1] = events[-1]._replace(kind=BOUNDARY_TRUNCATION, alpha=self.alpha)
+        return events
 
 
 @dataclass
 class RunTrace:
     """Ordered record of everything a run did, plus the points needed to audit it.
 
-    `events` is the run's list of `TraceEvent`s. `prgd_lockstep` records a row's visits, perturbations,
-    manifold steps, phase ends and truncations as events when they happen, but keeps a phase's other
-    tangent steps as one `_PhaseSpan`, an array the trace shares with no other, so that such a step makes no
-    Python object; `events` builds their events from the spans on its first read, field for field the same.
+    `events` is the run's list of `TraceEvent`s. `prgd_lockstep` records a row's visits, perturbations and
+    manifold steps as events when they happen, but keeps each phase's tangent steps, its last step and any
+    truncation included, as one `_PhaseSpan`, an array the trace shares with no other, so that such a step
+    makes no Python object; `events` builds their events from the spans on its first read, field for field.
     """
 
     last_small_grad_point: Point | None = None
@@ -283,9 +287,9 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
 
     Iterates s_{j+1} = s_j - eta * grad; if an iterate would leave the ball the
     final step is truncated onto the boundary and the loop stops. Returns the
-    final tangent vector and the per-step events. Arguments are validated once,
-    here; the steps are `prgd_lockstep`'s on a one-row block, each making one
-    retraction and one fused cost call.
+    final tangent vector and the events of the phase's `_PhaseSpan`. Arguments
+    are validated once, here; the steps are `prgd_lockstep`'s on a one-row block,
+    each making one retraction and one fused cost call.
     """
     if not (eta > 0):
         raise ValueError("eta must be positive")
@@ -302,27 +306,16 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
     start = s0.coords[None]
     grad = pullback_step(problem, x, start)[3]
     s = start
-    events: list[TraceEvent] = []
+    rows = np.empty((horizon, 4))  # the phase's `_PhaseSpan` rows
     for j in range(horizon):
         grad_norm = float(_norm(grad[0]))
         if not math.isfinite(grad_norm):
             raise NumericalError("pullback gradient is non-finite")
         s, alphas, _, f, _, grad = _gradient_step(problem, x, s, grad, eta, ball)
-        events.append(
-            TraceEvent(
-                t=0,
-                kind=BOUNDARY_TRUNCATION if alphas else TANGENT_STEP,
-                f=float(f[0]),
-                grad_norm=grad_norm,
-                tangent_norm=float(_norm(s[0])),
-                alpha=alphas.get(0, 1.0),
-                dist_start=float(_norm(s[0] - start[0])),
-                step=j + 1,
-            )
-        )
+        rows[j] = f[0], grad_norm, _norm(s[0]), _norm(s[0] - start[0])
         if alphas:
             break
-    return Tangent(pull.base, s[0]), events
+    return Tangent(pull.base, s[0]), _PhaseSpan(rows[:j + 1], 0, alphas.get(0)).events()
 
 
 def prgd(
@@ -393,7 +386,7 @@ def prgd_lockstep(
     starting row draws on its own stream, and one stacked pass maps the tick's
     draws into the tangent balls and retracts them. Python runs per row only to
     decide and record: at a new anchor (stop, manifold step or phase start), at
-    a phase's end and at a truncation; when a phase ends, its other steps are
+    a phase's end and at a truncation; when a phase ends, all its steps are
     copied out of the ring as one `_PhaseSpan`. A stopped run leaves the block
     at a new anchor, never in the middle of a phase. Rows share no arithmetic,
     so trace i is bit-identical to `prgd(problem, x0, params, rngs[i], ...)`.
@@ -498,7 +491,7 @@ def prgd_lockstep(
         top = []
         if anchored:
             s[anchored] = 0.0  # after the norms, since ||s|| is the step's tangent_norm
-            values, grad_before, tangent_norms, dists = vals[:4].tolist()
+            values, grad_before, tangent_norms = vals[:3].tolist()
         for trial in changed:
             i, trace = trial.row, trial.trace
             if trial.phase is None:
@@ -508,12 +501,9 @@ def prgd_lockstep(
                 trial.t += 1
             else:
                 step = tick - trial.phase + 1
-                if step > 1:  # the phase's steps before this one, ticks [phase, tick), are still in the ring
-                    trace._log.append(_PhaseSpan(recent[..., i].take(np.arange(trial.phase, tick), 0, mode="wrap"),
-                                                 trial.t))
-                trace._log.append(TraceEvent(t=trial.t, kind=BOUNDARY_TRUNCATION if i in alphas else TANGENT_STEP,
-                                             f=values[i], grad_norm=grad_before[i], tangent_norm=tangent_norms[i],
-                                             alpha=alphas.get(i, 1.0), dist_start=dists[i], step=step))
+                # the phase's steps, ticks [phase, tick], are all still in the ring
+                trace._log.append(_PhaseSpan(recent[..., i].take(np.arange(trial.phase, tick + 1), 0, mode="wrap"),
+                                             trial.t, alphas.get(i)))
                 # the phase ran (and spent its queries), so the counter advances even if the run stops here
                 trial.queries += step
                 trial.t += horizon

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from prgd import cli
-from prgd.cli import EXIT_CONFIG, EXIT_OK, _build_problem, build_parser, main
+from prgd.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _build_problem, build_parser, main
 from prgd.numerics import EIG_DIM_LIMIT
 from prgd.problems import save_matrix
 
@@ -44,6 +44,25 @@ class TestRun:
         lines = (tmp_path / "columns.trace.csv").read_text().strip().splitlines()
         assert lines[0] == "t,kind,f,grad_norm,tangent_norm"
         assert all(line.count(",") == 4 for line in lines)
+
+    def test_run_without_a_small_gradient_visit_has_no_second_order_report(self, tmp_path):
+        # a gap of 1e-9 is exhausted by the first manifold step, before any iterate has a small gradient
+        assert main(["run", "--problem", "pca", "--dim", "20", "--chi", "4", "--eps", "1e-3", "--gap", "1e-9",
+                     "--seed", "1", "--out", str(tmp_path / "gap")]) == EXIT_OK
+        summary = json.loads((tmp_path / "gap.summary.json").read_text())
+        assert (summary["terminated"], summary["final_t"], summary["n_perturbations"]) == ("gap_exhausted", 1, 0)
+        assert summary["second_order"] is None
+
+    @pytest.mark.parametrize("command", ["run --rho 1e-2 --start saddle --terminate",
+                                         "study --start random --algorithm rgd --trials 2"])
+    def test_numerical_failure_is_one_stderr_line_and_no_file(self, tmp_path, capsys, command):
+        # both overflow to a non-finite gradient; numpy's overflow warnings are not printed before the error
+        name, *rest = command.split()
+        code = main([name, "--problem", "quadratic_saddle", "--dim", "5", "--chi", "4", "--eps", "1e-3",
+                     "--seed", "1", *rest, "--out", str(tmp_path / "x")])
+        assert code == EXIT_NUMERICAL
+        assert re.fullmatch(r"numerical failure: [^\n]*\n", capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
     def test_pca_start_file_requires_matrix(self, tmp_path, capsys):
         code = main(["run", "--problem", "pca", "--dim", "4", "--start", "file",

@@ -602,10 +602,10 @@ class TestTraceColumns:
             # a run steps once per tick from tick 0, and leaves the block at the tick after its last step
             stepped = [ev for ev in events if ev.kind in (MANIFOLD_STEP, TANGENT_STEP, BOUNDARY_TRUNCATION)]
             leaves.append(len(stepped))
-            # each phase ends at tick k after n steps; the ones of two or more steps are one span, all but the last
+            # each phase ends at tick k after n steps, and is one span of all n
             ends = [(k, ev.step) for k, ev in enumerate(stepped)
                     if ev.step is not None and (k + 1 == len(stepped) or stepped[k + 1].step != ev.step + 1)]
-            assert [len(span.rows) for span in spans[i]] == [n - 1 for _, n in ends if n >= 2]
+            assert [len(span.rows) for span in spans[i]] == [n for _, n in ends]
             phases.extend((k - n + 1, k) for k, n in ends)
             with evaluated_points(problem) as points:
                 assert_same_run(trace, prgd(problem, x0, params, RngStream(1 + i, i), True))
@@ -616,6 +616,24 @@ class TestTraceColumns:
         assert max(leaves) > 3 * params.horizon
         # some run leaves while another run's phase goes on
         assert any(first < leave <= last for first, last in phases for leave in leaves)
+
+    def test_a_span_ends_with_its_phase_last_step_and_its_truncation(self):
+        problem, x0, params = pca_saddle(8, ball=0.05)
+        traces = descent.prgd_lockstep(problem, x0, params, [RngStream(3 + i, i) for i in range(20)], True)
+        alphas = []
+        for i, trace in enumerate(traces):
+            spans = [item for item in trace._log if type(item) is descent._PhaseSpan]
+            events = trace.events
+            assert events == public_api_prgd(problem, x0, params, RngStream(3 + i, i), True)[0]
+            truncations = [ev for ev in events if ev.kind == BOUNDARY_TRUNCATION]
+            assert [span.events()[-1] for span in spans if span.alpha is not None] == truncations
+            assert [span.alpha for span in spans if span.alpha is not None] == [ev.alpha for ev in truncations]
+            # a phase that the ball does not truncate runs its full horizon
+            assert all(span.events()[-1].kind == TANGENT_STEP and len(span.rows) == params.horizon
+                       for span in spans if span.alpha is None)
+            alphas.extend(span.alpha for span in spans)
+        # the ball truncates some phases and not others
+        assert None in alphas and any(alpha is not None for alpha in alphas)
 
     def test_a_kept_trace_holds_no_other_run_of_its_block(self):
         problem, x0, params = pca_saddle(50)
