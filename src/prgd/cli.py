@@ -18,20 +18,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .descent import PrgdParams, derive_params, prgd, prgd_lockstep, rgd
+from .descent import PrgdParams, derive_params, prgd
 from .errors import NumericalError
 from .manifolds import Point
 from .numerics import RngStream, _check_eig_dim, _eigenvector_rows
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
-from .verify import (
-    check_second_order_point,
-    check_second_order_points,
-    audit_trace,
-    coupling_experiment,
-    empirical_grad_lipschitz,
-    empirical_hess_lipschitz,
-    random_point,
-)
+from .verify import check_second_order_point, escape_study, random_point, verification_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=1e-3, help="gradient tolerance")
         p.add_argument("--delta", type=float, default=0.1, help="failure probability")
         p.add_argument("--mode", choices=["practical", "theoretical"], default="practical")
-        p.add_argument("--chi", type=float, help="chi for practical mode")
+        p.add_argument("--chi", type=float, help="chi for practical mode (verify: default 4)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--start", choices=["random", "saddle", "file"], default=None)
         p.add_argument("--start-file", help="path to start coordinates when --start file")
@@ -83,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     study_p.add_argument("--out", required=True, help="output prefix for .summary.json")
     study_p.add_argument("--trials", type=int, default=1)
     study_p.add_argument("--algorithm", choices=["prgd", "rgd"], default="prgd")
-    study_p.add_argument("--max-iters", type=int, default=100_000, help="step budget for the rgd baseline")
+    study_p.add_argument("--max-iters", type=int, help="step budget for the rgd baseline (default 100000)")
 
     params_p = sub.add_parser("params", help="print the derived parameter set as JSON")
     add_common(params_p)
@@ -91,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p = sub.add_parser("verify", help="run the verification battery")
     add_common(verify_p)
     verify_p.add_argument("--samples", type=int, default=2000, help="Monte-Carlo sample count")
-    verify_p.set_defaults(chi=4.0)
 
     return parser
 
@@ -122,7 +113,6 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
         return problem, v_max, problem.manifold.point(second)
     if args.matrix:
         h = load_matrix(args.matrix)
-        problem = QuadraticSaddle(h)
     else:
         if args.dim is None:
             raise ValueError("quadratic_saddle requires --matrix or --dim")
@@ -130,7 +120,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             raise ValueError("quadratic_saddle requires --dim >= 2")
         _check_eig_dim(args.dim)
         h = np.diag(np.concatenate(([-1.0], np.ones(args.dim - 1))))
-        problem = QuadraticSaddle(h)
+    problem = QuadraticSaddle(h)
     saddle = problem.manifold.point(np.zeros(problem.manifold.ambient_dim))
     return problem, None, saddle
 
@@ -150,6 +140,8 @@ def _resolve_start(args, problem, saddle) -> Point:
 
 def _setup(args) -> ProblemSetup:
     """Build the problem and its start point, and derive the one parameter record of the run."""
+    if args.chi is not None and args.mode == "theoretical":
+        raise ValueError("--chi applies to --mode practical only")
     problem, v_max, saddle = _build_problem(args)
     x0 = _resolve_start(args, problem, saddle)
     if args.problem == "pca":
@@ -165,30 +157,29 @@ def _setup(args) -> ProblemSetup:
     params = derive_params(
         epsilon=args.eps, delta=args.delta, dim=problem.manifold.intrinsic_dim,
         ell=args.ell if args.ell is not None else lip_grad, lip_grad=lip_grad, lip_hess=lip_hess,
-        ball=args.ball, gap=gap, mode=args.mode, chi=args.chi,
+        ball=args.ball, gap=gap, mode=args.mode,
+        chi=4.0 if args.chi is None and args.command == "verify" and args.mode == "practical" else args.chi,
     )
     return ProblemSetup(problem=problem, x0=x0, saddle=saddle, v_max=v_max, params=params)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        val = float(obj)
-        return val if math.isfinite(val) else repr(val)
-    return obj
+def _json(payload) -> str:
+    """The text of every JSON output: a non-finite float is written as its repr, such as "inf"."""
+
+    def plain(obj):
+        if isinstance(obj, dict):
+            return {k: plain(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [plain(v) for v in obj]
+        # float() first: under numpy 2 the repr of np.float64("inf") is 'np.float64(inf)'
+        return repr(float(obj)) if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+    return json.dumps(plain(payload), indent=2, sort_keys=True)
 
 
 def _write_json(path, payload):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json(payload) + "\n")
 
 
 def _write_trace_csv(path, trace):
@@ -196,19 +187,8 @@ def _write_trace_csv(path, trace):
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for ev in trace.events:
-            writer.writerow([ev.t, ev.kind] + [_csv_float(v) for v in (ev.f, ev.grad_norm, ev.tangent_norm)])
-
-
-def _csv_float(value) -> str:
-    return "" if value is None else repr(float(value))
-
-
-def _second_order_summary(problem, trace, params):
-    point = trace.last_small_grad_point
-    if point is None:
-        return None
-    report = check_second_order_point(problem, point, params.epsilon, params.lip_hess)
-    return report.as_dict()
+            writer.writerow([ev.t, ev.kind] + ["" if v is None else repr(float(v))
+                                               for v in (ev.f, ev.grad_norm, ev.tangent_norm)])
 
 
 def run_single(args) -> int:
@@ -217,6 +197,7 @@ def run_single(args) -> int:
     trace = prgd(setup.problem, setup.x0, params, RngStream(args.seed, 0),
                  terminate_on_no_decrease=args.terminate)
     _write_trace_csv(f"{args.out}.trace.csv", trace)
+    point = trace.last_small_grad_point
     summary = {
         "final_f": trace.final_f,
         "final_grad_norm": trace.final_grad_norm,
@@ -226,63 +207,27 @@ def run_single(args) -> int:
         "final_t": trace.final_t,
         "terminated": trace.terminated,
         "suspected_second_order": trace.suspected_second_order,
-        "second_order": _second_order_summary(setup.problem, trace, params),
+        "second_order": (None if point is None else
+                         check_second_order_point(setup.problem, point, params.epsilon, params.lip_hess).as_dict()),
         "params": asdict(params),
     }
     _write_json(f"{args.out}.summary.json", summary)
     return EXIT_OK
 
 
-@dataclass
-class TrialResult:
-    seed: int
-    stream: int
-    trace: object
-    report: object
-    alignment: float | None
-
-
-def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials: int,
-                 algorithm: str = "prgd", terminate: bool = True,
-                 rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
-    """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
-
-    PRGD trials run in lockstep, as one `prgd_lockstep` block, whose traces
-    keep each phase's steps in an array of its own until their events are read.
-    `rgd` draws nothing, so its trials are one run: it runs and is certified
-    once, and every trial record repeats it. The final points are certified
-    by one `check_second_order_points` call, in stacked blocks of about
-    `verify.SWEEP_BLOCK_FLOATS` floats (at d=50, all of a 10-trial study).
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if algorithm == "rgd":
-        traces = [rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters)]
-    else:
-        traces = prgd_lockstep(problem, x0, params, [RngStream(base_seed + i, i) for i in range(trials)],
-                               terminate_on_no_decrease=terminate)
-    reports = check_second_order_points(problem, [trace.final_point for trace in traces], params.epsilon,
-                                        params.lip_hess)
-    outcomes = []
-    for trace, report in zip(traces, reports):
-        alignment = None
-        if v_max is not None:
-            alignment = abs(float(trace.final_point.coords @ v_max))
-        outcomes.append((trace, report, alignment))
-    if algorithm == "rgd":
-        outcomes *= trials
-    return [TrialResult(base_seed + i, i, *outcome) for i, outcome in enumerate(outcomes)]
-
-
 def run_escape_study(args) -> int:
     if args.trials < 1:
         raise ValueError("--trials must be at least 1")
+    if args.algorithm == "prgd" and args.max_iters is not None:
+        raise ValueError("--max-iters applies to --algorithm rgd only")
+    if args.algorithm == "rgd" and not args.terminate:
+        raise ValueError("--no-terminate applies to --algorithm prgd only")
     setup = _setup(args)
     params = setup.params
     results = escape_study(
         setup.problem, setup.x0, params, args.seed, args.trials,
         algorithm=args.algorithm, terminate=args.terminate,
-        rgd_max_iters=args.max_iters, v_max=setup.v_max,
+        rgd_max_iters=100_000 if args.max_iters is None else args.max_iters, v_max=setup.v_max,
     )
     records = []
     for res in results:
@@ -312,76 +257,18 @@ def run_escape_study(args) -> int:
 
 
 def derive_params_cmd(args) -> int:
-    setup = _setup(args)
-    print(json.dumps(_jsonable(asdict(setup.params)), indent=2, sort_keys=True))
+    print(_json(asdict(_setup(args).params)))
     return EXIT_OK
 
 
 def verify_cmd(args) -> int:
     setup = _setup(args)
-    problem = setup.problem
-    manifold = problem.manifold
-    checks = []
-
-    rng = RngStream(args.seed, 101)
-    worst_acc = 0.0
-    for _ in range(100):
-        x, rng = random_point(manifold, rng)
-        direction, rng = manifold.sample_ball(x, 1.0, rng)
-        if direction.norm < 1e-12:
-            continue
-        unit = manifold.project(x, direction.coords / direction.norm)
-        worst_acc = max(worst_acc, manifold.check_second_order(x, unit))
-    checks.append(("retraction_second_order", worst_acc <= 1e-6, f"max acceleration residual {worst_acc:.3e}"))
-
-    if isinstance(problem, PcaProblem):
-        consts = problem.constants()
-        grad_bound, hess_bound = consts.lip_grad, consts.lip_hess
-    else:
-        grad_bound = problem.norm * (1.0 + 1e-9)
-        hess_bound = 1e-4 * max(problem.norm, 1.0)
-    grad_ratio = empirical_grad_lipschitz(problem, 5.0, args.samples, RngStream(args.seed, 102))
-    checks.append(("gradient_lipschitz_bound", grad_ratio <= grad_bound,
-                   f"max ratio {grad_ratio:.6f} vs bound {grad_bound:.6f}"))
-    hess_samples = max(args.samples // 10, 10)
-    hess_ratio = empirical_hess_lipschitz(problem, 5.0, hess_samples, rng=RngStream(args.seed, 103))
-    checks.append(("hessian_lipschitz_bound", hess_ratio <= hess_bound,
-                   f"max ratio {hess_ratio:.6f} vs bound {hess_bound:.6f}"))
-
-    params = setup.params
-    if setup.v_max is not None:
-        rep_top = check_second_order_point(problem, manifold.point(setup.v_max), params.epsilon, params.lip_hess)
-        checks.append(("criticality_at_dominant", rep_top.verdict, f"min eig {rep_top.min_eig_pullback:.6f}"))
-    rep_saddle = check_second_order_point(problem, setup.saddle, params.epsilon, params.lip_hess)
-    checks.append(("criticality_at_saddle", not rep_saddle.verdict, f"min eig {rep_saddle.min_eig_pullback:.6f}"))
-
-    trace = prgd(problem, setup.saddle, params, RngStream(args.seed, 0), terminate_on_no_decrease=True)
-    audit = audit_trace(trace, params)
-    checks.append(("trace_audit", audit.ok,
-                   audit.first_violation or
-                   f"{audit.n_manifold_steps} manifold steps, {audit.n_phases} phases clean"))
-
-    coupling_chi = 24.0 if isinstance(problem, PcaProblem) else 20.0
-    coupling_eps = args.eps if isinstance(problem, PcaProblem) else 0.01
-    cparams = derive_params(
-        epsilon=coupling_eps, delta=params.delta, dim=params.dim,
-        ell=params.ell, lip_grad=params.lip_grad, lip_hess=params.lip_hess,
-        ball=params.ball, gap=params.gap, mode="practical", chi=coupling_chi,
-    )
-    try:
-        drops = coupling_experiment(problem, setup.saddle, cparams, 2.0 * cparams.radius)
-        ok = min(drops) <= -cparams.score_drop
-        detail = f"min drop {min(drops):.3e} vs -score_drop {-cparams.score_drop:.3e}"
-    except ValueError as exc:
-        ok, detail = False, str(exc)
-    checks.append(("coupling_escape", ok, detail))
-
-    failed = 0
+    checks = verification_checks(setup.problem, setup.saddle, setup.v_max, setup.params, args.seed, args.samples)
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failed += 0 if ok else 1
-    print(f"{len(checks) - failed}/{len(checks)} checks passed")
-    return EXIT_OK if failed == 0 else EXIT_NUMERICAL
+    passed = sum(ok for _, ok, _ in checks)
+    print(f"{passed}/{len(checks)} checks passed")
+    return EXIT_OK if passed == len(checks) else EXIT_NUMERICAL
 
 
 def main(argv=None) -> int:

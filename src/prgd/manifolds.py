@@ -18,13 +18,14 @@ TANGENT_TOL = 1e-10
 RETRACTION_CHECK_H = 1e-4
 
 
-@dataclass(frozen=True)
+# eq=False: equality and hash are identity, as for any object; `same_point` compares values
+@dataclass(frozen=True, eq=False)
 class Point:
     manifold: "Manifold"
     coords: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tangent:
     base: Point
     coords: np.ndarray

@@ -1,4 +1,4 @@
-"""Executable checks: criticality reports, empirical Lipschitz bounds, trace audits, coupled escapes."""
+"""Executable checks: criticality reports, Lipschitz bounds, trace audits, coupled escapes, `prgd verify`, studies."""
 
 from __future__ import annotations
 
@@ -15,6 +15,10 @@ from .descent import (
     TANGENT_STEP,
     PrgdParams,
     RunTrace,
+    derive_params,
+    prgd,
+    prgd_lockstep,
+    rgd,
     tangent_space_steps,
 )
 from .errors import NumericalError
@@ -32,6 +36,7 @@ from .numerics import (
     fd_hessian_from_gradients,
     sample_unit_ball,
 )
+from .problems import PcaProblem
 from .pullback import Pullback, pullback_gradient_rows, pullback_step
 
 AUDIT_SLACK = 1e-9
@@ -366,3 +371,99 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tup
         _, events = tangent_space_steps(pull, s0, params.eta, params.ball, params.horizon)
         drops.append(events[-1].f - f_start)  # the last step's value is f at the phase's end
     return drops[0], drops[1]
+
+
+def verification_checks(problem, saddle: Point, v_max, params: PrgdParams, seed: int,
+                        samples: int) -> list[tuple[str, bool, str]]:
+    """The `prgd verify` battery: (name, passed, detail) per check, in print order.
+
+    Seven checks for a `PcaProblem`, whose dominant eigenvector `v_max` is certified beside the saddle,
+    and six for a quadratic saddle. Each check draws from its own stream of `seed`.
+    """
+    manifold = problem.manifold
+    if isinstance(problem, PcaProblem):
+        consts = problem.constants()
+        grad_bound, hess_bound = consts.lip_grad, consts.lip_hess
+        coupling_chi, coupling_eps = 24.0, params.epsilon
+        points = [manifold.point(v_max), saddle]
+    else:
+        grad_bound = problem.norm * (1.0 + 1e-9)
+        hess_bound = 1e-4 * max(problem.norm, 1.0)
+        coupling_chi, coupling_eps = 20.0, 0.01
+        points = [saddle]
+
+    rng = RngStream(seed, 101)
+    worst_acc = 0.0
+    for _ in range(100):
+        x, rng = random_point(manifold, rng)
+        direction, rng = manifold.sample_ball(x, 1.0, rng)
+        if direction.norm < 1e-12:
+            continue
+        unit = manifold.project(x, direction.coords / direction.norm)
+        worst_acc = max(worst_acc, manifold.check_second_order(x, unit))
+    checks = [("retraction_second_order", worst_acc <= 1e-6, f"max acceleration residual {worst_acc:.3e}")]
+    grad_ratio = empirical_grad_lipschitz(problem, 5.0, samples, RngStream(seed, 102))
+    checks.append(("gradient_lipschitz_bound", grad_ratio <= grad_bound,
+                   f"max ratio {grad_ratio:.6f} vs bound {grad_bound:.6f}"))
+    hess_ratio = empirical_hess_lipschitz(problem, 5.0, max(samples // 10, 10), rng=RngStream(seed, 103))
+    checks.append(("hessian_lipschitz_bound", hess_ratio <= hess_bound,
+                   f"max ratio {hess_ratio:.6f} vs bound {hess_bound:.6f}"))
+    *top, rep_saddle = check_second_order_points(problem, points, params.epsilon, params.lip_hess)
+    for rep in top:
+        checks.append(("criticality_at_dominant", rep.verdict, f"min eig {rep.min_eig_pullback:.6f}"))
+    checks.append(("criticality_at_saddle", not rep_saddle.verdict, f"min eig {rep_saddle.min_eig_pullback:.6f}"))
+    audit = audit_trace(prgd(problem, saddle, params, RngStream(seed, 0), terminate_on_no_decrease=True), params)
+    checks.append(("trace_audit", audit.ok,
+                   audit.first_violation or f"{audit.n_manifold_steps} manifold steps, {audit.n_phases} phases clean"))
+    cparams = derive_params(epsilon=coupling_eps, delta=params.delta, dim=params.dim, ell=params.ell,
+                            lip_grad=params.lip_grad, lip_hess=params.lip_hess, ball=params.ball, gap=params.gap,
+                            mode="practical", chi=coupling_chi)
+    try:
+        drops = coupling_experiment(problem, saddle, cparams, 2.0 * cparams.radius)
+        ok = min(drops) <= -cparams.score_drop
+        detail = f"min drop {min(drops):.3e} vs -score_drop {-cparams.score_drop:.3e}"
+    except ValueError as exc:
+        ok, detail = False, str(exc)
+    checks.append(("coupling_escape", ok, detail))
+    return checks
+
+
+@dataclass
+class TrialResult:
+    seed: int
+    stream: int
+    trace: object
+    report: object
+    alignment: float | None
+
+
+def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials: int,
+                 algorithm: str = "prgd", terminate: bool = True,
+                 rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
+    """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
+
+    PRGD trials run in lockstep, as one `prgd_lockstep` block, whose traces
+    keep each phase's steps in an array of its own until their events are read.
+    `rgd` draws nothing, so its trials are one run: it runs and is certified
+    once, and every trial record repeats it. The final points are certified
+    by one `check_second_order_points` call, in stacked blocks of about
+    `SWEEP_BLOCK_FLOATS` floats (at d=50, all of a 10-trial study).
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    if algorithm == "rgd":
+        traces = [rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters)]
+    else:
+        traces = prgd_lockstep(problem, x0, params, [RngStream(base_seed + i, i) for i in range(trials)],
+                               terminate_on_no_decrease=terminate)
+    reports = check_second_order_points(problem, [trace.final_point for trace in traces], params.epsilon,
+                                        params.lip_hess)
+    outcomes = []
+    for trace, report in zip(traces, reports):
+        alignment = None
+        if v_max is not None:
+            alignment = abs(float(trace.final_point.coords @ v_max))
+        outcomes.append((trace, report, alignment))
+    if algorithm == "rgd":
+        outcomes *= trials
+    return [TrialResult(base_seed + i, i, *outcome) for i, outcome in enumerate(outcomes)]

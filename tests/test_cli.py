@@ -9,6 +9,7 @@ from prgd import cli
 from prgd.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, _build_problem, build_parser, main
 from prgd.numerics import EIG_DIM_LIMIT
 from prgd.problems import save_matrix
+from prgd.verify import verification_checks
 
 
 class TestRun:
@@ -96,6 +97,28 @@ class TestRun:
                      "--out", str(tmp_path / "x")])
         assert code == EXIT_CONFIG
         assert "chi" in capsys.readouterr().err
+
+
+class TestIgnoredFlags:
+    """A flag that the command would ignore is a configuration error, raised before any set-up work."""
+
+    @pytest.mark.parametrize("flag, command", [
+        ("--chi", "run --mode theoretical --ball 1.0 --chi 4 --terminate --out x"),
+        ("--chi", "study --mode theoretical --ball 1.0 --chi 4 --out x"),
+        ("--chi", "params --mode theoretical --ball 1.0 --chi 4"),
+        ("--chi", "verify --mode theoretical --ball 1.0 --chi 4 --samples 10"),
+        ("--max-iters", "study --chi 4 --algorithm prgd --max-iters 5 --out x"),
+        ("--no-terminate", "study --chi 4 --algorithm rgd --no-terminate --out x"),
+    ])
+    def test_ignored_flag_is_config_error(self, flag, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "_build_problem", lambda args: pytest.fail("set-up ran"))
+        name, *rest = command.split()
+        assert main([name, "--problem", "pca", "--dim", "5", *rest]) == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error: {flag} [^\n]*\n", err)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestParams:
@@ -283,6 +306,8 @@ class TestOverrides:
         ("--gap", "2.5", "gap", 2.5),
         ("--delta", "0.01", "horizon", None),
         ("--max-iters", "3", "final_t", 3),
+        # None, not 0, is the unset budget
+        ("--max-iters", "0", "final_t", 0),
     ])
     def test_override_sets_its_field(self, flag, value, field, expected, tmp_path, capsys):
         def read(extra):
@@ -348,6 +373,22 @@ class TestVerify:
         assert code == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("problem, names", [
+        ("pca", ["retraction_second_order", "gradient_lipschitz_bound", "hessian_lipschitz_bound",
+                 "criticality_at_dominant", "criticality_at_saddle", "trace_audit", "coupling_escape"]),
+        ("quadratic_saddle", ["retraction_second_order", "gradient_lipschitz_bound", "hessian_lipschitz_bound",
+                              "criticality_at_saddle", "trace_audit", "coupling_escape"]),
+    ])
+    def test_one_printed_line_per_check(self, problem, names, capsys):
+        argv = ["verify", "--problem", problem, "--dim", "12"]
+        setup = cli._setup(build_parser().parse_args(argv))
+        checks = verification_checks(setup.problem, setup.saddle, setup.v_max, setup.params, 0, 2000)
+        assert [name for name, _, _ in checks] == names
+        assert all(ok for _, ok, _ in checks)
+        assert main(argv) == EXIT_OK
+        lines = [f"PASS {name}: {detail}" for name, _, detail in checks]
+        assert capsys.readouterr().out.splitlines() == lines + [f"{len(names)}/{len(names)} checks passed"]
+
 
 class TestParser:
     CALLS = [
@@ -371,7 +412,7 @@ class TestParser:
             assert got == vars(build_parser.__wrapped__().parse_args(argv))
         study, run, verify, params, study_again = seen
         assert run["terminate"] is False and run["seed"] == 0 and "trials" not in run
-        assert verify["chi"] == 4.0 and params["chi"] is None and "samples" not in params
+        assert verify["chi"] is None and params["chi"] is None and "samples" not in params
         assert study_again["terminate"] is True and study_again["algorithm"] == "prgd"
         assert (study_again["trials"], study_again["eps"], study_again["ball"]) == (1, 1e-3, math.inf)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prgd import cli, descent, verify
+from prgd import descent, verify
 from prgd.cli import DEFAULT_QUAD_GAP, escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
@@ -467,13 +467,13 @@ class TestStudyEqualsSingleRuns:
 
     def check(self, monkeypatch, problem, x0, params, trials, terminate=True):
         # the block's points, not the certificates'
-        block, lockstep = [], cli.prgd_lockstep
+        block, lockstep = [], verify.prgd_lockstep
 
         def recorded_lockstep(*args, **kwargs):
             with evaluated_points(problem, block):
                 return lockstep(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "prgd_lockstep", recorded_lockstep)
+        monkeypatch.setattr(verify, "prgd_lockstep", recorded_lockstep)
         study = escape_study(problem, x0, params, base_seed=1, trials=trials, terminate=terminate)
         singles = []
         for i, res in enumerate(study):
@@ -924,15 +924,15 @@ class TestRgd:
             with evaluated_points(problem, study_points):
                 return rgd(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "rgd", recorded_rgd)
+        monkeypatch.setattr(verify, "rgd", recorded_rgd)
         calls = {"rgd": 0, "check_second_order_points": 0}
         certified = []
         for name in calls:
-            def counted(*args, _original=getattr(cli, name), _name=name, **kwargs):
+            def counted(*args, _original=getattr(verify, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(verify, name, counted)
         monkeypatch.setattr(verify, "fd_hessian_from_gradients",
                             lambda gradients, manifold, x, frame, center: certified.append(len(x))
                             or fd_hessian_from_gradients(gradients, manifold, x, frame, center))

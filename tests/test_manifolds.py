@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from prgd.manifolds import Euclidean, Manifold, Sphere, Tangent
+from prgd.manifolds import Euclidean, Manifold, Sphere, Tangent, same_point
 from prgd.numerics import RngStream, sample_unit_ball
 from sweep_oracles import dense_ball_tangent, frame_ball_tangent, householder_basis
 
@@ -63,6 +63,16 @@ class TestPointsAndTangents:
 
     def test_euclidean_point_any_coords(self):
         Euclidean(2).point([5.0, -3.0])
+
+    @pytest.mark.parametrize("manifold, coords", [(Sphere(3), [1.0, 0.0, 0.0]), (Euclidean(1), [2.0]),
+                                                  (Euclidean(2), [5.0, -3.0])])
+    def test_equality_and_hash_are_identity(self, manifold, coords):
+        # the generated value comparison raised on array coordinates; `same_point` compares values
+        x, y = manifold.point(coords), manifold.point(coords)
+        s, t = manifold.tangent(x, np.zeros(len(coords))), manifold.tangent(x, np.zeros(len(coords)))
+        assert x == x and x != y and s == s and s != t
+        assert len({x, y, s, t}) == 4 and {x: 1}[x] == 1
+        assert same_point(x, y)
 
 
 class TestProject:
