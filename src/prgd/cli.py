@@ -59,19 +59,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rho", type=float, help="override the pullback Hessian Lipschitz bound")
         p.add_argument("--ball", type=float, default=math.inf, help="tangent ball radius b (default +inf)")
 
-    def add_terminate(p, default):
+    def add_terminate(p):
+        # None when not given, so that a study can tell an explicit flag from its default
         p.add_argument("--terminate", action=argparse.BooleanOptionalAction,
                        help="halt once a perturbation phase fails to decrease (default: off for run, on for study)")
-        p.set_defaults(terminate=default)
 
     run_p = sub.add_parser("run", help="one seeded PRGD run")
     add_common(run_p)
-    add_terminate(run_p, False)
+    add_terminate(run_p)
     run_p.add_argument("--out", required=True, help="output prefix for .trace.csv and .summary.json")
 
     study_p = sub.add_parser("study", help="multi-trial escape-rate study from a saddle")
     add_common(study_p)
-    add_terminate(study_p, True)
+    add_terminate(study_p)
     study_p.add_argument("--out", required=True, help="output prefix for .summary.json")
     study_p.add_argument("--trials", type=int, default=1)
     study_p.add_argument("--algorithm", choices=["prgd", "rgd"], default="prgd")
@@ -195,7 +195,7 @@ def run_single(args) -> int:
     setup = _setup(args)
     params = setup.params
     trace = prgd(setup.problem, setup.x0, params, RngStream(args.seed, 0),
-                 terminate_on_no_decrease=args.terminate)
+                 terminate_on_no_decrease=args.terminate is True)
     _write_trace_csv(f"{args.out}.trace.csv", trace)
     point = trace.last_small_grad_point
     summary = {
@@ -220,13 +220,13 @@ def run_escape_study(args) -> int:
         raise ValueError("--trials must be at least 1")
     if args.algorithm == "prgd" and args.max_iters is not None:
         raise ValueError("--max-iters applies to --algorithm rgd only")
-    if args.algorithm == "rgd" and not args.terminate:
-        raise ValueError("--no-terminate applies to --algorithm prgd only")
+    if args.algorithm == "rgd" and args.terminate is not None:
+        raise ValueError(f"--{'' if args.terminate else 'no-'}terminate applies to --algorithm prgd only")
     setup = _setup(args)
     params = setup.params
     results = escape_study(
         setup.problem, setup.x0, params, args.seed, args.trials,
-        algorithm=args.algorithm, terminate=args.terminate,
+        algorithm=args.algorithm, terminate=args.terminate is not False,
         rgd_max_iters=100_000 if args.max_iters is None else args.max_iters, v_max=setup.v_max,
     )
     records = []

@@ -297,7 +297,7 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
         raise ValueError("ball must be positive")
     if not (isinstance(horizon, int) and horizon >= 1):
         raise ValueError("horizon must be an integer >= 1")
-    pull._check_arg(s0)
+    pull.manifold._check_tangent(s0, at=pull.base)
     if s0.norm > ball:
         raise ValueError(f"requires ||s0|| <= ball, got {s0.norm!r} > {ball!r}")
 
@@ -391,8 +391,8 @@ def prgd_lockstep(
     at a new anchor, never in the middle of a phase. Rows share no arithmetic,
     so trace i is bit-identical to `prgd(problem, x0, params, rngs[i], ...)`.
     """
-    problem._check_point(x0)
     manifold = problem.manifold
+    manifold._check_point(x0)
     eta, ball, horizon = params.eta, params.ball, params.horizon
     start = np.ascontiguousarray(x0.coords)
     f0, grad0 = problem._value_and_gradient_array(start)
@@ -527,8 +527,8 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
         raise ValueError("epsilon must be nonnegative")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
-    problem._check_point(x0)
     manifold = problem.manifold
+    manifold._check_point(x0)
     x = x0.coords
     # one fused call per iterate gives its value and the next loop-top gradient
     f_x, grad = problem._value_and_gradient_array(x)

@@ -76,14 +76,18 @@ class Manifold:
         return self._retract_scaled_array(x, s)[0]
 
     def _check_point(self, x: Point):
-        if x.manifold != self:
-            raise ValueError(f"point belongs to manifold {x.manifold.name}, expected {self.name}")
+        """The one check of a `Point` argument: a point of this manifold, with the ambient shape."""
+        if x.manifold != self or x.coords.shape != (self.ambient_dim,):
+            raise ValueError(f"expected a point of {self.name} with shape ({self.ambient_dim},), "
+                             f"got one of {x.manifold.name} with shape {x.coords.shape}")
 
-    def _check_tangent(self, s: Tangent):
-        if s.base.manifold != self:
-            raise ValueError(f"base of tangent belongs to manifold {s.base.manifold.name}, expected {self.name}")
-        if s.coords.shape != (self.ambient_dim,):
-            raise ValueError(f"tangent has shape {s.coords.shape}, expected ({self.ambient_dim},)")
+    def _check_tangent(self, s: Tangent, at: Point):
+        """The one check of a `Tangent` argument: the ambient shape, and based at the checked point `at` (the same
+        object, else `same_point`), which puts its base on this manifold."""
+        based = s.base is at or same_point(s.base, at)
+        if not based or s.coords.shape != (self.ambient_dim,):
+            raise ValueError(f"expected a tangent vector of shape ({self.ambient_dim},) at the given point of "
+                             f"{self.name}, got shape {s.coords.shape} {'there' if based else 'elsewhere'}")
 
     def tangent(self, base: Point, coords) -> Tangent:
         """Wrap validated coordinates as a tangent vector at `base`; the normal part must be within TANGENT_TOL."""
@@ -105,9 +109,8 @@ class Manifold:
         return Tangent(x, self._project_array(x.coords, v))
 
     def retract(self, x: Point, s: Tangent) -> Point:
-        self._check_tangent(s)
-        if not same_point(s.base, x):
-            raise ValueError("tangent vector is not based at the retraction point")
+        self._check_point(x)
+        self._check_tangent(s, at=x)
         return Point(self, self._retract_array(x.coords, s.coords))
 
     def retract_many(self, x: np.ndarray, tangents: np.ndarray) -> np.ndarray:
@@ -116,12 +119,10 @@ class Manifold:
 
     def retraction_adjoint(self, x: Point, s: Tangent, w: Tangent) -> Tangent:
         """Adjoint of the retraction differential, pulling w at Retr_x(s) back to x."""
-        self._check_tangent(s)
-        if not same_point(s.base, x):
-            raise ValueError("tangent vector is not based at x")
+        self._check_point(x)
+        self._check_tangent(s, at=x)
         y, scale = self._retract_scaled_array(x.coords, s.coords)
-        if not (w.base.manifold == self and np.array_equal(w.base.coords, y)):
-            raise ValueError("w must be a tangent vector at Retr_x(s)")
+        self._check_tangent(w, at=Point(self, y))
         return Tangent(x, self._scaled_adjoint_array(x.coords, scale, w.coords))
 
     def sample_ball(self, x: Point, radius: float, rng: RngStream) -> tuple[Tangent, RngStream]:
@@ -141,9 +142,10 @@ class Manifold:
     def check_second_order(self, x: Point, s: Tangent) -> float:
         """Finite-difference norm of the intrinsic initial acceleration of t -> Retr_x(t s).
 
-        Requires a unit tangent s; a second-order retraction returns ~0. The step is RETRACTION_CHECK_H.
+        Requires a unit tangent s at x; a second-order retraction returns ~0. The step is RETRACTION_CHECK_H.
         """
-        self._check_tangent(s)
+        self._check_point(x)
+        self._check_tangent(s, at=x)
         if abs(s.norm - 1.0) > 1e-9:
             raise ValueError("check_second_order requires a unit tangent vector")
         h = RETRACTION_CHECK_H
@@ -206,10 +208,9 @@ class Euclidean(Manifold):
     retraction_adjoint = Manifold.retraction_adjoint
 
     def check_second_order(self, x, s) -> float:
-        # radial curves are straight lines; the acceleration is identically zero
-        self._check_tangent(s)
-        if abs(s.norm - 1.0) > 1e-9:
-            raise ValueError("check_second_order requires a unit tangent vector")
+        # the base method checks the arguments; radial curves are straight lines, so the acceleration is exactly
+        # zero where its differences round
+        super().check_second_order(x, s)
         return 0.0
 
 

@@ -28,11 +28,11 @@ class CostFunction:
     manifold: Manifold
 
     def value(self, x: Point) -> float:
-        self._check_point(x)
+        self.manifold._check_point(x)
         return float(self._value_and_gradient_array(x.coords)[0])
 
     def riemannian_gradient(self, x: Point) -> Tangent:
-        self._check_point(x)
+        self.manifold._check_point(x)
         grad = self._value_and_gradient_array(x.coords)[1]
         if not np.all(np.isfinite(grad)):
             raise NumericalError("Riemannian gradient is non-finite")
@@ -52,12 +52,6 @@ class CostFunction:
     def value_many(self, coords: np.ndarray) -> np.ndarray:
         """Values at rows of `coords` (manifold points in ambient coordinates)."""
         return self._value_and_gradient_array(coords)[0]
-
-    def _check_point(self, x: Point):
-        if x.manifold != self.manifold:
-            raise ValueError(
-                f"point lives on {x.manifold.name}, but the cost is defined on {self.manifold.name}"
-            )
 
 
 @dataclass(frozen=True)

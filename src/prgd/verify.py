@@ -93,8 +93,8 @@ def riemannian_hessian_matrix(problem, x: Point) -> np.ndarray:
     gradient, 2k gradient evaluations, O(k*n) memory, give it to O(h^2); taking
     them in the tangent basis applies the projection.
     """
-    problem._check_point(x)
     manifold = problem.manifold
+    manifold._check_point(x)
     return fd_hessian_from_gradients(
         lambda tangents: problem.riemannian_gradient_many(manifold.retract_many(x.coords, tangents)),
         manifold, x.coords, manifold._tangent_frame_array(x.coords), 0.0)

@@ -25,6 +25,7 @@ from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
 from prgd.pullback import Pullback
 from prgd.verify import audit_trace, coupling_experiment, random_point
 from fd_oracles import fd_gradient
+from near_bar import near_bar_matrix
 from conftest import collapsed, evaluated_points, recorded
 from reference_pgd import reference_pgd
 
@@ -273,3 +274,20 @@ def test_criterion_10_parameter_pipeline():
     worst = max(abs(got - want) / abs(want) for got, want in checks.values())
     report(10, "parameter pipeline", worst <= 1e-12,
            f"chi0={chi0:.12f}, horizon={horizon}, worst relative mismatch {worst:.2e}")
+
+
+@pytest.mark.parametrize("kappa", [1.1, 3.0])
+def test_theoretical_mode_escapes_saddles_near_the_curvature_bar(kappa):
+    # fixed before the first run, not tuned: d = 20, ball 1.0, eps = 1e-3, 20 trials on RngStream(1 + i, i)
+    eps = 1e-3
+    matrix, q = near_bar_matrix(20, kappa, eps)
+    problem = PcaProblem(matrix)
+    saddle = problem.manifold.point(q[:, 1])
+    consts = problem.constants()
+    params = derive_params(epsilon=eps, delta=0.1, dim=19, ell=consts.lip_grad, lip_grad=consts.lip_grad,
+                           lip_hess=consts.lip_hess, ball=1.0, gap=problem.value(saddle) - problem.f_star,
+                           mode="theoretical")
+    trials = escape_study(problem, saddle, params, base_seed=1, trials=20, v_max=q[:, 0])
+    escaped = [res for res in trials if res.alignment >= 0.99]
+    assert len(escaped) >= 0.9 * len(trials), f"{len(escaped)}/20 escaped at kappa {kappa}"
+    assert all(res.report.verdict for res in escaped), [res.report.as_dict() for res in escaped]

@@ -109,6 +109,7 @@ class TestIgnoredFlags:
         ("--chi", "verify --mode theoretical --ball 1.0 --chi 4 --samples 10"),
         ("--max-iters", "study --chi 4 --algorithm prgd --max-iters 5 --out x"),
         ("--no-terminate", "study --chi 4 --algorithm rgd --no-terminate --out x"),
+        ("--terminate", "study --chi 4 --algorithm rgd --terminate --out x"),
     ])
     def test_ignored_flag_is_config_error(self, flag, command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -411,9 +412,10 @@ class TestParser:
         for argv, got in zip(self.CALLS, seen):
             assert got == vars(build_parser.__wrapped__().parse_args(argv))
         study, run, verify, params, study_again = seen
-        assert run["terminate"] is False and run["seed"] == 0 and "trials" not in run
+        # --terminate is None when not given; `run_single` and `run_escape_study` resolve it
+        assert run["terminate"] is None and run["seed"] == 0 and "trials" not in run
         assert verify["chi"] is None and params["chi"] is None and "samples" not in params
-        assert study_again["terminate"] is True and study_again["algorithm"] == "prgd"
+        assert study_again["terminate"] is None and study_again["algorithm"] == "prgd"
         assert (study_again["trials"], study_again["eps"], study_again["ball"]) == (1, 1e-3, math.inf)
 
     def test_bad_input_still_exits_2(self, monkeypatch, capsys):
