@@ -11,9 +11,8 @@ from .descent import (
     rgd,
     tangent_space_steps,
 )
-from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import RngStream, min_eigpair, operator_norm, sample_unit_ball
+from .numerics import NumericalError, RngStream, min_eigpair, operator_norm, sample_unit_ball
 from .problems import CostFunction, PcaProblem, QuadraticSaddle, load_matrix, save_matrix, synthetic_matrix
 from .pullback import Pullback
 from .verify import (

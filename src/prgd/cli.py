@@ -19,11 +19,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .descent import PrgdParams, derive_params, prgd
-from .errors import NumericalError
 from .manifolds import Point
-from .numerics import RngStream, _check_eig_dim, _eigenvector_rows
+from .numerics import NumericalError, RngStream, _check_eig_dim, _eigenvector_rows
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
-from .verify import check_second_order_point, escape_study, random_point, verification_checks
+from .verify import RGD_MAX_ITERS, check_second_order_point, escape_study, random_point, verification_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -75,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     study_p.add_argument("--out", required=True, help="output prefix for .summary.json")
     study_p.add_argument("--trials", type=int, default=1)
     study_p.add_argument("--algorithm", choices=["prgd", "rgd"], default="prgd")
-    study_p.add_argument("--max-iters", type=int, help="step budget for the rgd baseline (default 100000)")
+    study_p.add_argument("--max-iters", type=int, help=f"step budget for the rgd baseline (default {RGD_MAX_ITERS})")
 
     params_p = sub.add_parser("params", help="print the derived parameter set as JSON")
     add_common(params_p)
@@ -191,6 +190,12 @@ def _write_trace_csv(path, trace):
                                                for v in (ev.f, ev.grad_norm, ev.tangent_norm)])
 
 
+def _outcome(trace) -> dict:
+    """How a run ended: the fields that a run's summary and a study's trial record share."""
+    return {"final_f": trace.final_f, "final_grad_norm": trace.final_grad_norm, "final_t": trace.final_t,
+            "gradient_queries": trace.gradient_queries, "terminated": trace.terminated}
+
+
 def run_single(args) -> int:
     setup = _setup(args)
     params = setup.params
@@ -199,13 +204,9 @@ def run_single(args) -> int:
     _write_trace_csv(f"{args.out}.trace.csv", trace)
     point = trace.last_small_grad_point
     summary = {
-        "final_f": trace.final_f,
-        "final_grad_norm": trace.final_grad_norm,
+        **_outcome(trace),
         "n_perturbations": trace.n_perturbations,
         "n_manifold_steps": trace.n_manifold_steps,
-        "gradient_queries": trace.gradient_queries,
-        "final_t": trace.final_t,
-        "terminated": trace.terminated,
         "suspected_second_order": trace.suspected_second_order,
         "second_order": (None if point is None else
                          check_second_order_point(setup.problem, point, params.epsilon, params.lip_hess).as_dict()),
@@ -227,18 +228,14 @@ def run_escape_study(args) -> int:
     results = escape_study(
         setup.problem, setup.x0, params, args.seed, args.trials,
         algorithm=args.algorithm, terminate=args.terminate is not False,
-        rgd_max_iters=100_000 if args.max_iters is None else args.max_iters, v_max=setup.v_max,
+        rgd_max_iters=RGD_MAX_ITERS if args.max_iters is None else args.max_iters, v_max=setup.v_max,
     )
     records = []
     for res in results:
         rec = {
             "seed": res.seed,
             "stream": res.stream,
-            "final_f": res.trace.final_f,
-            "final_grad_norm": res.trace.final_grad_norm,
-            "final_t": res.trace.final_t,
-            "gradient_queries": res.trace.gradient_queries,
-            "terminated": res.trace.terminated,
+            **_outcome(res.trace),
             "escaped": res.report.verdict,
             "min_eig_pullback": res.report.min_eig_pullback,
         }

@@ -8,9 +8,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
 from .manifolds import Point, Tangent
-from .numerics import RngStream, _norm, sample_unit_ball
+from .numerics import NumericalError, RngStream, _norm, sample_unit_ball
 from .pullback import Pullback, pullback_step
 
 MANIFOLD_STEP = "manifold_step"
@@ -23,14 +22,19 @@ _CHI_FLOOR = 0.25 + 1e-9
 _BUDGET_LIMIT = 2**63
 
 
+def _check_positive_finite(**values: float) -> None:
+    """Raise for the first of the named values that is not positive and finite: NaN and infinity included."""
+    for name, val in values.items():
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+
+
 def _check_inputs(mode: str, epsilon: float, delta: float, dim: int, ell: float, lip_hess: float, gap: float,
                   chi: float | None) -> None:
     """The input checks `PrgdParams` shares with `derive_params`, run before its formulas; a None chi is skipped."""
     if mode not in ("theoretical", "practical"):
         raise ValueError(f"mode must be 'theoretical' or 'practical', got {mode!r}")
-    for name, val in (("epsilon", epsilon), ("ell", ell), ("lip_hess", lip_hess), ("gap", gap)):
-        if not 0 < val < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+    _check_positive_finite(epsilon=epsilon, ell=ell, lip_hess=lip_hess, gap=gap)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if dim < 1:
@@ -237,10 +241,7 @@ def boundary_alpha(s: np.ndarray, g: np.ndarray, eta: float, ball: float) -> flo
     `s` and `g` are coordinate arrays. Solves the boundary quadratic with the
     numerically stable root; requires ||s|| < ball and ||s - eta*g|| >= ball.
     """
-    if not (eta > 0):
-        raise ValueError("eta must be positive")
-    if not (ball > 0 and math.isfinite(ball)):
-        raise ValueError("ball must be positive and finite")
+    _check_positive_finite(eta=eta, ball=ball)
     s_norm = float(np.linalg.norm(s))
     if s_norm >= ball:
         raise NumericalError(f"boundary step requires ||s|| < ball, got {s_norm!r} >= {ball!r}")
@@ -291,8 +292,7 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
     are validated once, here; the steps are `prgd_lockstep`'s on a one-row block,
     each making one retraction and one fused cost call.
     """
-    if not (eta > 0):
-        raise ValueError("eta must be positive")
+    _check_positive_finite(eta=eta)
     if not ball > 0:
         raise ValueError("ball must be positive")
     if not (isinstance(horizon, int) and horizon >= 1):
@@ -521,10 +521,11 @@ def prgd_lockstep(
 
 def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTrace:
     """Plain Riemannian gradient descent until ||grad f|| <= epsilon or the budget runs out."""
-    if not (eta > 0):
-        raise ValueError("eta must be positive")
-    if epsilon < 0:
-        raise ValueError("epsilon must be nonnegative")
+    _check_positive_finite(eta=eta)
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
+    if not isinstance(max_iters, (int, np.integer)):
+        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
     if max_iters < 0:
         raise ValueError("max_iters must be nonnegative")
     manifold = problem.manifold

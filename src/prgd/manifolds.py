@@ -62,6 +62,11 @@ class Manifold:
     call, bit for bit. Each validated method is its argument checks plus calls of these kernels.
     """
 
+    @property
+    def name(self) -> str:
+        """The manifold in error messages: its class and ambient dimension, such as sphere(4) or euclidean(4)."""
+        return f"{type(self).__name__.lower()}({self.ambient_dim})"
+
     def point(self, coords) -> Point:
         c = as_vector(coords)
         if c.shape != (self.ambient_dim,):
@@ -128,8 +133,8 @@ class Manifold:
     def sample_ball(self, x: Point, radius: float, rng: RngStream) -> tuple[Tangent, RngStream]:
         """Uniform draw from the tangent ball of the given radius at x: one `sample_unit_ball` draw."""
         self._check_point(x)
-        if radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= radius < np.inf:
+            raise ValueError(f"radius must be nonnegative and finite, got {radius!r}")
         unit, rng = sample_unit_ball(self.intrinsic_dim, rng)
         return Tangent(x, self._ball_tangent_array(x.coords, self._tangent_frame_array(x.coords), radius, unit)), rng
 
@@ -164,10 +169,6 @@ class Euclidean(Manifold):
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("Euclidean dimension must be at least 1")
-
-    @property
-    def name(self):
-        return f"euclidean({self.dim})"
 
     @property
     def ambient_dim(self):
@@ -239,10 +240,6 @@ class Sphere(Manifold):
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("sphere ambient dimension must be at least 2")
-
-    @property
-    def name(self):
-        return f"sphere({self.n})"
 
     @property
     def ambient_dim(self):

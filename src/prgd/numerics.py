@@ -8,11 +8,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
-
 EIG_DIM_LIMIT = 2000
 SYM_RTOL = 1e-9
 DEFAULT_HESS_H = 1e-4
+
+
+class NumericalError(RuntimeError):
+    """A numerical routine failed to meet its accuracy or finiteness contract."""
 
 
 def as_vector(entries) -> np.ndarray:

@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import RngStream, _check_eig_dim, _eigenvalues, as_sym_matrix, as_vector
+from .numerics import NumericalError, RngStream, _check_eig_dim, _eigenvalues, as_sym_matrix, as_vector
 
 PROJECT_FLOATS = 2**14
 
@@ -126,6 +125,15 @@ class QuadraticSaddle(CostFunction):
     value_many = CostFunction.value_many
 
 
+def _data_lines(path):
+    """(line number, tokens) of each data line of a text file: '#' starts a comment, and blank lines are skipped."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            tokens = raw.split("#", 1)[0].split()
+            if tokens:
+                yield lineno, tokens
+
+
 def load_matrix(path) -> np.ndarray:
     """Parse a matrix from the text format: a line with n, then n rows of n finite floats, '#' starting a comment.
 
@@ -134,34 +142,29 @@ def load_matrix(path) -> np.ndarray:
     """
     rows = []
     n = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            tokens = text.split()
-            if n is None:
-                if len(tokens) != 1:
-                    raise ValueError(f"{path}:{lineno}: expected a single dimension, got {len(tokens)} tokens")
-                try:
-                    n = int(tokens[0])
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: dimension {tokens[0]!r} is not an integer") from None
-                if n < 1:
-                    raise ValueError(f"{path}:{lineno}: dimension must be positive, got {n}")
-                _check_eig_dim(n)
-                continue
-            if len(rows) == n:
-                raise ValueError(f"{path}:{lineno}: extra data after {n} matrix rows")
-            if len(tokens) != n:
-                raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
+    for lineno, tokens in _data_lines(path):
+        if n is None:
+            if len(tokens) != 1:
+                raise ValueError(f"{path}:{lineno}: expected a single dimension, got {len(tokens)} tokens")
             try:
-                row = [float(tok) for tok in tokens]
+                n = int(tokens[0])
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: row contains a non-numeric entry") from None
-            if not all(math.isfinite(v) for v in row):
-                raise ValueError(f"{path}:{lineno}: row contains a non-finite entry")
-            rows.append(row)
+                raise ValueError(f"{path}:{lineno}: dimension {tokens[0]!r} is not an integer") from None
+            if n < 1:
+                raise ValueError(f"{path}:{lineno}: dimension must be positive, got {n}")
+            _check_eig_dim(n)
+            continue
+        if len(rows) == n:
+            raise ValueError(f"{path}:{lineno}: extra data after {n} matrix rows")
+        if len(tokens) != n:
+            raise ValueError(f"{path}:{lineno}: expected {n} entries, got {len(tokens)}")
+        try:
+            row = [float(tok) for tok in tokens]
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: row contains a non-numeric entry") from None
+        if not all(math.isfinite(v) for v in row):
+            raise ValueError(f"{path}:{lineno}: row contains a non-finite entry")
+        rows.append(row)
     if n is None:
         raise ValueError(f"{path}: no matrix dimension found")
     if len(rows) != n:
@@ -202,16 +205,12 @@ def synthetic_matrix(dim: int, rng: RngStream):
 def start_vector(path) -> np.ndarray:
     """Read a start point as whitespace-separated floats ('#' comments allowed)."""
     tokens = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            for tok in text.split():
-                try:
-                    tokens.append(float(tok))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: non-numeric entry {tok!r}") from None
+    for lineno, line in _data_lines(path):
+        for tok in line:
+            try:
+                tokens.append(float(tok))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric entry {tok!r}") from None
     if not tokens:
         raise ValueError(f"{path}: no start coordinates found")
     return as_vector(tokens)

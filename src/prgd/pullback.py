@@ -7,9 +7,8 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import NumericalError
 from .manifolds import Point, Tangent
-from .numerics import fd_hessian_from_gradients
+from .numerics import NumericalError, fd_hessian_from_gradients
 
 
 @dataclass(frozen=True)

@@ -21,19 +21,19 @@ from .descent import (
     rgd,
     tangent_space_steps,
 )
-from .errors import NumericalError
 from .manifolds import Point, Sphere, Tangent
 from .numerics import (
+    NumericalError,
     RngStream,
     _check_finite,
     _eigenvalues,
-    _eigenvector_rows,
     _min_eigenvalue,
     _norm,
     _operator_norm_bounds,
     _rekey,
     _unit_ball_rows,
     fd_hessian_from_gradients,
+    min_eigpair,
     sample_unit_ball,
 )
 from .problems import PcaProblem
@@ -53,6 +53,8 @@ MAYBE_SHORT = MIN_SAMPLE_NORM * (1.0 + 1e-6)
 # 15,607 and 16,618 samples/s at 39.1, 39.6, 39.8 and 40.8 MiB peak RSS.
 SWEEP_CHUNK = 64
 SWEEP_BLOCK_FLOATS = 2**17
+# the step budget of an rgd study when none is given
+RGD_MAX_ITERS = 100_000
 
 
 @dataclass(frozen=True)
@@ -76,12 +78,11 @@ class CriticalityReport:
 
 
 def _bottom_eigpair(pull: Pullback) -> tuple[float, Tangent]:
-    """`min_eigpair` of the pullback Hessian at the origin, which is exactly symmetric and so not checked again, the
-    vector mapped to an ambient tangent by the frame. The sign rule holds in the tangent basis: the vector's
-    largest-magnitude basis coordinate is positive."""
-    hess = pull.hessian_at_zero()
-    lam = _min_eigenvalue(hess)
-    ambient = pull.manifold._basis_apply_array(pull.frame, _eigenvector_rows(hess, [0])[0])
+    """`min_eigpair` of the pullback Hessian at the origin, which is exactly symmetric, so `as_sym_matrix` gives it
+    back bit for bit, the vector mapped to an ambient tangent by the frame. The sign rule holds in the tangent
+    basis: the vector's largest-magnitude basis coordinate is positive."""
+    lam, vec = min_eigpair(pull.hessian_at_zero())
+    ambient = pull.manifold._basis_apply_array(pull.frame, vec)
     return lam, Tangent(pull.base, pull.manifold._project_array(pull.base.coords, ambient))
 
 
@@ -113,8 +114,8 @@ def check_second_order_points(problem, points, eps: float, rho: float) -> list[C
     stack and one `eigvalsh` stack per block, and no tangent basis. Each matrix of a stack gets its own
     gemv and LAPACK call, so every report has the bits of a one-point call.
     """
-    if not (eps > 0 and rho > 0):
-        raise ValueError("eps and rho must be positive")
+    if not (0 < eps < math.inf and 0 < rho < math.inf):
+        raise ValueError("eps and rho must be positive and finite")
     # the validated gradient checks each point too
     grad_norms = [float(np.linalg.norm(problem.riemannian_gradient(x).coords)) for x in points]
     manifold = problem.manifold
@@ -197,7 +198,7 @@ def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
     the ratios of the block's samples that may exceed the running max `worst`, given the block's
     tangent frame; a non-finite one raises.
     """
-    if n_samples < 1:
+    if not n_samples >= 1:
         raise ValueError("n_samples must be at least 1")
     if not (MIN_SAMPLE_NORM < ball < math.inf):
         raise ValueError(f"ball must lie in ({MIN_SAMPLE_NORM}, inf), got {ball!r}")
@@ -439,7 +440,7 @@ class TrialResult:
 
 def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials: int,
                  algorithm: str = "prgd", terminate: bool = True,
-                 rgd_max_iters: int = 100_000, v_max=None) -> list[TrialResult]:
+                 rgd_max_iters: int = RGD_MAX_ITERS, v_max=None) -> list[TrialResult]:
     """Run `trials` seeded runs from x0; consecutive seeds, stream id = trial index.
 
     PRGD trials run in lockstep, as one `prgd_lockstep` block, whose traces
@@ -458,12 +459,8 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
                                terminate_on_no_decrease=terminate)
     reports = check_second_order_points(problem, [trace.final_point for trace in traces], params.epsilon,
                                         params.lip_hess)
-    outcomes = []
-    for trace, report in zip(traces, reports):
-        alignment = None
-        if v_max is not None:
-            alignment = abs(float(trace.final_point.coords @ v_max))
-        outcomes.append((trace, report, alignment))
     if algorithm == "rgd":
-        outcomes *= trials
-    return [TrialResult(base_seed + i, i, *outcome) for i, outcome in enumerate(outcomes)]
+        traces, reports = traces * trials, reports * trials
+    return [TrialResult(base_seed + i, i, trace, report,
+                        None if v_max is None else abs(float(trace.final_point.coords @ v_max)))
+            for i, (trace, report) in enumerate(zip(traces, reports))]

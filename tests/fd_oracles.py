@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from prgd.errors import NumericalError
+from prgd import NumericalError
 from prgd.manifolds import Sphere
 from prgd.numerics import DEFAULT_HESS_H, as_vector
 from sweep_oracles import householder_basis

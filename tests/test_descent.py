@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prgd import descent, verify
+from prgd import NumericalError, descent, verify
 from prgd.cli import DEFAULT_QUAD_GAP, escape_study
 from prgd.descent import (
     BOUNDARY_TRUNCATION,
@@ -25,7 +25,6 @@ from prgd.descent import (
     rgd,
     tangent_space_steps,
 )
-from prgd.errors import NumericalError
 from prgd.manifolds import Euclidean, Manifold, Sphere, Tangent, same_point
 from prgd.numerics import RngStream, fd_hessian_from_gradients
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
@@ -178,6 +177,11 @@ class TestBoundaryAlpha:
         assert 0.0 < alpha <= 1.0
         assert abs(np.linalg.norm(s - alpha * eta * g) - ball) <= 1e-12 * ball
 
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_nonfinite_eta_is_a_configuration_error(self, eta):
+        with pytest.raises(ValueError, match="^eta must be positive and finite, got"):
+            boundary_alpha(np.zeros(2), np.array([1.0, 0.0]), eta, 0.5)
+
     def test_violated_preconditions_raise(self):
         with pytest.raises(NumericalError, match="< ball"):
             boundary_alpha(np.array([2.0, 0.0]), np.array([1.0, 0.0]), 1.0, 1.0)
@@ -244,6 +248,13 @@ class TestTangentSpaceSteps:
         assert len(events) == 1  # stops right after the truncated step
         assert abs(np.linalg.norm(s_fin.coords) - ball) <= 1e-12 * ball
         assert events[-1].alpha == pytest.approx(0.5, rel=1e-12)
+
+    @pytest.mark.parametrize("eta", [math.inf, math.nan])
+    def test_nonfinite_eta_is_a_configuration_error(self, simple_saddle, eta):
+        x = simple_saddle.manifold.point([0.0, 0.0])
+        s0 = simple_saddle.manifold.tangent(x, [0.1, 0.0])
+        with pytest.raises(ValueError, match="^eta must be positive and finite, got"):
+            tangent_space_steps(Pullback(simple_saddle, x), s0, eta=eta, ball=1.0, horizon=3)
 
     def test_rejects_start_outside_ball(self, simple_saddle):
         x = simple_saddle.manifold.point([0.0, 0.0])
@@ -881,6 +892,21 @@ class TestRgd:
         assert trace.terminated == "gradient_converged"
         assert trace.final_t == 0
         assert np.array_equal(trace.final_point.coords, x0.coords)
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"max_iters": math.nan}, "max_iters must be a nonnegative integer, got nan"),
+        ({"max_iters": 2.5}, "max_iters must be a nonnegative integer, got 2.5"),
+        ({"max_iters": -1}, "max_iters must be nonnegative"),
+        ({"epsilon": math.nan}, "epsilon must be nonnegative, got nan"),
+        ({"eta": math.inf}, "eta must be positive and finite, got inf"),
+        ({"eta": math.nan}, "eta must be positive and finite, got nan"),
+    ])
+    def test_scalar_arguments_are_checked(self, bad, message):
+        # with valid scalars a run from the saddle stops at step 0, so no case can run long
+        problem, saddle, params = pca_saddle(5)
+        assert rgd(problem, saddle, params.eta, params.epsilon, 10).final_t == 0
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rgd(problem, saddle, **({"eta": params.eta, "epsilon": params.epsilon, "max_iters": 10} | bad))
 
     def test_euclidean_gradient_step(self):
         problem = EuclideanQuadratic(np.eye(2))

@@ -321,6 +321,13 @@ class TestSampleBall:
         assert peak < 1_000_000
         assert same_bits(s.coords, frame_ball_tangent(x.coords, 1.0, sample_unit_ball(1999, rng)[0]))
 
+    @pytest.mark.parametrize("manifold", [Sphere(3), Euclidean(2)])
+    @pytest.mark.parametrize("radius", [math.inf, math.nan])
+    def test_nonfinite_radius_rejected(self, manifold, radius):
+        x = manifold.point(np.eye(manifold.ambient_dim)[0])
+        with pytest.raises(ValueError, match="^radius must be nonnegative and finite, got"):
+            manifold.sample_ball(x, radius, RngStream(1))
+
     def test_negative_radius_rejected(self):
         eu = Euclidean(2)
         with pytest.raises(ValueError):

@@ -7,8 +7,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from prgd import numerics
-from prgd.errors import NumericalError
+from prgd import NumericalError, numerics
 from prgd.numerics import (
     EIG_DIM_LIMIT,
     RngStream,

@@ -385,6 +385,19 @@ class TestStartVector:
         path.write_text("# start\n0.5 0.5\n0.5 -0.5\n")
         assert np.array_equal(start_vector(path), [0.5, 0.5, 0.5, -0.5])
 
+    def test_reads_the_matrix_layout(self, tmp_path):
+        # one reader serves both formats: '#' comments, blank lines, tabs and runs of blanks, counted alike
+        layout = "# header\n\n2\t# dimension\n \t \n1\t0  # row one\n\t0 \t {}\t\n# trailing comment\n"
+        good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+        good.write_text(layout.format("2"))
+        bad.write_text(layout.format("x"))
+        assert np.array_equal(load_matrix(good), np.diag([1.0, 2.0]))
+        assert np.array_equal(start_vector(good), [2.0, 1.0, 0.0, 0.0, 2.0])
+        with pytest.raises(ValueError, match=":6: row contains a non-numeric entry$"):
+            load_matrix(bad)
+        with pytest.raises(ValueError, match=":6: non-numeric entry 'x'$"):
+            start_vector(bad)
+
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "x.txt"
         path.write_text("1.0 two\n")

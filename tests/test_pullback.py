@@ -5,8 +5,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+from prgd import NumericalError
 from prgd.descent import derive_params, prgd, tangent_space_steps
-from prgd.errors import NumericalError
 from prgd.manifolds import Tangent
 from prgd.numerics import RngStream, fd_hessian_from_gradients, min_eigpair
 from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix

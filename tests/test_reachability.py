@@ -25,7 +25,6 @@ KEPT = {
     "manifolds.Manifold.retraction_adjoint": PUBLIC,
     "manifolds.same_point": PUBLIC,
     "pullback.Pullback.gradient": PUBLIC,
-    "numerics.min_eigpair": PUBLIC,
     "problems.save_matrix": PUBLIC,
     "manifolds.Manifold.retract_many": TRACED,
     "manifolds.Manifold.tangent_basis": TRACED,
@@ -34,8 +33,7 @@ KEPT = {
     "numerics.RngStream.uniform": TRACED,
     "pullback.Pullback.hessian_at": TRACED,
     "verify.riemannian_hessian_matrix": TRACED,
-    "manifolds.Sphere.name": "names a manifold in the text of a point-mismatch error",
-    "manifolds.Euclidean.name": "names a manifold in the text of a point-mismatch error",
+    "manifolds.Manifold.name": "names a manifold in the text of a point-mismatch error",
     "cli.console_main": "the installed console script's entry point, which calls main",
     "problems.CostFunction._value_and_gradient_array": "the cost contract: a cost without the oracle raises "
                                                       "NotImplementedError, as README documents",

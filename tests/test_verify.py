@@ -15,8 +15,7 @@ from prgd.descent import (
     derive_params,
     prgd,
 )
-from prgd import manifolds, numerics, verify
-from prgd.errors import NumericalError
+from prgd import NumericalError, manifolds, numerics, verify
 from prgd.manifolds import Euclidean, Sphere
 from prgd.numerics import RngStream, _min_eigenvalue, min_eigpair, sample_unit_ball
 from prgd.problems import CostFunction, PcaProblem, QuadraticSaddle, synthetic_matrix
@@ -271,8 +270,9 @@ class TestStackedCertificate:
         with pytest.raises(ValueError) as block:
             check_second_order_points(p, points[:4] + [stranger] + points[4:], 1e-3, rho)
         assert str(block.value) == str(one.value) and "sphere(3)" in str(one.value)
-        for eps, rho_bad in ((0.0, rho), (1e-3, -1.0)):
-            with pytest.raises(ValueError, match="eps and rho must be positive"):
+        # an infinite eps or rho would pass every point, the saddles included
+        for eps, rho_bad in ((0.0, rho), (1e-3, -1.0), (math.inf, rho), (1e-3, math.inf), (math.nan, rho)):
+            with pytest.raises(ValueError, match="^eps and rho must be positive and finite$"):
                 check_second_order_points(p, points, eps, rho_bad)
 
     def test_no_points_give_no_reports(self):
@@ -560,6 +560,13 @@ class TestBlockSweeps:
             sweep(diag_pca, ball, 10, RngStream(1))
 
     @pytest.mark.parametrize("sweep", [empirical_grad_lipschitz, empirical_hess_lipschitz])
+    @pytest.mark.parametrize("n_samples", [0, math.nan])
+    def test_a_sweep_without_samples_is_rejected(self, diag_pca, sweep, n_samples):
+        # a NaN count would draw nothing and report a maximum ratio of 0
+        with pytest.raises(ValueError, match="^n_samples must be at least 1$"):
+            sweep(diag_pca, 1.0, n_samples, RngStream(1))
+
+    @pytest.mark.parametrize("sweep", [empirical_grad_lipschitz, empirical_hess_lipschitz])
     def test_non_finite_gradient_raises(self, sweep):
         with pytest.raises(NumericalError):
             sweep(SqrtGradient(), 1.0, 20, RngStream(2))
@@ -790,8 +797,8 @@ class TestCouplingExperiment:
         params = pca_params(pca3, chi=24.0)
         x = pca3.manifold.point([0.0, 1.0, 0.0])
         drops = coupling_experiment(pca3, x, params, 2.0 * params.radius)
-        kernel = verify._eigenvector_rows
-        monkeypatch.setattr(verify, "_eigenvector_rows", lambda m, which: -kernel(m, which))
+        kernel = numerics._eigenvector_rows
+        monkeypatch.setattr(numerics, "_eigenvector_rows", lambda m, which: -kernel(m, which))
         assert coupling_experiment(pca3, x, params, 2.0 * params.radius) == drops[::-1]
 
     def test_one_hessian_gives_the_eigenvalue_and_the_vector(self, pca3, monkeypatch):
