@@ -9,7 +9,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .manifolds import Point, Tangent
-from .numerics import NumericalError, RngStream, _norm, sample_unit_ball
+from .numerics import NumericalError, RngStream, _check_count, _check_positive_finite, _norm, sample_unit_ball
 from .pullback import Pullback, pullback_step
 
 MANIFOLD_STEP = "manifold_step"
@@ -22,13 +22,6 @@ _CHI_FLOOR = 0.25 + 1e-9
 _BUDGET_LIMIT = 2**63
 
 
-def _check_positive_finite(**values: float) -> None:
-    """Raise for the first of the named values that is not positive and finite: NaN and infinity included."""
-    for name, val in values.items():
-        if not 0 < val < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {val!r}")
-
-
 def _check_inputs(mode: str, epsilon: float, delta: float, dim: int, ell: float, lip_hess: float, gap: float,
                   chi: float | None) -> None:
     """The input checks `PrgdParams` shares with `derive_params`, run before its formulas; a None chi is skipped."""
@@ -37,8 +30,7 @@ def _check_inputs(mode: str, epsilon: float, delta: float, dim: int, ell: float,
     _check_positive_finite(epsilon=epsilon, ell=ell, lip_hess=lip_hess, gap=gap)
     if not 0 < delta < 1:
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    _check_count(1, dim=dim)
     if chi is not None and not 0.25 < chi < math.inf:
         raise ValueError(f"requires finite chi > 1/4, got {chi!r}")
 
@@ -76,10 +68,7 @@ class PrgdParams:
             val = getattr(self, name)
             if not val > 0:
                 raise ValueError(f"{name} must be positive, got {val!r}")
-        if not (isinstance(self.horizon, int) and self.horizon >= 1):
-            raise ValueError("horizon must be an integer >= 1")
-        if not (isinstance(self.budget, int) and self.budget >= 1):
-            raise ValueError("budget must be an integer >= 1")
+        _check_count(1, horizon=self.horizon, budget=self.budget)
         if abs(self.eta * self.ell - 1.0) > 1e-12:
             raise ValueError("requires eta == 1/ell")
         if not self.epsilon <= self.ball**2 * self.lip_hess:
@@ -295,8 +284,7 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
     _check_positive_finite(eta=eta)
     if not ball > 0:
         raise ValueError("ball must be positive")
-    if not (isinstance(horizon, int) and horizon >= 1):
-        raise ValueError("horizon must be an integer >= 1")
+    _check_count(1, horizon=horizon)
     pull.manifold._check_tangent(s0, at=pull.base)
     if s0.norm > ball:
         raise ValueError(f"requires ||s0|| <= ball, got {s0.norm!r} > {ball!r}")
@@ -524,10 +512,7 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
     _check_positive_finite(eta=eta)
     if not epsilon >= 0:
         raise ValueError(f"epsilon must be nonnegative, got {epsilon!r}")
-    if not isinstance(max_iters, (int, np.integer)):
-        raise ValueError(f"max_iters must be a nonnegative integer, got {max_iters!r}")
-    if max_iters < 0:
-        raise ValueError("max_iters must be nonnegative")
+    _check_count(0, max_iters=max_iters)
     manifold = problem.manifold
     manifold._check_point(x0)
     x = x0.coords

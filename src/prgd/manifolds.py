@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import RngStream, _norm, as_vector, sample_unit_ball
+from .numerics import RngStream, _check_count, _norm, as_vector, sample_unit_ball
 
 POINT_NORM_TOL = 1e-12
 TANGENT_TOL = 1e-10
@@ -167,8 +167,7 @@ class Euclidean(Manifold):
     dim: int
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("Euclidean dimension must be at least 1")
+        _check_count(1, dim=self.dim)
 
     @property
     def ambient_dim(self):
@@ -238,8 +237,7 @@ class Sphere(Manifold):
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("sphere ambient dimension must be at least 2")
+        _check_count(2, n=self.n)
 
     @property
     def ambient_dim(self):

@@ -36,6 +36,20 @@ def _check_finite(v: np.ndarray):
         raise ValueError("vector entries must all be finite")
 
 
+def _check_positive_finite(**values: float) -> None:
+    """Raise for the first of the named values that is not positive and finite: NaN and infinity included."""
+    for name, val in values.items():
+        if not 0 < val < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {val!r}")
+
+
+def _check_count(minimum: int, **values) -> None:
+    """Raise for the first of the named values that is not an integer >= minimum: an int or np.integer, no bool."""
+    for name, val in values.items():
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < minimum:
+            raise ValueError(f"{name} must be an integer >= {minimum}, got {val!r}")
+
+
 def as_sym_matrix(entries, stacked: bool = False) -> np.ndarray:
     """The one rule for every matrix the program accepts: a new (m + m^T)/2 of a square m (`stacked`: of each of a
     stack), with the bits of an exactly symmetric m. Raises for the shape, `_check_entries`, then for max|m_ij - m_ji|
@@ -241,16 +255,12 @@ class RngStream:
         return RngStream(self.seed, self.stream, self.index + 1)
 
     def standard_normal(self, shape=None):
-        """Draw standard normals; returns (values, advanced stream)."""
-        gen = self._generator()
-        out = gen.standard_normal() if shape is None else gen.standard_normal(shape)
-        return out, self._next()
+        """Draw standard normals, a float for no shape; returns (values, advanced stream)."""
+        return self._generator().standard_normal(shape), self._next()
 
     def uniform(self, shape=None):
-        """Draw uniforms on [0, 1); returns (values, advanced stream)."""
-        gen = self._generator()
-        out = gen.random() if shape is None else gen.random(shape)
-        return out, self._next()
+        """Draw uniforms on [0, 1), a float for no shape; returns (values, advanced stream)."""
+        return self._generator().random(shape), self._next()
 
 
 def sample_unit_ball(dim: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
@@ -258,8 +268,7 @@ def sample_unit_ball(dim: int, rng: RngStream) -> tuple[np.ndarray, RngStream]:
 
     Gaussian direction, radius U^(1/dim); one draw event on the stream.
     """
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
+    _check_count(1, dim=dim)
     gen = rng._generator()
     direction = gen.standard_normal((1, dim))
     return _unit_ball_rows(direction, [gen.random()])[0], rng._next()

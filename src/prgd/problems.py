@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .manifolds import Euclidean, Manifold, Point, Sphere, Tangent
-from .numerics import NumericalError, RngStream, _check_eig_dim, _eigenvalues, as_sym_matrix, as_vector
+from .numerics import (NumericalError, RngStream, _check_count, _check_eig_dim, _eigenvalues, as_sym_matrix,
+                       as_vector)
 
 PROJECT_FLOATS = 2**14
 
@@ -187,8 +188,7 @@ def synthetic_matrix(dim: int, rng: RngStream):
     Returns (matrix, eigenvalues descending, eigenvector columns, advanced rng).
     The top gap is exactly 1 and the matrix stays positive definite.
     """
-    if dim < 2:
-        raise ValueError("synthetic spectrum needs dim >= 2")
+    _check_count(2, dim=dim)
     _check_eig_dim(dim)
     lams = np.empty(dim)
     lams[0] = 2.0

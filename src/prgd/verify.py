@@ -25,7 +25,9 @@ from .manifolds import Point, Sphere, Tangent
 from .numerics import (
     NumericalError,
     RngStream,
+    _check_count,
     _check_finite,
+    _check_positive_finite,
     _eigenvalues,
     _min_eigenvalue,
     _norm,
@@ -114,8 +116,7 @@ def check_second_order_points(problem, points, eps: float, rho: float) -> list[C
     stack and one `eigvalsh` stack per block, and no tangent basis. Each matrix of a stack gets its own
     gemv and LAPACK call, so every report has the bits of a one-point call.
     """
-    if not (0 < eps < math.inf and 0 < rho < math.inf):
-        raise ValueError("eps and rho must be positive and finite")
+    _check_positive_finite(eps=eps, rho=rho)
     # the validated gradient checks each point too
     grad_norms = [float(np.linalg.norm(problem.riemannian_gradient(x).coords)) for x in points]
     manifold = problem.manifold
@@ -198,8 +199,7 @@ def _sweep(problem, ball, n_samples, rng, block_ratios, rows_per_sample):
     the ratios of the block's samples that may exceed the running max `worst`, given the block's
     tangent frame; a non-finite one raises.
     """
-    if not n_samples >= 1:
-        raise ValueError("n_samples must be at least 1")
+    _check_count(1, n_samples=n_samples)
     if not (MIN_SAMPLE_NORM < ball < math.inf):
         raise ValueError(f"ball must lie in ({MIN_SAMPLE_NORM}, inf), got {ball!r}")
     manifold = problem.manifold
@@ -345,8 +345,7 @@ def coupling_experiment(problem, x: Point, params: PrgdParams, r0: float) -> tup
     decreases after the full horizon; when the hypotheses hold, the smaller
     decrease is at most -score_drop. One FD Hessian gives lambda_min and the vector.
     """
-    if not (r0 > 0):
-        raise ValueError("r0 must be positive")
+    _check_positive_finite(r0=r0)
     pull = Pullback(problem, x)
     lam, eigvec = _bottom_eigpair(pull)
     bar = -math.sqrt(params.lip_hess * params.epsilon)
@@ -389,8 +388,8 @@ def verification_checks(problem, saddle: Point, v_max, params: PrgdParams, seed:
         points = [manifold.point(v_max), saddle]
     else:
         grad_bound = problem.norm * (1.0 + 1e-9)
-        hess_bound = 1e-4 * max(problem.norm, 1.0)
-        coupling_chi, coupling_eps = 20.0, 0.01
+        hess_bound = 1e-4 * problem.norm
+        coupling_chi, coupling_eps = 20.0, 0.01 * params.ell**2 / params.lip_hess
         points = [saddle]
 
     rng = RngStream(seed, 101)
@@ -450,8 +449,7 @@ def escape_study(problem, x0: Point, params: PrgdParams, base_seed: int, trials:
     by one `check_second_order_points` call, in stacked blocks of about
     `SWEEP_BLOCK_FLOATS` floats (at d=50, all of a 10-trial study).
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_count(1, trials=trials)
     if algorithm == "rgd":
         traces = [rgd(problem, x0, params.eta, params.epsilon, rgd_max_iters)]
     else:

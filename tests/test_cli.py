@@ -257,14 +257,14 @@ class TestParams:
         assert capsys.readouterr().err == "error: PCA needs an ambient dimension of at least 2\n"
 
     @pytest.mark.parametrize("problem, message", [
-        ("pca", "synthetic spectrum needs dim >= 2"),
+        ("pca", "dim must be an integer >= 2, got {dim}"),
         ("quadratic_saddle", "quadratic_saddle requires --dim >= 2"),
     ])
     @pytest.mark.parametrize("dim", ["0", "-3"])
     def test_too_small_dimension_is_named_not_missing(self, problem, message, dim, capsys):
         # --dim 0 is a given dimension, so it meets the size rule rather than the missing-dimension one
         assert main(["params", "--problem", problem, "--dim", dim, "--chi", "4"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {message.format(dim=dim)}\n"
 
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):
@@ -372,6 +372,13 @@ class TestVerify:
         code = main(["verify", "--problem", "quadratic_saddle", "--dim", "3",
                      "--samples", "100", "--seed", "2"])
         assert code == EXIT_OK
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_battery_passes_on_a_quadratic_whose_norm_is_not_one(self, tmp_path, capsys):
+        # ||H|| = 2.2: the coupling check's epsilon and the Hessian bound scale with ell^2 / rho and ||H||
+        path = tmp_path / "saddle.txt"
+        path.write_text("3\n-1 0 0\n0 1 0.5\n0 0.5 2\n")
+        assert main(["verify", "--problem", "quadratic_saddle", "--matrix", str(path), "--samples", "100"]) == EXIT_OK
         assert "FAIL" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("problem, names", [

@@ -894,9 +894,9 @@ class TestRgd:
         assert np.array_equal(trace.final_point.coords, x0.coords)
 
     @pytest.mark.parametrize("bad, message", [
-        ({"max_iters": math.nan}, "max_iters must be a nonnegative integer, got nan"),
-        ({"max_iters": 2.5}, "max_iters must be a nonnegative integer, got 2.5"),
-        ({"max_iters": -1}, "max_iters must be nonnegative"),
+        ({"max_iters": math.nan}, "max_iters must be an integer >= 0, got nan"),
+        ({"max_iters": 2.5}, "max_iters must be an integer >= 0, got 2.5"),
+        ({"max_iters": -1}, "max_iters must be an integer >= 0, got -1"),
         ({"epsilon": math.nan}, "epsilon must be nonnegative, got nan"),
         ({"eta": math.inf}, "eta must be positive and finite, got inf"),
         ({"eta": math.nan}, "eta must be positive and finite, got nan"),

@@ -8,14 +8,17 @@ times their unscaled values, to the bit. A formula with the wrong units (an expo
 ell^2) or an absolute constant on a scaled quantity breaks this.
 """
 
+import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prgd.cli import EXIT_OK, main
 from prgd.descent import derive_params, prgd_lockstep
 from prgd.numerics import RngStream
-from prgd.problems import PcaProblem, QuadraticSaddle, synthetic_matrix
+from prgd.problems import PcaProblem, QuadraticSaddle, save_matrix, synthetic_matrix
 from prgd.verify import check_second_order_points, empirical_grad_lipschitz, empirical_hess_lipschitz
 
 # (problem, ball, mode); theoretical mode needs a finite ball, and a ball of 0.5 or 1.0 truncates a step
@@ -31,6 +34,8 @@ EPSILON = {"practical": 1e-3, "theoretical": 0.1}
 # the parameters that do not scale, and those that scale by c; eta = 1/ell scales by 1/c
 SAME = ("delta", "dim", "ball", "chi", "horizon", "locality", "budget", "mode")
 SCALED = ("epsilon", "lip_grad", "lip_hess", "ell", "gap", "radius", "score_drop")
+# the fields of a study's trial record that scale by c; every other field is equal
+SCALED_RECORD = ("final_f", "final_grad_norm", "min_eig_pullback")
 
 
 def scaled_run(name, d, ball, mode, seed, c):
@@ -96,3 +101,43 @@ def test_a_cost_scaled_by_a_power_of_four_repeats_every_run_bit_for_bit(case, d,
         assert report_c.verdict == report.verdict
 
     assert sweeps_c == tuple(c * ratio for ratio in sweeps)
+
+
+def cli_outputs(tmp_path, capsys, name, c):
+    """`params`, a 3-trial `study` and `verify` through `cli.main` on c times the d=12 matrix of `scaled_run`, with
+    --eps (and for the quadratic saddle --rho and --gap) scaled by c: the parameter record, the study summary,
+    and verify's check verdicts and exit code."""
+    matrix = synthetic_matrix(12, RngStream(1, 2**48))[0]
+    if name == "pca":
+        flags = ["--start", "saddle"]
+    else:
+        matrix = matrix - 1.5 * np.eye(12)
+        flags = ["--start", "random", "--rho", repr(c * 1.0), "--gap", repr(c * 1.0)]
+    folder = tmp_path / repr(c)
+    folder.mkdir()
+    path = folder / "matrix.txt"
+    save_matrix(path, c * matrix)
+    common = ["--problem", name, "--matrix", str(path), "--chi", "4", "--seed", "1", "--eps", repr(c * 1e-3), *flags]
+    assert main(["params", *common]) == EXIT_OK
+    params = json.loads(capsys.readouterr().out)
+    assert main(["study", *common, "--trials", "3", "--out", str(folder / "study")]) == EXIT_OK
+    summary = json.loads((folder / "study.summary.json").read_text(encoding="utf-8"))
+    code = main(["verify", *common, "--samples", "100"])
+    # "PASS name" or "FAIL name" per check, then the count line
+    verdicts = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    return params, summary, verdicts, code
+
+
+@pytest.mark.parametrize("name", ["pca", "quadratic_saddle"])
+def test_the_cli_on_a_matrix_scaled_by_a_power_of_four_scales_its_outputs(name, tmp_path, capsys):
+    params, summary, verdicts, code = cli_outputs(tmp_path, capsys, name, 1.0)
+    records = summary.pop("trial_records")
+    for k in (-1, 1):
+        c = 4.0**k
+        params_c, summary_c, verdicts_c, code_c = cli_outputs(tmp_path, capsys, name, c)
+        for record, record_c in ((params, params_c), (summary["params"], summary_c.pop("params"))):
+            assert record_c == record | {field: c * record[field] for field in SCALED} | {"eta": record["eta"] / c}
+        assert summary_c.pop("trial_records") == [rec | {field: c * rec[field] for field in SCALED_RECORD}
+                                                  for rec in records]
+        assert summary_c == {key: val for key, val in summary.items() if key != "params"}
+        assert (verdicts_c, code_c) == (verdicts, code)

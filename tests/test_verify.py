@@ -271,8 +271,12 @@ class TestStackedCertificate:
             check_second_order_points(p, points[:4] + [stranger] + points[4:], 1e-3, rho)
         assert str(block.value) == str(one.value) and "sphere(3)" in str(one.value)
         # an infinite eps or rho would pass every point, the saddles included
-        for eps, rho_bad in ((0.0, rho), (1e-3, -1.0), (math.inf, rho), (1e-3, math.inf), (math.nan, rho)):
-            with pytest.raises(ValueError, match="^eps and rho must be positive and finite$"):
+        for eps, rho_bad, message in ((0.0, rho, "eps must be positive and finite, got 0.0"),
+                                      (1e-3, -1.0, "rho must be positive and finite, got -1.0"),
+                                      (math.inf, rho, "eps must be positive and finite, got inf"),
+                                      (1e-3, math.inf, "rho must be positive and finite, got inf"),
+                                      (math.nan, rho, "eps must be positive and finite, got nan")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
                 check_second_order_points(p, points, eps, rho_bad)
 
     def test_no_points_give_no_reports(self):
@@ -563,7 +567,7 @@ class TestBlockSweeps:
     @pytest.mark.parametrize("n_samples", [0, math.nan])
     def test_a_sweep_without_samples_is_rejected(self, diag_pca, sweep, n_samples):
         # a NaN count would draw nothing and report a maximum ratio of 0
-        with pytest.raises(ValueError, match="^n_samples must be at least 1$"):
+        with pytest.raises(ValueError, match=f"^n_samples must be an integer >= 1, got {n_samples!r}$"):
             sweep(diag_pca, 1.0, n_samples, RngStream(1))
 
     @pytest.mark.parametrize("sweep", [empirical_grad_lipschitz, empirical_hess_lipschitz])
