@@ -20,7 +20,7 @@ import numpy as np
 
 from .descent import PrgdParams, derive_params, prgd
 from .manifolds import Point
-from .numerics import NumericalError, RngStream, _check_eig_dim, _eigenvector_rows
+from .numerics import NumericalError, RngStream, _check_count, _check_eig_dim, _eigenvector_rows
 from .problems import PcaProblem, QuadraticSaddle, load_matrix, start_vector, synthetic_matrix
 from .verify import RGD_MAX_ITERS, check_second_order_point, escape_study, random_point, verification_checks
 
@@ -115,8 +115,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
     else:
         if args.dim is None:
             raise ValueError("quadratic_saddle requires --matrix or --dim")
-        if args.dim < 2:
-            raise ValueError("quadratic_saddle requires --dim >= 2")
+        _check_count(2, dim=args.dim)
         _check_eig_dim(args.dim)
         h = np.diag(np.concatenate(([-1.0], np.ones(args.dim - 1))))
     problem = QuadraticSaddle(h)
@@ -217,8 +216,6 @@ def run_single(args) -> int:
 
 
 def run_escape_study(args) -> int:
-    if args.trials < 1:
-        raise ValueError("--trials must be at least 1")
     if args.algorithm == "prgd" and args.max_iters is not None:
         raise ValueError("--max-iters applies to --algorithm rgd only")
     if args.algorithm == "rgd" and args.terminate is not None:

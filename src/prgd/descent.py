@@ -9,7 +9,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .manifolds import Point, Tangent
-from .numerics import NumericalError, RngStream, _check_count, _check_positive_finite, _norm, sample_unit_ball
+from .numerics import (NumericalError, RngStream, _check_count, _check_positive, _check_positive_finite, _norm,
+                       sample_unit_ball)
 from .pullback import Pullback, pullback_step
 
 MANIFOLD_STEP = "manifold_step"
@@ -64,10 +65,9 @@ class PrgdParams:
 
     def __post_init__(self):
         _check_inputs(self.mode, self.epsilon, self.delta, self.dim, self.ell, self.lip_hess, self.gap, self.chi)
-        for name in ("lip_grad", "ball", "eta", "radius", "score_drop", "locality"):
-            val = getattr(self, name)
-            if not val > 0:
-                raise ValueError(f"{name} must be positive, got {val!r}")
+        _check_positive_finite(lip_grad=self.lip_grad, eta=self.eta, radius=self.radius, score_drop=self.score_drop,
+                               locality=self.locality)
+        _check_positive(ball=self.ball)
         _check_count(1, horizon=self.horizon, budget=self.budget)
         if abs(self.eta * self.ell - 1.0) > 1e-12:
             raise ValueError("requires eta == 1/ell")
@@ -282,8 +282,7 @@ def tangent_space_steps(pull: Pullback, s0: Tangent, eta: float, ball: float, ho
     each making one retraction and one fused cost call.
     """
     _check_positive_finite(eta=eta)
-    if not ball > 0:
-        raise ValueError("ball must be positive")
+    _check_positive(ball=ball)
     _check_count(1, horizon=horizon)
     pull.manifold._check_tangent(s0, at=pull.base)
     if s0.norm > ball:

@@ -43,6 +43,13 @@ def _check_positive_finite(**values: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {val!r}")
 
 
+def _check_positive(**values: float) -> None:
+    """Raise for the first of the named values that is neither positive and finite nor +inf, which means no bound."""
+    for name, val in values.items():
+        if not 0 < val <= math.inf:
+            raise ValueError(f"{name} must be positive or inf, got {val!r}")
+
+
 def _check_count(minimum: int, **values) -> None:
     """Raise for the first of the named values that is not an integer >= minimum: an int or np.integer, no bool."""
     for name, val in values.items():
@@ -234,12 +241,10 @@ class RngStream:
     index: int = 0
 
     def __post_init__(self):
+        _check_count(0, seed=self.seed, stream=self.stream, index=self.index)
         for name in ("seed", "stream", "index"):
-            raw = getattr(self, name)
-            if not isinstance(raw, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {type(raw).__name__}")
-            val = int(raw)
-            if not 0 <= val < 2**64:
+            val = int(getattr(self, name))
+            if val >= 2**64:
                 raise ValueError(f"{name} must lie in [0, 2^64), got {val}")
             object.__setattr__(self, name, val)
 

@@ -70,13 +70,11 @@ class PcaProblem(CostFunction):
 
     def __init__(self, matrix):
         matrix = as_sym_matrix(matrix)
-        if matrix.shape[0] < 2:
-            raise ValueError("PCA needs an ambient dimension of at least 2")
+        self.manifold = Sphere(matrix.shape[0])
         self.matrix = matrix
         eigenvalues = _eigenvalues(matrix)
         self.norm = float(np.abs(eigenvalues).max())
         self.f_star = -0.5 * float(eigenvalues[-1])
-        self.manifold = Sphere(matrix.shape[0])
 
     def _value_and_gradient_array(self, y):
         # np.matvec and np.vecdot give each row the BLAS gemv and dot of a 1-d call; with
@@ -152,7 +150,7 @@ def load_matrix(path) -> np.ndarray:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: dimension {tokens[0]!r} is not an integer") from None
             if n < 1:
-                raise ValueError(f"{path}:{lineno}: dimension must be positive, got {n}")
+                raise ValueError(f"{path}:{lineno}: dimension must be an integer >= 1, got {n}")
             _check_eig_dim(n)
             continue
         if len(rows) == n:

@@ -1,6 +1,7 @@
 """The argument boundary: every validated method checks each `Point` with `Manifold._check_point` and each `Tangent`
 with `Manifold._check_tangent` at its point, and a bad argument raises that helper's `ValueError`; every count
-argument meets `_check_count`'s one rule."""
+argument meets `_check_count`'s one rule, and every positive bound `_check_positive_finite`'s or, for a ball that
+may be +inf, `_check_positive`'s."""
 
 import math
 from dataclasses import replace
@@ -120,6 +121,9 @@ COUNTS = {
     "synthetic_matrix": ("dim", 2, lambda c, n: synthetic_matrix(n, RngStream(1))),
     "Euclidean": ("dim", 1, lambda c, n: Euclidean(n)),
     "Sphere": ("n", 2, lambda c, n: Sphere(n)),
+    "RngStream.seed": ("seed", 0, lambda c, n: RngStream(n)),
+    "RngStream.stream": ("stream", 0, lambda c, n: RngStream(1, n)),
+    "RngStream.index": ("index", 0, lambda c, n: RngStream(1, 0, n)),
 }
 # a non-integer, a bool (an int to isinstance), NaN, and one below the minimum
 NOT_COUNTS = {"fraction": lambda minimum: 2.5, "bool": lambda minimum: True, "nan": lambda minimum: math.nan,
@@ -140,3 +144,31 @@ def test_a_bad_count_raises_the_one_message(entry, kind):
     with pytest.raises(ValueError) as exc:
         call(context("sphere"), val)
     assert str(exc.value) == f"{name} must be an integer >= {minimum}, got {val!r}"
+
+
+# entry point: the call on a context and a ball, which may be +inf for no ball
+BALLS = {
+    "PrgdParams": lambda c, b: replace(c.params, ball=b),
+    "tangent_space_steps": lambda c, b: tangent_space_steps(Pullback(c.problem, c.x), c.good["tangent"], 0.1, b, 3),
+}
+
+
+@pytest.mark.parametrize("val", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["lip_grad", "eta", "radius", "score_drop", "locality"])
+def test_a_params_field_must_be_positive_and_finite(name, val):
+    with pytest.raises(ValueError) as exc:
+        replace(context("sphere").params, **{name: val})
+    assert str(exc.value) == f"{name} must be positive and finite, got {val!r}"
+
+
+@pytest.mark.parametrize("entry", BALLS)
+def test_a_ball_may_be_infinite(entry):
+    BALLS[entry](context("sphere"), math.inf)
+
+
+@pytest.mark.parametrize("val", [0.0, -1.0, math.nan, -math.inf])
+@pytest.mark.parametrize("entry", BALLS)
+def test_a_bad_ball_raises_the_one_message(entry, val):
+    with pytest.raises(ValueError) as exc:
+        BALLS[entry](context("sphere"), val)
+    assert str(exc.value) == f"ball must be positive or inf, got {val!r}"

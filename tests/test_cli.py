@@ -254,17 +254,49 @@ class TestParams:
         path = tmp_path / "a.txt"
         save_matrix(path, np.array([[2.0]]))
         assert main(["params", "--problem", "pca", "--matrix", str(path), "--chi", "4"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: PCA needs an ambient dimension of at least 2\n"
+        # the sphere's own count rule names the size
+        assert capsys.readouterr().err == "error: n must be an integer >= 2, got 1\n"
 
-    @pytest.mark.parametrize("problem, message", [
-        ("pca", "dim must be an integer >= 2, got {dim}"),
-        ("quadratic_saddle", "quadratic_saddle requires --dim >= 2"),
-    ])
-    @pytest.mark.parametrize("dim", ["0", "-3"])
-    def test_too_small_dimension_is_named_not_missing(self, problem, message, dim, capsys):
-        # --dim 0 is a given dimension, so it meets the size rule rather than the missing-dimension one
+    @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
+    @pytest.mark.parametrize("dim", ["0", "-3", "1"])
+    def test_too_small_dimension_is_named_not_missing(self, problem, dim, capsys):
+        # --dim 0 is a given dimension, so it meets the count rule rather than the missing-dimension one, with
+        # the same text for both problems
         assert main(["params", "--problem", problem, "--dim", dim, "--chi", "4"]) == EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: {message.format(dim=dim)}\n"
+        assert capsys.readouterr().err == f"error: dim must be an integer >= 2, got {dim}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--problem", "pca"], "pca requires --matrix or --dim for the synthetic spectrum"),
+        (["--problem", "quadratic_saddle"], "quadratic_saddle requires --matrix or --dim"),
+        (["--problem", "quadratic_saddle", "--dim", "3", "--start", "file"], "--start file requires --start-file"),
+    ], ids=["pca-no-size", "quadratic-no-size", "start-file-missing"])
+    def test_missing_configuration_is_named(self, argv, message, capsys):
+        assert main(["params", *argv, "--chi", "4"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("kind, text, where", [
+        ("matrix", "2 3\n1 0\n0 1\n", ":1: expected a single dimension, got 2 tokens"),
+        ("matrix", "# size\nx\n", ":2: dimension 'x' is not an integer"),
+        ("matrix", "0\n", ":1: dimension must be an integer >= 1, got 0"),
+        ("matrix", "1\n1\n2\n", ":3: extra data after 1 matrix rows"),
+        ("matrix", "2\n1 0 0\n", ":2: expected 2 entries, got 3"),
+        ("matrix", "2\n1 a\n", ":2: row contains a non-numeric entry"),
+        ("matrix", "2\n1 0\n0 inf\n", ":3: row contains a non-finite entry"),
+        ("matrix", "# no data\n\n", ": no matrix dimension found"),
+        ("matrix", "2\n1 0\n", ": expected 2 rows, found 1"),
+        ("start", "1 0\n0 x\n", ":2: non-numeric entry 'x'"),
+        ("start", "# no data\n", ": no start coordinates found"),
+    ], ids=["dimension-tokens", "dimension-text", "dimension-zero", "extra-row", "row-length", "row-text",
+            "row-inf", "no-dimension", "missing-row", "start-text", "no-start"])
+    def test_malformed_file_names_its_line(self, kind, text, where, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        if kind == "matrix":
+            argv = ["--problem", "pca", "--matrix", str(path)]
+        else:
+            argv = ["--problem", "quadratic_saddle", "--dim", "4", "--start", "file", "--start-file", str(path)]
+        assert main(["params", *argv, "--chi", "4"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {path}{where}\n"
 
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     def test_oversized_dimension_is_config_error(self, problem, monkeypatch, capsys):
@@ -346,10 +378,12 @@ class TestStudy:
         summary = json.loads((tmp_path / "r.summary.json").read_text())
         assert summary["escape_rate"] == 0.0
 
-    def test_trials_must_be_positive(self, tmp_path):
+    def test_trials_must_be_positive(self, tmp_path, capsys):
         code = main(["study", "--problem", "pca", "--dim", "6", "--chi", "4",
                      "--trials", "0", "--out", str(tmp_path / "t")])
         assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: trials must be an integer >= 1, got 0\n"
+        assert not list(tmp_path.iterdir())
 
 
 class TestVerify:

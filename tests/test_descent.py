@@ -260,8 +260,16 @@ class TestTangentSpaceSteps:
         x = simple_saddle.manifold.point([0.0, 0.0])
         pull = Pullback(simple_saddle, x)
         s0 = simple_saddle.manifold.tangent(x, [3.0, 0.0])
-        with pytest.raises(ValueError, match="ball"):
+        with pytest.raises(ValueError) as exc:
             tangent_space_steps(pull, s0, eta=1.0, ball=1.0, horizon=3)
+        assert str(exc.value) == "requires ||s0|| <= ball, got 3.0 > 1.0"
+
+    def test_lockstep_rejects_a_perturbation_outside_ball(self, simple_saddle):
+        # the record does not tie eta * radius to the ball, so a phase start can land outside it
+        params = dataclasses.replace(practical(chi=4.0, ball=1.0), radius=1e6)
+        x0 = simple_saddle.manifold.point([0.0, 0.0])
+        with pytest.raises(ValueError, match=r"^requires \|\|s0\|\| <= ball, got \d\S* > 1\.0$"):
+            descent.prgd_lockstep(simple_saddle, x0, params, [RngStream(1, 0), RngStream(2, 1)])
 
 
 def public_api_loop(pull, s0, eta, ball, horizon):

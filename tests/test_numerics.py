@@ -491,11 +491,20 @@ class TestRngStream:
         assert 0.0 <= val < 1.0
         assert nxt.index == 1
 
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            RngStream(-1)
-        with pytest.raises(ValueError):
-            RngStream(2**64)
+    # the count rule below 2^64 is in test_boundary's table; this is the bound above it
+    @pytest.mark.parametrize("args, message", [
+        ((2**64,), "seed must lie in [0, 2^64), got 18446744073709551616"),
+        ((1, 0, 2**64), "index must lie in [0, 2^64), got 18446744073709551616"),
+    ])
+    def test_rejects_out_of_range(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            RngStream(*args)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        rng = RngStream(np.uint64(2**64 - 1), np.int64(3), np.uint8(4))
+        assert [type(v) for v in (rng.seed, rng.stream, rng.index)] == [int, int, int]
+        assert rng == RngStream(2**64 - 1, 3, 4)
 
 
 def fresh_philox(seed, stream, index):

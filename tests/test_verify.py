@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -856,3 +857,7 @@ class TestCouplingExperiment:
             coupling_experiment(convex, convex.manifold.point([0.0, 0.0]), params, 2.0 * params.radius)
         with pytest.raises(ValueError, match="localization budget"):
             coupling_experiment(problem, x, params, params.locality * 4.0 / params.eta)
+        # a start eta * r0 / 2 beyond a finite ball, checked before the localization budget
+        with pytest.raises(ValueError) as exc:
+            coupling_experiment(problem, x, replace(params, ball=1.0), 4.0 / params.eta)
+        assert str(exc.value) == "hypothesis failed: the starts do not fit in the tangent ball of radius b"
