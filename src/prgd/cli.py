@@ -95,8 +95,8 @@ class ProblemSetup:
     params: PrgdParams
 
 
-def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
-    """Instantiate the cost; returns (problem, dominant eigenvector, saddle point)."""
+def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None, float, float]:
+    """Instantiate the cost; returns (problem, dominant eigenvector, saddle point, lip_grad, default lip_hess)."""
     if args.problem == "pca":
         if args.matrix:
             problem = PcaProblem(load_matrix(args.matrix))
@@ -109,9 +109,12 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
             a, _, vecs, _ = synthetic_matrix(args.dim, RngStream(args.seed, STREAM_SPECTRUM))
             problem = PcaProblem(a)
             v_max, second = vecs[:, 0], vecs[:, 1]
-        return problem, v_max, problem.manifold.point(second)
+        consts = problem.constants()
+        return problem, v_max, problem.manifold.point(second), consts.lip_grad, consts.lip_hess
+    # the library takes a 1x1 saddle, but the CLI's has one smallest size, whether read or built
     if args.matrix:
         h = load_matrix(args.matrix)
+        _check_count(2, dim=len(h))
     else:
         if args.dim is None:
             raise ValueError("quadratic_saddle requires --matrix or --dim")
@@ -120,7 +123,7 @@ def _build_problem(args) -> tuple[object, np.ndarray | None, Point | None]:
         h = np.diag(np.concatenate(([-1.0], np.ones(args.dim - 1))))
     problem = QuadraticSaddle(h)
     saddle = problem.manifold.point(np.zeros(problem.manifold.ambient_dim))
-    return problem, None, saddle
+    return problem, None, saddle, problem.norm, DEFAULT_QUAD_RHO
 
 
 def _resolve_start(args, problem, saddle) -> Point:
@@ -140,22 +143,15 @@ def _setup(args) -> ProblemSetup:
     """Build the problem and its start point, and derive the one parameter record of the run."""
     if args.chi is not None and args.mode == "theoretical":
         raise ValueError("--chi applies to --mode practical only")
-    problem, v_max, saddle = _build_problem(args)
+    problem, v_max, saddle, lip_grad, lip_hess = _build_problem(args)
     x0 = _resolve_start(args, problem, saddle)
-    if args.problem == "pca":
-        consts = problem.constants()
-        lip_grad = consts.lip_grad
-        lip_hess = args.rho if args.rho is not None else consts.lip_hess
-        # f* = -lambda_max / 2 exactly, so the supplied gap can be exact
-        gap = args.gap if args.gap is not None else max(problem.value(x0) - problem.f_star, 1e-12)
-    else:
-        lip_grad = problem.norm
-        lip_hess = args.rho if args.rho is not None else DEFAULT_QUAD_RHO
-        gap = args.gap if args.gap is not None else DEFAULT_QUAD_GAP
+    # pca's f* = -lambda_max / 2 is exact, so its default gap is exact
+    gap = (args.gap if args.gap is not None else
+           max(problem.value(x0) - problem.f_star, 1e-12) if args.problem == "pca" else DEFAULT_QUAD_GAP)
     params = derive_params(
         epsilon=args.eps, delta=args.delta, dim=problem.manifold.intrinsic_dim,
-        ell=args.ell if args.ell is not None else lip_grad, lip_grad=lip_grad, lip_hess=lip_hess,
-        ball=args.ball, gap=gap, mode=args.mode,
+        ell=args.ell if args.ell is not None else lip_grad, lip_grad=lip_grad,
+        lip_hess=args.rho if args.rho is not None else lip_hess, ball=args.ball, gap=gap, mode=args.mode,
         chi=4.0 if args.chi is None and args.command == "verify" and args.mode == "practical" else args.chi,
     )
     return ProblemSetup(problem=problem, x0=x0, saddle=saddle, v_max=v_max, params=params)

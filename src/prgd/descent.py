@@ -386,8 +386,8 @@ def prgd_lockstep(
     f0 = float(f0)
     trials = [_Trial(RunTrace(), rng, f0, row) for row, rng in enumerate(rngs)]
     traces = [trial.trace for trial in trials]
-    # tick k's vals[:4] at recent[k % len(recent)]; it doubles as the ticks reach its length, up to horizon
-    recent = np.empty((1, 4, len(trials)))
+    # tick k's vals[:4] at recent[k % horizon]: the last horizon ticks, the longest a phase runs
+    recent = np.empty((horizon, 4, len(trials)))
     x = np.tile(start, (len(trials), 1))
     # the norm buffer: s, s - s0 and the loop-top gradient; rows 0 and 2 are the block's s and gradient
     stack = np.zeros((3,) + x.shape)
@@ -472,9 +472,7 @@ def prgd_lockstep(
         norms = vals[2:]
         np.vecdot(stack, stack, out=norms)
         np.sqrt(norms, out=norms)
-        if tick == len(recent) < horizon:
-            recent = np.concatenate((recent, np.empty((min(tick, horizon - tick),) + recent.shape[1:])))
-        recent[tick % len(recent)] = vals[:4]
+        recent[tick % horizon] = vals[:4]
         top = []
         if anchored:
             s[anchored] = 0.0  # after the norms, since ||s|| is the step's tangent_norm
@@ -518,37 +516,21 @@ def rgd(problem, x0: Point, eta: float, epsilon: float, max_iters: int) -> RunTr
     # one fused call per iterate gives its value and the next loop-top gradient
     f_x, grad = problem._value_and_gradient_array(x)
     trace = RunTrace()
-    events = trace.events
-    queries = 0
     t = 0
-    terminated = "budget"
-
     while True:
-        queries += 1
         grad_norm = _norm(grad)
         if not math.isfinite(grad_norm):
             raise NumericalError("Riemannian gradient is non-finite")
-        if grad_norm <= epsilon:
-            terminated = "gradient_converged"
-            break
-        if t >= max_iters:
+        if grad_norm <= epsilon or t >= max_iters:
             break
         step = -eta * grad
         x = manifold._retract_array(x, step)
         f_new, grad = problem._value_and_gradient_array(x)
-        events.append(
-            TraceEvent(
-                t=t,
-                kind=MANIFOLD_STEP,
-                f=f_new,
-                grad_norm=grad_norm,
-                tangent_norm=_norm(step),
-                alpha=1.0,
-                f_before=f_x,
-            )
-        )
+        trace._log.append(TraceEvent(t, MANIFOLD_STEP, f_new, grad_norm, _norm(step), 1.0, f_before=f_x))
         f_x = f_new
         t += 1
 
-    trace.finish(Point(manifold, x), f_x, t, grad_norm, queries, terminated)
+    # iterates 0 ... t each queried one gradient, and the last one's norm says why the run stopped
+    trace.finish(Point(manifold, x), f_x, t, grad_norm, t + 1,
+                 "gradient_converged" if grad_norm <= epsilon else "budget")
     return trace

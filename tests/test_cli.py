@@ -166,7 +166,7 @@ class TestParams:
         path = tmp_path / "a.txt"
         save_matrix(path, 0.5 * (a + a.T))
         args = build_parser().parse_args(["params", "--problem", "pca", "--matrix", str(path)])
-        problem, v_max, saddle = _build_problem(args)
+        problem, v_max, saddle, _, _ = _build_problem(args)
         vals, vecs = np.linalg.eigh(problem.matrix)
         for v, lam in ((v_max, vals[-1]), (saddle.coords, vals[-2])):
             assert np.linalg.norm(problem.matrix @ v - lam * v) <= 1e-9 * 3.0
@@ -184,7 +184,7 @@ class TestParams:
         path = tmp_path / "a.txt"
         save_matrix(path, raw)
         args = ["params", "--problem", "pca", "--matrix", str(path), "--chi", "4"]
-        problem, _, _ = _build_problem(build_parser().parse_args(args))
+        problem = _build_problem(build_parser().parse_args(args))[0]
         assert np.array_equal(problem.matrix, 0.5 * (raw + raw.T))
         assert main(args) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["lip_grad"] == pytest.approx(2.5 * problem.norm, rel=1e-12)
@@ -256,6 +256,20 @@ class TestParams:
         assert main(["params", "--problem", "pca", "--matrix", str(path), "--chi", "4"]) == EXIT_CONFIG
         # the sphere's own count rule names the size
         assert capsys.readouterr().err == "error: n must be an integer >= 2, got 1\n"
+
+    @pytest.mark.parametrize("command", ["params", "run", "study", "verify"])
+    def test_one_by_one_quadratic_file_meets_the_dim_rule(self, command, tmp_path, capsys):
+        # the library takes a 1x1 saddle; the command line's smallest size is --dim's, with its text
+        path = tmp_path / "a.txt"
+        save_matrix(path, np.array([[-1.0]]))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--problem", "quadratic_saddle", "--matrix", str(path), "--chi", "4"]
+        if command in ("run", "study"):
+            argv += ["--out", str(out / "o")]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: dim must be an integer >= 2, got 1\n")
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("problem", ["pca", "quadratic_saddle"])
     @pytest.mark.parametrize("dim", ["0", "-3", "1"])

@@ -188,6 +188,13 @@ class TestBoundaryAlpha:
         with pytest.raises(NumericalError, match="leave the ball"):
             boundary_alpha(np.array([0.0, 0.0]), np.array([0.1, 0.0]), 1.0, 1.0)
 
+    def test_infinite_gradient_has_no_feasible_fraction(self):
+        # the full step leaves the ball, but the root is inf / inf; no RuntimeWarning (an error under this
+        # suite's settings) comes before the raise
+        with pytest.raises(NumericalError) as err:
+            boundary_alpha(np.array([0.5, 0.0]), np.array([math.inf, 0.0]), 1.0, 1.0)
+        assert str(err.value) == "no feasible boundary step fraction in (0, 1], got nan"
+
 
 class TestTraceEvent:
     def test_fields_and_defaults(self):
@@ -933,6 +940,21 @@ class TestRgd:
         trace = rgd(p, x0, eta=0.2, epsilon=0.0, max_iters=25)
         assert trace.final_t == 25
         assert calls == {"fused": 26, "value": 0, "riemannian_gradient": 0}
+
+    @pytest.mark.parametrize("max_iters, terminated", [(10_000, "gradient_converged"), (7, "budget"), (0, "budget")])
+    def test_queries_and_stop_reason_follow_the_step_count(self, max_iters, terminated):
+        # from a random start: one gradient per iterate 0 ... final_t, one event per step
+        a, _, _, _ = synthetic_matrix(6, RngStream(3, 44))
+        p = PcaProblem(a)
+        raw, _ = RngStream(19).standard_normal(6)
+        x0 = p.manifold.point(raw / np.linalg.norm(raw))
+        trace = rgd(p, x0, eta=0.2, epsilon=1e-6, max_iters=max_iters)
+        assert trace.terminated == terminated
+        assert (trace.final_t == max_iters) == (terminated == "budget")
+        assert trace.gradient_queries == trace.final_t + 1
+        assert len(trace.events) == trace.final_t
+        assert [ev.t for ev in trace.events] == list(range(trace.final_t))
+        assert (trace.final_grad_norm <= 1e-6) == (terminated == "gradient_converged")
 
     def test_pca_converges_to_an_eigenvector(self):
         a, lams, vecs, _ = synthetic_matrix(6, RngStream(3, 44))

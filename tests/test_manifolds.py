@@ -61,6 +61,11 @@ class TestPointsAndTangents:
             eu.tangent(x, [1.0, 2.0, 3.0])
         eu.tangent(x, [1.0, 2.0])
 
+    def test_point_must_have_ambient_shape(self):
+        with pytest.raises(ValueError) as err:
+            Sphere(3).point([1.0, 0.0])
+        assert str(err.value) == "point has shape (2,), expected (3,)"
+
     def test_euclidean_point_any_coords(self):
         Euclidean(2).point([5.0, -3.0])
 
@@ -85,6 +90,12 @@ class TestProject:
         sph = Sphere(3)
         x = sph.point([1.0, 0.0, 0.0])
         assert np.array_equal(sph.project(x, [0.0, 1.0, 0.0]).coords, [0.0, 1.0, 0.0])
+
+    def test_vector_must_have_ambient_shape(self):
+        eu = Euclidean(2)
+        with pytest.raises(ValueError) as err:
+            eu.project(eu.point([0.0, 0.0]), [1.0, 2.0, 3.0])
+        assert str(err.value) == "vector has shape (3,), expected (2,)"
 
     def test_euclidean_identity(self):
         eu = Euclidean(4)

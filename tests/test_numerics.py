@@ -121,6 +121,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=IN_RANGE):
             route(np.diag([1e308, 1.0]))
 
+    @pytest.mark.parametrize("entry", [math.nan, math.inf])
+    def test_eigenvalues_reject_nonfinite_entries(self, entry):
+        # `_eigenvalues` takes symmetry on trust but checks finiteness, of a matrix and of a stack
+        m = np.eye(3)
+        m[1, 1] = entry
+        for arg in (m, np.stack([np.eye(3), m])):
+            with pytest.raises(ValueError, match=FINITE):
+                numerics._eigenvalues(arg)
+
     def test_sym_matrix_accepts_tiny_asymmetry(self):
         m = np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]])
         as_sym_matrix(m)

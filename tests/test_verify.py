@@ -760,17 +760,21 @@ class TestTraceAudit:
         report = audit_trace(trace, params)
         assert any("localization" in v for v in report.violations)
 
-    @pytest.mark.parametrize("event, violation", [
-        (TraceEvent(t=3, kind=MANIFOLD_STEP, f=1.0, grad_norm=0.5, tangent_norm=0.5, alpha=1.0),
+    @pytest.mark.parametrize("events, violation", [
+        ([TraceEvent(t=3, kind=MANIFOLD_STEP, f=1.0, grad_norm=0.5, tangent_norm=0.5, alpha=1.0)],
          "t=3: manifold step lacks audit fields"),
-        (TraceEvent(t=2, kind=TANGENT_STEP, f=1.0, grad_norm=0.5, tangent_norm=0.1, alpha=1.0, dist_start=0.1, step=1),
+        ([TraceEvent(t=2, kind=TANGENT_STEP, f=1.0, grad_norm=0.5, tangent_norm=0.1, alpha=1.0, dist_start=0.1,
+                     step=1)],
          "t=2: tangent step outside a phase or lacking fields"),
-    ], ids=["manifold-step-without-f-before", "tangent-step-without-perturbation"])
-    def test_malformed_event_is_flagged(self, event, violation):
+        ([TraceEvent(t=1, kind=PERTURBATION, f=1.0, grad_norm=0.0, tangent_norm=0.1),
+          TraceEvent(t=1, kind=BOUNDARY_TRUNCATION, f=0.9, tangent_norm=0.2, alpha=0.5, dist_start=0.1, step=1)],
+         "t=1: tangent step outside a phase or lacking fields"),
+    ], ids=["manifold-step-without-f-before", "tangent-step-without-perturbation", "tangent-step-without-grad-norm"])
+    def test_malformed_event_is_flagged(self, events, violation):
         params = derive_params(epsilon=0.3, delta=0.1, dim=2, ell=1.0, lip_grad=1.0,
                                lip_hess=1.0, ball=math.inf, gap=2.0, mode="practical", chi=4.0)
         trace = RunTrace()
-        trace.events.append(event)
+        trace.events.extend(events)
         report = audit_trace(trace, params)
         assert report.violations == [violation]
         assert report.n_manifold_steps + report.n_tangent_steps == 1
@@ -796,6 +800,26 @@ class TestCouplingExperiment:
         problem, x, params = self.canonical()
         d1, d2 = coupling_experiment(problem, x, params, 2.0 * params.radius)
         assert d1 == d2  # the quadratic is even, so the coupled runs mirror exactly
+
+    def test_failed_hypothesis_fails_the_battery_check(self, pca3, monkeypatch):
+        # at the dominant eigenvector the pullback Hessian is positive definite, so the experiment's
+        # lambda_min hypothesis fails and the battery reports its text
+        raised = []
+
+        def recorded(*args):
+            try:
+                return coupling_experiment(*args)
+            except ValueError as exc:
+                raised.append(str(exc))
+                raise
+
+        monkeypatch.setattr(verify, "coupling_experiment", recorded)
+        v_max = np.array([1.0, 0.0, 0.0])
+        checks = verify.verification_checks(pca3, pca3.manifold.point(v_max), v_max, pca_params(pca3, chi=4.0),
+                                            0, 50)
+        assert len(raised) == 1
+        assert raised[0].startswith("hypothesis failed: lambda_min of the pullback Hessian is ")
+        assert checks[-1] == ("coupling_escape", False, raised[0])
 
     def test_flipped_eigenvector_swaps_the_drops(self, pca3, monkeypatch):
         # the certificate fixes the sign of its eigenvector; the other sign only swaps the two starts
